@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, SolverFailureError, UnsupportedCaseError
-from .linprog import OPTIMAL, LinearProgram, solve_lp, solve_lfp
+from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_lfp
 from .probtab import DistTable, delta_sup
 from .typeshares import (
     DEFIER_BUDGET,
@@ -293,41 +293,33 @@ def ade_bounds(table: DistTable, r: RestrictionSet, k: int, auto_relax=False):
     return float(lb), float(ub)
 
 
-def breakdown_defier_budget(table: DistTable, tol=1e-6) -> float:
+def breakdown_defier_budget(table: DistTable) -> float:
     """Largest defier budget at which the pooled bound stays positive.
 
-    The pooled bound is monotone nonincreasing in the budget, so bisection
-    applies; the reported value is the last positive point on the grid of
-    width ``tol``.  Returns 0 when there is no violation evidence at any
-    feasible budget.
+    The pooled bound vanishes at budget ``dbar`` exactly when some type
+    shares within it let the compliers moving into every stratum k cover
+    its gap, ``sum_{l != k} theta_lk >= delta_sup_k``; so the breakdown
+    budget is the least defier mass of such shares, one LP.  Returns 1 when
+    no shares cover the gaps and 0 when the least covering defier mass is
+    the least the mediator marginals allow, i.e. when there is no violation
+    evidence at any feasible budget.
     """
     if not table.support.totally_ordered:
         raise UnsupportedCaseError("breakdown budget needs a scalar ordered mediator")
-
-    def g(dbar):
-        r = RestrictionSet.defier_budget(table.support, dbar)
-        spec = build_identified_set(table, r)
-        if not spec.feasible:
-            return None
-        value, _, _, _ = _pooled_lfp(table, spec)
-        return value
-
-    probe = build_identified_set(table, RestrictionSet.defier_budget(table.support, 0.0))
-    lo = 0.0 if probe.feasible else min_defier_budget(probe)
-    g_lo = g(lo)
-    if g_lo is None or g_lo <= ZERO_TOL:
-        return 0.0
-    if (g_hi := g(1.0)) is not None and g_hi > ZERO_TOL:
+    K = table.n_mediators
+    spec = build_identified_set(table, RestrictionSet.unrestricted(table.support))
+    cover = -np.tile(np.eye(K), K)  # row k: -theta_lk over every l ...
+    cover[np.arange(K), np.arange(K) * (K + 1)] = 0.0  # ... other than k
+    gaps = np.array([delta_sup(table, k) for k in range(K)])
+    defiers = RestrictionSet.defier_budget(table.support, 0.0).matrix[0]
+    sol = solve_lp(spec.lp(defiers, cover, -gaps))
+    if sol.status == INFEASIBLE:
         return 1.0
-    hi = 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if val is not None and val > ZERO_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if sol.status != OPTIMAL:
+        raise SolverFailureError(f"breakdown-budget LP ended with status {sol.status}")
+    if sol.value <= min_defier_budget(spec) + ZERO_TOL:
+        return 0.0
+    return float(sol.value)
 
 
 def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,

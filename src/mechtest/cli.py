@@ -19,18 +19,14 @@ import csv
 import hashlib
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, bounds as bounds_mod, ident, inference, mc
 from .errors import MechtestError, StructuralError, UnsupportedCaseError
-from .probtab import (
-    DistTable,
-    discretize_outcome,
-    quantile_cutpoints,
-    read_csv,
-)
+from .probtab import DistTable, bin_records, from_records, read_csv, support_from_values
 from .typeshares import RestrictionSet, build_identified_set, min_defier_budget
 
 DEFAULTS = {
@@ -187,16 +183,11 @@ def _write_manifest(cfg: RunConfig, outputs):
 
 
 def _load_table(cfg: RunConfig):
+    """Raw records and the table the strategy identifies from their binned
+    outcomes."""
     records = read_csv(cfg.input)
-    table = ident.apply_strategy(records, parse_strategy(cfg.strategy))
-    bins = parse_bins(cfg.bins)
-    if bins is not None:
-        if isinstance(bins, int):
-            cuts = quantile_cutpoints(records.y, bins)
-        else:
-            cuts = bins
-        table = discretize_outcome(table, cuts)
-    return records, table
+    binned = bin_records(records, parse_bins(cfg.bins))
+    return records, ident.apply_strategy(binned, parse_strategy(cfg.strategy))
 
 
 def _cells_csv(path, table: DistTable):
@@ -233,10 +224,7 @@ def cmd_test(cfg: RunConfig):
             "use bounds/robustness for other identification strategies"
         )
     records = read_csv(cfg.input)
-    from .probtab import support_from_values
-
-    support = support_from_values(records.m)
-    r = parse_restriction(cfg.restriction, support)
+    r = parse_restriction(cfg.restriction, support_from_values(records.m))
     system = inference.build_moment_system(records, r, bins=parse_bins(cfg.bins))
     if cfg.method == inference.LF_BOOT:
         result = inference.test_least_favorable_bootstrap(
@@ -318,58 +306,56 @@ def _simulate_design(cfg: RunConfig):
     )
 
 
+_Replicate = namedtuple("_Replicate", "reject statistic p_value nu_pooled_lb median_cell_count")
+
+
 def cmd_simulate(cfg: RunConfig):
     dgp = _simulate_design(cfg)
     bins = parse_bins(cfg.bins)
-    out = cfg.out or "simulate.csv"
-    rows = []
-    rejections = 0
-    errors = 0
-    for sim in range(cfg.nsims):
-        records = mc.draw_sample(dgp, mc._derive(cfg.seed, sim))
-        from .probtab import support_from_values, from_records
+    # a malformed restriction is an input error, not an error in every replicate
+    pooled_m = np.vstack([dgp.control_pool.m, dgp.treated_pool.m])
+    parse_restriction(cfg.restriction, support_from_values(pooled_m))
 
-        support = support_from_values(records.m)
-        r = parse_restriction(cfg.restriction, support)
-        try:
-            system = inference.build_moment_system(records, r, bins=bins, min_cell=0)
-            if cfg.method == inference.LF_BOOT:
-                result = inference.test_least_favorable_bootstrap(
-                    system, alpha=cfg.alpha, b_draws=cfg.boot,
-                    seed=mc._derive(cfg.seed, sim, 1),
-                )
-            else:
-                result = inference.test_conditional_chisq(system, alpha=cfg.alpha)
-            table = from_records(records)
-            if bins is not None:
-                cuts = quantile_cutpoints(records.y, bins) if isinstance(bins, int) else bins
-                table = discretize_outcome(table, cuts)
-            pooled = bounds_mod.nu_pooled_lower_bound(table, r, auto_relax=True)
-            med = mc.median_cell_count(records, bins=bins)
-        except MechtestError as exc:
-            errors += 1
-            rows.append([sim, "error", "", "", "", type(exc).__name__])
+    def replicate(records, seed):
+        r = parse_restriction(cfg.restriction, support_from_values(records.m))
+        system = inference.build_moment_system(records, r, bins=bins, min_cell=0)
+        if cfg.method == inference.LF_BOOT:
+            result = inference.test_least_favorable_bootstrap(
+                system, alpha=cfg.alpha, b_draws=cfg.boot, seed=seed,
+            )
+        else:
+            result = inference.test_conditional_chisq(system, alpha=cfg.alpha)
+        table = from_records(bin_records(records, bins))
+        pooled = bounds_mod.nu_pooled_lower_bound(table, r, auto_relax=True)
+        return _Replicate(result.reject, result.statistic, result.p_value, pooled,
+                          mc.median_cell_count(records, bins=bins))
+
+    summary = mc.rejection_rate(dgp, replicate, cfg.nsims, cfg.seed)
+    rows = []
+    for sim, rep in enumerate(summary.results):
+        if isinstance(rep, MechtestError):
+            rows.append([sim, "error", "", "", "", type(rep).__name__])
             continue
-        rejections += bool(result.reject)
         rows.append([
             sim,
-            f"{result.statistic:.10g}",
-            f"{result.p_value:.10g}",
-            int(result.reject),
-            f"{pooled:.10g}",
-            f"{med:.10g}",
+            f"{rep.statistic:.10g}",
+            f"{rep.p_value:.10g}",
+            int(rep.reject),
+            f"{rep.nu_pooled_lb:.10g}",
+            f"{rep.median_cell_count:.10g}",
         ])
+    out = cfg.out or "simulate.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sim_id", "statistic", "p_value", "reject",
                          "nu_pooled_lb", "median_cell_count"])
         writer.writerows(rows)
     manifest = _write_manifest(cfg, [out])
-    ok = cfg.nsims - errors
+    ok = summary.n_sims - summary.n_errors
     print(json.dumps({
         "ok": True, "outputs": [out, manifest],
-        "rejection_rate": rejections / ok if ok else None,
-        "errors": errors,
+        "rejection_rate": summary.rate if ok else None,
+        "errors": summary.n_errors,
     }))
     return 0
 

@@ -25,7 +25,7 @@ from .errors import (
     StructuralError,
     WeakInstrumentError,
 )
-from .probtab import DistTable, RecordSet, from_records, support_from_values
+from .probtab import DistTable, RecordSet, encode, from_records
 from .typeshares import RestrictionSet
 from .bounds import sharp_null_slack
 
@@ -73,14 +73,6 @@ def randomized_marginals(records: RecordSet) -> DistTable:
     return from_records(records)
 
 
-def _grids(records: RecordSet):
-    support = support_from_values(records.m)
-    levels = tuple(sorted(set(records.y.tolist())))
-    k_of = np.array([support.index(row) for row in records.m])
-    q_of = np.array([levels.index(y) for y in records.y.tolist()])
-    return support, levels, k_of, q_of
-
-
 def _clip_and_normalize(raw, label):
     """Clip negative estimated cells, renormalize to a pmf, log adjustments."""
     clipped = float(np.clip(-raw, 0.0, None).sum())
@@ -120,22 +112,17 @@ def iv_complier_marginals(records: RecordSet) -> DistTable:
         raise WeakInstrumentError(
             f"first stage {alpha_c:.3g} is zero or too weak to scale by"
         )
-    support, levels, k_of, q_of = _grids(records)
-    K, Q = support.k, len(levels)
-    cell = np.zeros((records.n, K, Q))
-    cell[np.arange(records.n), k_of, q_of] = 1.0
-    cell1 = (cell[z == 1] * d[z == 1, None, None]).mean(axis=0) - (
-        cell[z == 0] * d[z == 0, None, None]
-    ).mean(axis=0)
-    comp0 = cell * (1 - d)[:, None, None]
-    cell0 = -(comp0[z == 1].mean(axis=0) - comp0[z == 0].mean(axis=0))
+    enc = encode(records)
+    # wald[d]: E[1{D=d, cell} | Z=1] - E[1{D=d, cell} | Z=0]
+    by_z = enc.cell_sums(z)
+    wald = by_z[1] / (z == 1).sum() - by_z[0] / (z == 0).sum()
     mass = np.stack(
         [
-            _clip_and_normalize(cell0 / alpha_c, "iv control arm"),
-            _clip_and_normalize(cell1 / alpha_c, "iv treated arm"),
+            _clip_and_normalize(-wald[0] / alpha_c, "iv control arm"),
+            _clip_and_normalize(wald[1] / alpha_c, "iv treated arm"),
         ]
     )
-    return DistTable(support=support, outcome_levels=levels, mass=mass)
+    return DistTable(support=enc.support, outcome_levels=enc.outcome_levels, mass=mass)
 
 
 def ipw_marginals(records: RecordSet, eta: float = 0.01) -> DistTable:
@@ -154,21 +141,17 @@ def ipw_marginals(records: RecordSet, eta: float = 0.01) -> DistTable:
             f"first offenders: {bad[:10].tolist()}",
             rows=bad.tolist(),
         )
-    support, levels, k_of, q_of = _grids(records)
-    K, Q = support.k, len(levels)
-    cell = np.zeros((records.n, K, Q))
-    cell[np.arange(records.n), k_of, q_of] = 1.0
-    w1 = records.d / ps
-    w0 = (1 - records.d) / (1.0 - ps)
-    raw1 = (cell * w1[:, None, None]).mean(axis=0)
-    raw0 = (cell * w0[:, None, None]).mean(axis=0)
+    enc = encode(records)
+    # each row is weighted by the inverse probability of its own arm
+    weights = np.where(records.d == 1, 1.0 / ps, 1.0 / (1.0 - ps))
+    raw = enc.cell_sums(weights=weights) / records.n
     mass = np.stack(
         [
-            _clip_and_normalize(raw0, "ipw control arm"),
-            _clip_and_normalize(raw1, "ipw treated arm"),
+            _clip_and_normalize(raw[0], "ipw control arm"),
+            _clip_and_normalize(raw[1], "ipw treated arm"),
         ]
     )
-    return DistTable(support=support, outcome_levels=levels, mass=mass)
+    return DistTable(support=enc.support, outcome_levels=enc.outcome_levels, mass=mass)
 
 
 def misclassify_mediator(table: DistTable, L) -> DistTable:

@@ -28,7 +28,7 @@ from scipy.stats import chi2
 
 from .errors import EstimationError, SolverFailureError, StructuralError
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp, solve_qp
-from .probtab import RecordSet, bin_index, quantile_cutpoints, support_from_values
+from .probtab import RecordSet, encode
 from .rng import substream
 from .typeshares import MONOTONE, RestrictionSet, marginal_equalities
 
@@ -137,25 +137,6 @@ def _p_layout(K, Q):
     return joint1, joint0, marg1, marg0, 2 * K * Q + 2 * K
 
 
-def _cluster_cells(records: RecordSet, support, levels):
-    """Per-cluster counts over (arm, mediator, outcome) cells."""
-    K, Q = support.k, len(levels)
-    if records.cluster is None:
-        ids = np.arange(records.n)
-    else:
-        uniq = {c: i for i, c in enumerate(dict.fromkeys(records.cluster.tolist()))}
-        ids = np.array([uniq[c] for c in records.cluster.tolist()])
-    G = int(ids.max()) + 1
-    level_of = {y: q for q, y in enumerate(levels)}
-    k_of = np.array([support.index(row) for row in records.m])
-    q_of = np.array([level_of[y] for y in records.y.tolist()])
-    cells = np.zeros((G, 2, K, Q), dtype=np.int64)
-    np.add.at(cells, (ids, records.d, k_of, q_of), 1)
-    arm_counts = cells.sum(axis=(2, 3))
-    arm = np.where(arm_counts[:, 1] == 0, 0, np.where(arm_counts[:, 0] == 0, 1, -1))
-    return cells, arm.astype(int)
-
-
 def p_from_cells(cells):
     """Stacked probability vector from an aggregated (2, K, Q) count array."""
     totals = cells.sum(axis=(1, 2))
@@ -195,33 +176,7 @@ def _influence_covariance(cluster_cells):
 def median_cluster_cell_count(records: RecordSet, bins=None):
     """Median count of distinct independent units per nonempty
     (arm, mediator, outcome-bin) cell."""
-    levels, y_mapped = _discretize_records(records, bins)
-    mapped = RecordSet(y=y_mapped, m=records.m, d=records.d, cluster=records.cluster)
-    support = support_from_values(records.m)
-    cells, _ = _cluster_cells(mapped, support, levels)
-    occupied = (cells > 0).sum(axis=0)  # distinct clusters per (d, k, q)
-    counts = occupied[occupied > 0]
-    if counts.size == 0:
-        raise EstimationError("no occupied cells")
-    return float(np.median(counts))
-
-
-def _discretize_records(records: RecordSet, bins):
-    """Outcome levels after optional binning; returns (levels, y_mapped)."""
-    if bins is None:
-        levels = tuple(sorted(set(records.y.tolist())))
-        return levels, records.y
-    if isinstance(bins, int):
-        cuts = quantile_cutpoints(records.y, bins)
-    else:
-        cuts = tuple(float(c) for c in bins)
-        if any(b <= a for a, b in zip(cuts, cuts[1:])):
-            raise StructuralError("cutpoints must be strictly increasing")
-    if len(cuts) == 0:
-        raise StructuralError("empty interval set")
-    y = bin_index(records.y, cuts).astype(float)
-    levels = tuple(sorted(set(y.tolist())))
-    return levels, y
+    return float(np.median(encode(records, bins).units_per_cell()))
 
 
 def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
@@ -241,23 +196,20 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
     A median independent-unit count per occupied cell below ``min_cell``
     triggers :class:`CellCountWarning`.
     """
-    levels, y_mapped = _discretize_records(records, bins)
-    mapped = RecordSet(
-        y=y_mapped, m=records.m, d=records.d,
-        cluster=records.cluster, z=records.z, pscore=records.pscore,
-    )
-    support = support_from_values(records.m)
+    enc = encode(records, bins)
+    support, levels = enc.support, enc.outcome_levels
     if r.n_support != support.k:
         raise StructuralError(
             f"restriction built for K={r.n_support} but records have K={support.k}"
         )
     K, Q = support.k, len(levels)
-    cells, arm = _cluster_cells(mapped, support, levels)
-    if (cells.sum(axis=(0, 2, 3)) == 0).any():
+    cells = enc.cell_sums(enc.cluster_of)
+    arm_counts = cells.sum(axis=(2, 3))
+    if (arm_counts.sum(axis=0) == 0).any():
         raise EstimationError("need observations in both arms")
+    arm = np.where(arm_counts[:, 1] == 0, 0, np.where(arm_counts[:, 0] == 0, 1, -1))
     sigma, p_hat = _influence_covariance(cells)
-    occupied = (cells > 0).sum(axis=0)
-    med = float(np.median(occupied[occupied > 0]))
+    med = float(np.median(enc.units_per_cell()))
     if med < min_cell:
         warnings.warn(
             f"median independent observations per cell is {med:.1f} (< {min_cell}); "
@@ -457,6 +409,41 @@ def _make_resampler(system: MomentSystem):
     return draw_mixed
 
 
+def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
+    """Statistic and bootstrap draws of the least-favorable max test.
+
+    Each soft row is recentred at its sample value at the minimizing omega,
+    so every soft moment binds (the least-favorable configuration); the
+    hard rows (nonnegativity, restriction and marginal matching) hold
+    exactly and keep their own right-hand sides.
+    """
+    sds = system.moment_sds()
+    hard = system.hard_mask()
+    if not (~hard).any():
+        raise EstimationError("degenerate data: no stochastic moment rows remain")
+    t0, omega_hat = _minmax_statistic(system, system.p_hat, np.zeros(system.n_rows), sds, hard)
+    root_n = np.sqrt(system.n_eff)
+    statistic = root_n * max(t0, 0.0) if np.isfinite(t0) else np.inf
+    shift = np.zeros(system.n_rows)
+    if omega_hat is not None:
+        soft = ~np.array([r.hard for r in system.rows], dtype=bool)
+        shift[soft] = (system.c2 @ system.p_hat - system.c1 @ omega_hat)[soft]
+    resample = _make_resampler(system)
+    draws = np.empty(b_draws)
+    for b in range(b_draws):
+        rng = substream(seed, b)
+        p_star = p_from_cells(resample(rng))
+        t_b, _ = _minmax_statistic(system, p_star, shift, sds, hard)
+        draws[b] = root_n * max(t_b, 0.0) if np.isfinite(t_b) else np.inf
+    return statistic, np.sort(draws)
+
+
+def _lf_critical(order, alpha):
+    """The ceil((1 - alpha) B)-th smallest of the B sorted draws."""
+    b_draws = order.size
+    return float(order[min(max(int(np.ceil((1.0 - alpha) * b_draws)) - 1, 0), b_draws - 1)])
+
+
 def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
                                    b_draws: int = 999, seed: int = 0) -> TestResult:
     """Studentized max test with least-favorable bootstrap critical values.
@@ -465,38 +452,20 @@ def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
     moment)_+``.  Bootstrap draws resample independent units, recenter each
     soft moment at its sample value at the minimizing omega (so every
     moment binds, the least-favorable configuration), and re-solve.
-    Conservative by construction; deterministic given the seed.
+    Conservative by construction; deterministic given the seed.  The
+    p-value is the share of draws at or above the statistic, so a rejection
+    has p <= floor(alpha B) / B.
     """
     if not 0 < alpha < 1:
         raise StructuralError("alpha must be in (0, 1)")
     if b_draws < 200:
         raise StructuralError("need at least 200 bootstrap draws")
-    sds = system.moment_sds()
-    hard = system.hard_mask()
-    if not (~hard).any():
-        raise EstimationError("degenerate data: no stochastic moment rows remain")
-    t0, omega_hat = _minmax_statistic(system, system.p_hat, np.zeros(system.n_rows), sds, hard)
-    root_n = np.sqrt(system.n_eff)
-    statistic = root_n * max(t0, 0.0) if np.isfinite(t0) else np.inf
-    if omega_hat is not None:
-        shift = system.c2 @ system.p_hat - system.c1 @ omega_hat
-    else:
-        shift = np.zeros(system.n_rows)
-    resample = _make_resampler(system)
-    draws = np.empty(b_draws)
-    for b in range(b_draws):
-        rng = substream(seed, b)
-        p_star = p_from_cells(resample(rng))
-        t_b, _ = _minmax_statistic(system, p_star, shift, sds, hard)
-        draws[b] = root_n * max(t_b, 0.0) if np.isfinite(t_b) else np.inf
-    order = np.sort(draws)
-    idx = min(max(int(np.ceil((1.0 - alpha) * b_draws)) - 1, 0), b_draws - 1)
-    critical = float(order[idx])
-    p_value = float(np.mean(draws >= statistic - 1e-12))
+    statistic, order = _lf_draws(system, b_draws, seed)
+    critical = _lf_critical(order, alpha)
     return TestResult(
         statistic=float(statistic),
         critical_value=critical,
-        p_value=p_value,
+        p_value=float(np.mean(order >= statistic)),
         reject=bool(statistic > critical),
         method=LF_BOOT,
         alpha=float(alpha),
@@ -595,24 +564,9 @@ def p_value_curve(system: MomentSystem, method: str, grid, b_draws=999, seed=0):
             rejections[a] = bool(df > 0 and statistic > chi2.ppf(1.0 - a, df))
     elif method == LF_BOOT:
         # One set of draws shared across the grid; per-alpha order statistics.
-        sds = system.moment_sds()
-        hard = system.hard_mask()
-        t0, omega_hat = _minmax_statistic(system, system.p_hat, np.zeros(system.n_rows), sds, hard)
-        root_n = np.sqrt(system.n_eff)
-        statistic = root_n * max(t0, 0.0) if np.isfinite(t0) else np.inf
-        shift = (system.c2 @ system.p_hat - system.c1 @ omega_hat
-                 if omega_hat is not None else np.zeros(system.n_rows))
-        resample = _make_resampler(system)
-        draws = np.empty(b_draws)
-        for b in range(b_draws):
-            rng = substream(seed, b)
-            p_star = p_from_cells(resample(rng))
-            t_b, _ = _minmax_statistic(system, p_star, shift, sds, hard)
-            draws[b] = root_n * max(t_b, 0.0) if np.isfinite(t_b) else np.inf
-        order = np.sort(draws)
+        statistic, order = _lf_draws(system, b_draws, seed)
         for a in grid:
-            idx = min(max(int(np.ceil((1.0 - a) * b_draws)) - 1, 0), b_draws - 1)
-            rejections[a] = bool(statistic > order[idx])
+            rejections[a] = bool(statistic > _lf_critical(order, a))
     else:
         raise StructuralError(f"unknown test method '{method}'")
     smallest = next((a for a in grid if rejections[a]), 1.0)

@@ -101,37 +101,42 @@ def draw_sample(dgp: MixtureDgp, seed: int) -> RecordSet:
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """Rejection-rate summary; test failures are counted, not rejections."""
+    """Rejection-rate summary; test failures are counted, not rejections.
+
+    ``results[b]`` is what the test returned on draw b, or the
+    :class:`MechtestError` it raised.
+    """
 
     rate: float
     n_sims: int
     n_errors: int
     rejections: int
+    results: tuple = ()
 
 
 def rejection_rate(dgp: MixtureDgp, test_fn, n_sims: int, seed: int) -> SimulationSummary:
     """Fraction of simulation draws on which ``test_fn`` rejects.
 
     ``test_fn(records, seed)`` must return an object with a ``reject``
-    attribute; draw b uses the deterministic substream ``(seed, b)``.
-    Errors raised by the test are tallied separately and excluded from the
-    denominator.
+    attribute; draw b samples with the seed ``_derive(seed, b)`` and tests
+    with ``_derive(seed, b, 1)``.  Errors raised by the test are tallied
+    separately and excluded from the denominator.
     """
     if n_sims < 1:
         raise StructuralError("need at least one simulation draw")
-    rejections = 0
-    errors = 0
+    results = []
     for b in range(n_sims):
         records = draw_sample(dgp, _derive(seed, b))
         try:
-            result = test_fn(records, _derive(seed, b, 1))
-        except MechtestError:
-            errors += 1
-            continue
-        rejections += bool(result.reject)
+            results.append(test_fn(records, _derive(seed, b, 1)))
+        except MechtestError as exc:
+            results.append(exc)
+    errors = sum(isinstance(r, MechtestError) for r in results)
+    rejections = sum(bool(r.reject) for r in results if not isinstance(r, MechtestError))
     ok = n_sims - errors
     rate = rejections / ok if ok else float("nan")
-    return SimulationSummary(rate=rate, n_sims=n_sims, n_errors=errors, rejections=rejections)
+    return SimulationSummary(rate=rate, n_sims=n_sims, n_errors=errors, rejections=rejections,
+                             results=tuple(results))
 
 
 def _derive(seed, *stream):

@@ -2,14 +2,17 @@
 
 The central object is :class:`DistTable`, the conditional pmf of ``(Y, M)``
 given each arm over a finite mediator support and a discrete outcome grid.
-Outcome values are compared exactly, so continuous outcomes must pass
-through :func:`discretize_outcome` before anything downstream touches them.
-Cells that receive no data carry mass zero rather than being dropped, which
-keeps indices stable for the moment-system builder.
+Outcome values are compared exactly, so continuous outcomes must be binned
+(``bins`` in :func:`encode`, or :func:`discretize_outcome` on a table)
+before anything downstream touches them.  :func:`encode` is the one map
+from records to cells; every table, moment system and cell count is a
+``bincount`` over its codes.  Cells that receive no data carry mass zero
+rather than being dropped, which keeps indices stable for the moment-system
+builder.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,16 +187,6 @@ class RecordSet:
     def mediator_dim(self):
         return self.m.shape[1]
 
-    def subset(self, mask):
-        return RecordSet(
-            y=self.y[mask],
-            m=self.m[mask],
-            d=self.d[mask],
-            cluster=None if self.cluster is None else self.cluster[mask],
-            z=None if self.z is None else self.z[mask],
-            pscore=None if self.pscore is None else self.pscore[mask],
-        )
-
 
 def read_csv(path) -> RecordSet:
     """Load records from a CSV file.
@@ -255,6 +248,24 @@ def read_csv(path) -> RecordSet:
         raise StructuralError(f"{path}: {exc}")
 
 
+def _mediator_codes(m, totally_ordered=None):
+    """Support registry of the mediator rows and each row's index into it."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 1:
+        m = m[:, None]
+    # + 0.0 folds -0.0 into 0.0, so equal points share one code
+    if m.shape[1] == 1:
+        points, k_of = np.unique(m[:, 0] + 0.0, return_inverse=True)
+        points = points[:, None]
+    else:
+        points, k_of = np.unique(m + 0.0, axis=0, return_inverse=True)
+    if totally_ordered is None:
+        totally_ordered = m.shape[1] == 1
+    support = MediatorSupport(points=tuple(map(tuple, points.tolist())),
+                              totally_ordered=totally_ordered)
+    return support, k_of.reshape(-1)
+
+
 def support_from_values(m, totally_ordered=None) -> MediatorSupport:
     """Common support registry for observed mediator rows.
 
@@ -263,51 +274,99 @@ def support_from_values(m, totally_ordered=None) -> MediatorSupport:
     sorted support); vector supports keep lexicographic order and rely on
     the elementwise partial order.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    uniq = sorted({tuple(row) for row in m})
-    if totally_ordered is None:
-        totally_ordered = m.shape[1] == 1
-    return MediatorSupport(points=tuple(uniq), totally_ordered=totally_ordered)
+    return _mediator_codes(m, totally_ordered)[0]
 
 
-def from_records(records: RecordSet, support=None, outcome_levels=None) -> DistTable:
+@dataclass(frozen=True)
+class Encoding:
+    """Records mapped to the cells of a :class:`DistTable`.
+
+    ``cell_of[i] = (d * K + k) * Q + q`` places row i in arm d, at support
+    point k and outcome level q; ``cluster_of[i]`` numbers its independent
+    unit: its cluster, in order of first appearance, or the row itself when
+    there is no cluster column.
+    """
+
+    support: MediatorSupport
+    outcome_levels: tuple
+    cell_of: np.ndarray
+    cluster_of: np.ndarray
+
+    @property
+    def shape(self):
+        return (2, self.support.k, len(self.outcome_levels))
+
+    def cell_sums(self, group=None, weights=None):
+        """Rows (or their summed ``weights``) per cell: ``out[d, k, q]``, or
+        ``out[g, d, k, q]`` split by the nonnegative integer ``group`` of
+        every row."""
+        n_cells = int(np.prod(self.shape))
+        if group is None:
+            return np.bincount(self.cell_of, weights, n_cells).reshape(self.shape)
+        flat = np.bincount(group * n_cells + self.cell_of, weights, (group.max() + 1) * n_cells)
+        return flat.reshape(-1, *self.shape)
+
+    def units_per_cell(self):
+        """Distinct independent units in each occupied (arm, M, Y) cell."""
+        n_cells = int(np.prod(self.shape))
+        pairs = np.unique(self.cluster_of * n_cells + self.cell_of)
+        per_cell = np.bincount(pairs % n_cells)
+        return per_cell[per_cell > 0]
+
+
+def encode(records: RecordSet, bins=None) -> Encoding:
+    """Cell and independent-unit codes of every record.
+
+    This decides the cell layout for every table, moment system and cell
+    count: support points in lexicographic order, outcome levels increasing,
+    and, with ``bins`` (a bin count for pooled quantile cutpoints, or the
+    cutpoints themselves), right-closed outcome intervals each labelled by
+    the smallest value observed in it.
+    """
+    support, k_of = _mediator_codes(records.m)
+    levels, q_of = np.unique(records.y + 0.0, return_inverse=True)
+    if bins is not None:
+        cuts = quantile_cutpoints(records.y, bins) if isinstance(bins, int) else bins
+        levels, bin_of_level = _bin_levels(levels, _check_cutpoints(cuts))
+        q_of = bin_of_level[q_of]
+    if records.cluster is None:
+        cluster_of = np.arange(records.n)
+    else:
+        _, first, inverse = np.unique(records.cluster, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(first.size)
+        cluster_of = rank[inverse.reshape(-1)]
+    cell_of = (records.d * support.k + k_of) * levels.size + q_of.reshape(-1)
+    return Encoding(support, tuple(levels.tolist()), cell_of, cluster_of)
+
+
+def bin_records(records: RecordSet, bins) -> RecordSet:
+    """``records`` with every outcome replaced by the label of its bin (see
+    :func:`encode`); unchanged when ``bins`` is None."""
+    if bins is None:
+        return records
+    enc = encode(records, bins)
+    q_of = enc.cell_of % len(enc.outcome_levels)
+    return replace(records, y=np.asarray(enc.outcome_levels)[q_of])
+
+
+def from_records(records: RecordSet) -> DistTable:
     """Empirical DistTable: cell frequencies within each arm.
 
-    Raises ``EstimationError`` if either arm has no rows and
-    ``StructuralError`` if a mediator value is missing from a caller-supplied
-    support.
+    Raises ``EstimationError`` if either arm has no rows.
     """
     n1 = int((records.d == 1).sum())
     n0 = records.n - n1
     if n0 == 0 or n1 == 0:
         raise EstimationError(f"need rows in both arms (n0={n0}, n1={n1})")
-    if support is None:
-        support = support_from_values(records.m)
-    if outcome_levels is None:
-        outcome_levels = tuple(sorted(set(records.y.tolist())))
-    levels = {y: q for q, y in enumerate(outcome_levels)}
-    mass = np.zeros((2, support.k, len(outcome_levels)))
-    k_of = np.array([support.index(row) for row in records.m])
-    for i in range(records.n):
-        try:
-            q = levels[records.y[i]]
-        except KeyError:
-            raise StructuralError(f"outcome value {records.y[i]} not in outcome levels")
-        mass[records.d[i], k_of[i], q] += 1.0
-    mass[0] /= n0
-    mass[1] /= n1
+    enc = encode(records)
     n_clusters = None
     if records.cluster is not None:
-        n_clusters = (
-            len(set(records.cluster[records.d == 0].tolist())),
-            len(set(records.cluster[records.d == 1].tolist())),
-        )
+        n_clusters = tuple(int(np.unique(enc.cluster_of[records.d == d]).size) for d in (0, 1))
     return DistTable(
-        support=support,
-        outcome_levels=outcome_levels,
-        mass=mass,
+        support=enc.support,
+        outcome_levels=enc.outcome_levels,
+        mass=enc.cell_sums() / np.array([n0, n1])[:, None, None],
         n_units=(n0, n1),
         n_clusters=n_clusters,
     )
@@ -347,6 +406,23 @@ def bin_index(values, cutpoints):
     return np.searchsorted(np.asarray(cutpoints, dtype=float), np.asarray(values, dtype=float), side="left")
 
 
+def _check_cutpoints(cutpoints):
+    cuts = tuple(float(c) for c in cutpoints)
+    if len(cuts) == 0:
+        raise StructuralError("empty interval set")
+    if any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise StructuralError("cutpoints must be strictly increasing")
+    return cuts
+
+
+def _bin_levels(levels, cutpoints):
+    """Labels of the occupied bins of the increasing ``levels`` (the smallest
+    level in each) and the label index of every level."""
+    _, first, bin_of_level = np.unique(bin_index(levels, cutpoints), return_index=True,
+                                       return_inverse=True)
+    return levels[first], bin_of_level.reshape(-1)
+
+
 def discretize_outcome(table: DistTable, cutpoints) -> DistTable:
     """Collapse outcome levels into the intervals cut at ``cutpoints``.
 
@@ -354,23 +430,13 @@ def discretize_outcome(table: DistTable, cutpoints) -> DistTable:
     nonempty interval is labeled by the smallest original level it
     contains, so re-discretizing with the same cutpoints is a no-op.
     """
-    cuts = tuple(float(c) for c in cutpoints)
-    if len(cuts) == 0:
-        raise StructuralError("empty interval set")
-    if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise StructuralError("cutpoints must be strictly increasing")
-    levels = np.asarray(table.outcome_levels)
-    bins = bin_index(levels, cuts)
-    new_levels = []
-    new_cols = []
-    for b in sorted(set(bins.tolist())):
-        members = np.nonzero(bins == b)[0]
-        new_levels.append(float(levels[members].min()))
-        new_cols.append(table.mass[:, :, members].sum(axis=2))
-    mass = np.stack(new_cols, axis=2)
+    levels, bin_of_level = _bin_levels(np.asarray(table.outcome_levels),
+                                       _check_cutpoints(cutpoints))
+    mass = np.stack([table.mass[:, :, bin_of_level == b].sum(axis=2)
+                     for b in range(levels.size)], axis=2)
     return DistTable(
         support=table.support,
-        outcome_levels=tuple(new_levels),
+        outcome_levels=tuple(levels.tolist()),
         mass=mass,
         n_units=table.n_units,
         n_clusters=table.n_clusters,

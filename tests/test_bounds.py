@@ -354,3 +354,46 @@ def test_within_bin_slack_threshold(binary_instance):
     assert within_bin_slack(binary_instance, r, 0.2) > 1e-9
     report = bounds_report(binary_instance, r, nu_max=0.4)
     assert report.within_bin_consistent is True
+
+
+def _fuzz_tables(count):
+    """The first ``count`` random ordered tables drawn from default_rng(1):
+    K in 2-5, Q in 2-4, Dirichlet(0.7) cell masses per arm."""
+    rng = np.random.default_rng(1)
+    tables = []
+    for _ in range(count):
+        K = int(rng.integers(2, 6))
+        Q = int(rng.integers(2, 5))
+        tables.append(make_table(np.stack(
+            [rng.dirichlet(np.full(K * Q, 0.7)).reshape(K, Q) for _ in (0, 1)])))
+    return tables
+
+
+def _highs_breakdown(table):
+    """Least defier mass whose compliers cover every stratum's gap (HiGHS)."""
+    K = table.n_mediators
+    eq = np.zeros((2 * K, K * K))
+    for k in range(K):
+        eq[k, k * K:(k + 1) * K] = 1.0
+        eq[K + k, k::K] = 1.0
+    eq_rhs = np.concatenate([table.marginal_m(0), table.marginal_m(1)])
+    defiers = np.array([float(l > k) for l in range(K) for k in range(K)])
+    cover = np.array([[-float(l != k and c == k) for l in range(K) for c in range(K)]
+                      for k in range(K)])
+    gaps = np.clip(table.mass[1] - table.mass[0], 0.0, None).sum(axis=1)
+    floor = scipy_linprog(defiers, A_eq=eq, b_eq=eq_rhs, method="highs")
+    res = scipy_linprog(defiers, A_ub=cover, b_ub=-gaps, A_eq=eq, b_eq=eq_rhs, method="highs")
+    if res.status == 2:
+        return 1.0
+    assert res.status == 0 and floor.status == 0
+    return 0.0 if res.fun <= floor.fun + 1e-9 else res.fun
+
+
+def test_breakdown_matches_highs_on_fuzz_tables():
+    # tables 5, 43, 45, 46 and 65 are among those on which a bisection over
+    # the pooled bound failed next to the breakdown boundary
+    tables = _fuzz_tables(300)
+    want = [_highs_breakdown(table) for table in tables]
+    for i, table in enumerate(tables):
+        assert breakdown_defier_budget(table) == pytest.approx(want[i], abs=1e-9), f"table {i}"
+    assert sum(1e-9 < w < 1.0 for w in want) > 100  # most budgets are interior

@@ -7,7 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mechtest.cli import main
+from mechtest.cli import _load_table, build_parser, main, resolve_config
+from mechtest.probtab import discretize_outcome, from_records, quantile_cutpoints
 
 FIXTURE = Path(__file__).parent / "data" / "binary_fixture.csv"
 SCHEMAS = Path(__file__).parents[1] / "src" / "mechtest" / "schemas"
@@ -195,3 +196,85 @@ def test_diagnose_subcommand(tmp_path, capsys):
 def test_missing_input_error(capsys):
     code, payload = run_cli(["bounds"], capsys)
     assert code == 2
+
+
+def test_lf_simulate_rejects_only_with_p_at_most_alpha(tmp_path, capsys):
+    # with 20 clusters per arm the bootstrap draws tie with the statistic up
+    # to rounding; replicate 4 of this run is such a tie
+    out = tmp_path / "sim.csv"
+    code, _ = run_cli(
+        ["simulate", "--design", "cluster", "--t", "0", "--method", "lf-boot",
+         "--boot", "999", "--clusters", "20", "--nsims", "6", "--bins", "5",
+         "--seed", "789609968", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 and rows[4]["reject"] == "1"
+    for row in rows:
+        if row["reject"] == "1":
+            assert float(row["p_value"]) <= 0.05
+        else:
+            assert float(row["p_value"]) >= 0.05 - 1.0 / 999
+
+
+def test_simulate_needs_a_replicate(tmp_path, capsys):
+    code, payload = run_cli(
+        ["simulate", "--nsims", "0", "--out", str(tmp_path / "sim.csv")], capsys)
+    assert code == 2 and payload["error"] == "StructuralError"
+
+
+def _continuous_records_csv(path, n=2000, K=4, seed=41):
+    """Continuous outcome, K-point mediator, randomized instrument with
+    70% compliers, and the instrument's propensity score."""
+    rng = np.random.default_rng(seed)
+    z = (rng.random(n) < 0.5).astype(int)
+    u = rng.random(n)
+    d = np.where(u < 0.7, z, (u < 0.85).astype(int))
+    m = np.minimum(rng.integers(0, K, n) + (d == 1) * (rng.random(n) < 0.3), K - 1)
+    y = rng.normal(m + 0.8 * d * (m == 0), 1.0)
+    pscore = np.where(z == 1, 0.85, 0.15)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "d", "m1", "z", "pscore"])
+        writer.writerows(zip(map(repr, y.tolist()), d.tolist(), m.tolist(), z.tolist(),
+                             pscore.tolist()))
+    return y, m, d, z
+
+
+def test_bins_apply_before_the_iv_strategy(tmp_path, capsys):
+    data = tmp_path / "cont.csv"
+    y, m, d, z = _continuous_records_csv(data)
+    out = tmp_path / "iv.json"
+    code, _ = run_cli(["bounds", "--input", str(data), "--strategy", "iv", "--bins", "5",
+                       "--out", str(out)], capsys)
+    assert code == 0
+    with open(tmp_path / "iv_cells.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    # Wald ratios of the binned outcome
+    cuts = np.quantile(y, [0.2, 0.4, 0.6, 0.8], method="inverted_cdf")
+    q = np.searchsorted(cuts, y, side="left")
+    K, Q = 4, 5
+    counts = np.bincount(((z * 2 + d) * K + m) * Q + q, minlength=4 * K * Q).reshape(2, 2, K, Q)
+    wald = (counts[1] / (z == 1).sum() - counts[0] / (z == 0).sum()) / (
+        d[z == 1].mean() - d[z == 0].mean())
+    want = np.stack([np.clip(-wald[0], 0.0, None), np.clip(wald[1], 0.0, None)])
+    want /= want.sum(axis=(1, 2), keepdims=True)
+    got_treated = np.array([float(r["p_treated"]) for r in rows]).reshape(K, Q)
+    got_control = np.array([float(r["p_control"]) for r in rows]).reshape(K, Q)
+    assert np.allclose(got_treated, want[1], rtol=0, atol=1e-9)
+    assert np.allclose(got_control, want[0], rtol=0, atol=1e-9)
+    labels = sorted({float(r["y"]) for r in rows})
+    assert labels == [y[q == b].min() for b in range(Q)]  # smallest value in each bin
+
+
+def test_binned_randomized_table_matches_discretized_table(tmp_path):
+    data = tmp_path / "cont.csv"
+    _continuous_records_csv(data)
+    args = build_parser().parse_args(["bounds", "--input", str(data), "--bins", "5"])
+    records, table = _load_table(resolve_config(args))
+    want = discretize_outcome(from_records(records), quantile_cutpoints(records.y, 5))
+    assert table.outcome_levels == want.outcome_levels
+    assert np.abs(table.mass - want.mass).max() <= 1e-15
+    assert table.n_units == want.n_units

@@ -303,3 +303,26 @@ def test_reject_consistency_between_fields():
         res2 = test_conditional_chisq(system, 0.05)
         assert res2.reject == (res2.statistic > res2.critical_value)
         assert res2.reject == (res2.p_value < 0.05)
+
+
+def ordered_violation_records(rng, n=3000, K=3):
+    """Ordered mediator 0..K-1: treatment moves it up one step for half of
+    the units and raises the outcome of most units it leaves alone."""
+    d = rng.integers(0, 2, n)
+    m = rng.integers(0, K, n)
+    moved = (d == 1) & (m < K - 1) & (rng.random(n) < 0.5)
+    m = m + moved
+    y = (rng.random(n) < 0.1 + 0.5 * m / K) | ((d == 1) & ~moved & (rng.random(n) < 0.8))
+    return RecordSet(y=y.astype(float), m=m.astype(float), d=d)
+
+
+def test_lf_bootstrap_rejects_with_nuisance_coordinates():
+    # the hard rows (nonnegativity, restriction, marginal matching) are not
+    # recentred, so the bootstrap draws stay feasible and finite
+    system = build(ordered_violation_records(np.random.default_rng(31)))
+    assert system.n_omega > 0
+    res = test_least_favorable_bootstrap(system, 0.05, b_draws=200, seed=4)
+    assert np.isfinite(res.critical_value)
+    assert res.reject and res.p_value <= 0.05
+    rejections, smallest = p_value_curve(system, LF_BOOT, (0.01, 0.05), b_draws=200, seed=4)
+    assert rejections[0.05]

@@ -142,3 +142,21 @@ def test_ordered_pools_shape():
     cp, tp = ordered_pools(n_rows=500)
     assert set(np.unique(cp.m)) <= {0.0, 1.0, 2.0, 3.0, 4.0}
     assert (cp.d == 0).all() and (tp.d == 1).all()
+
+
+def test_rejection_rate_keeps_each_replicate():
+    cp, tp = binary_pools(scale=1)
+    dgp = MixtureDgp(control_pool=cp, treated_pool=tp, t=0.0,
+                     n_control=20, n_treated=20)
+    from mechtest.errors import EstimationError
+
+    def alternate(rec, seed):
+        if rec.y.sum() % 2:
+            raise EstimationError("odd")
+        return _Stub(True)
+
+    out = rejection_rate(dgp, alternate, n_sims=10, seed=3)
+    assert len(out.results) == 10
+    errors = [r for r in out.results if isinstance(r, EstimationError)]
+    assert len(errors) == out.n_errors and 0 < out.n_errors < 10
+    assert out.rejections == 10 - out.n_errors

@@ -10,8 +10,10 @@ from mechtest.errors import EstimationError, StructuralError
 from mechtest.probtab import (
     RecordSet,
     bin_mediator,
+    bin_records,
     delta_sup,
     discretize_outcome,
+    encode,
     from_records,
     quantile_cutpoints,
     read_csv,
@@ -255,3 +257,47 @@ def test_empty_md_cells_keep_indices():
     assert table.mass[0, 1].sum() == 0.0
     assert table.marginal_m(0)[1] == 0.0
     assert table.cond_outcome(0, 1).sum() == 0.0
+
+
+def test_encode_matches_a_per_row_reference():
+    rng = np.random.default_rng(21)
+    n = 500
+    m = rng.integers(0, 3, (n, 2)).astype(float)
+    y = rng.integers(0, 4, n) * 0.5
+    d = rng.integers(0, 2, n)
+    cluster = np.array([f"c{g}" for g in rng.permutation(60)[rng.integers(0, 60, n)]])
+    enc = encode(RecordSet(y=y, m=m, d=d, cluster=cluster))
+    points = sorted({tuple(row) for row in m.tolist()})
+    levels = sorted(set(y.tolist()))
+    assert enc.support.points == tuple(points)
+    assert enc.outcome_levels == tuple(levels)
+    K, Q = len(points), len(levels)
+    want = [(d[i] * K + points.index(tuple(m[i]))) * Q + levels.index(y[i]) for i in range(n)]
+    assert enc.cell_of.tolist() == want
+    first_seen = list(dict.fromkeys(cluster.tolist()))
+    assert enc.cluster_of.tolist() == [first_seen.index(c) for c in cluster.tolist()]
+    counts = np.zeros((2, K, Q))
+    np.add.at(counts, (d, [points.index(tuple(r)) for r in m.tolist()],
+                       [levels.index(v) for v in y.tolist()]), 1)
+    assert np.array_equal(enc.cell_sums(), counts)
+    table = from_records(RecordSet(y=y, m=m, d=d, cluster=cluster))
+    assert np.array_equal(table.mass, counts / counts.sum(axis=(1, 2), keepdims=True))
+    assert table.n_clusters == tuple(len(set(cluster[d == a].tolist())) for a in (0, 1))
+
+
+@pytest.mark.parametrize("bins", [4, (-0.5, 0.25, 1.0)])
+def test_encode_bins_label_each_bin_by_its_smallest_value(bins):
+    rng = np.random.default_rng(22)
+    y = rng.normal(0.0, 1.0, 400)
+    rec = RecordSet(y=y, m=np.zeros(400), d=np.arange(400) % 2)
+    enc = encode(rec, bins)
+    cuts = quantile_cutpoints(y, bins) if isinstance(bins, int) else bins
+    b = np.searchsorted(cuts, y, side="left")
+    assert enc.outcome_levels == tuple(y[b == j].min() for j in np.unique(b))
+    binned = bin_records(rec, bins)
+    assert encode(binned).outcome_levels == enc.outcome_levels
+    assert np.array_equal(encode(binned).cell_of, enc.cell_of)
+    table = discretize_outcome(from_records(rec), cuts)
+    assert table.outcome_levels == enc.outcome_levels
+    with pytest.raises(StructuralError):
+        encode(rec, (1.0, 0.0))
