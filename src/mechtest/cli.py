@@ -254,7 +254,7 @@ def cmd_robustness(cfg: RunConfig):
         if not spec.feasible:
             rows.append((float(dbar), "", "infeasible"))
             continue
-        value = bounds_mod.nu_pooled_lower_bound(table, r)
+        value, *_ = bounds_mod._pooled_lfp(table, spec)
         rows.append((float(dbar), f"{value:.10g}", "ok"))
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

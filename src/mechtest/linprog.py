@@ -11,7 +11,11 @@ implementation favors robustness and verifiable certificates over speed:
   Charnes-Cooper change of variables, after an auxiliary LP has verified
   that the denominator is strictly positive on the feasible set.
 * ``solve_qp`` is a primal active-set method for convex (PSD) objectives,
-  warm-started from a phase-1 vertex, reporting the exact active set.
+  started at a phase-1 vertex.  Its working set stays linearly
+  independent, and one QR factorisation of the working-set rows is
+  updated by one row per step instead of being recomputed.  The optimum
+  is returned only after its KKT residuals have been checked, with a set
+  of binding rows and multipliers that certify it.
 
 Everything is deterministic: identical inputs give bit-identical outputs.
 """
@@ -19,11 +23,13 @@ Everything is deterministic: identical inputs give bit-identical outputs.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr, qr_delete, qr_insert, solve_triangular
 
 from .errors import DomainError, SolverFailureError, StructuralError
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+DEP_TOL = 1e-9
 _MAX_PIVOTS = 20000
 
 OPTIMAL = "optimal"
@@ -118,7 +124,10 @@ class LpSolution:
     ``dual`` holds row multipliers for the standardized system proving the
     optimum; ``farkas`` is a ray proving infeasibility.  ``standard``
     retains the standardized system so certificates can be re-verified
-    externally.  ``active`` lists binding inequality rows (QP solves only).
+    externally.  ``active`` (QP solves only) is a linearly independent set
+    of binding inequality rows whose multipliers certify the optimum; a QP
+    ``dual`` holds one multiplier per equality row, then one per ``active``
+    row in its order.
     """
 
     status: str
@@ -268,7 +277,10 @@ def _simplex_phase(tab, basis, n_enter, n_pivots, force_out_from=None, stop_belo
                 bland = True
         n_pivots += 1
         if n_pivots > _MAX_PIVOTS:
-            raise SolverFailureError("simplex exceeded the pivot budget")
+            raise SolverFailureError(
+                f"simplex exceeded the pivot budget: {n_pivots} pivots on a standard "
+                f"form of {n_enter} variables and {m} rows"
+            )
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -296,9 +308,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     m, nz = A.shape
     # Column equilibration: badly scaled columns (common after whitening)
     # otherwise poison the pivot tolerances.  Scaling commutes with the
-    # duals and certificates, so only the primal point needs unscaling.
+    # duals and certificates, so only the primal point needs unscaling.  A
+    # column that is zero up to rounding against the whole matrix keeps its
+    # scale: blown up to unit size it could enter the basis at a level of
+    # the inverse rounding error.
     col_scale = np.abs(A).max(axis=0) if m else np.ones(nz)
-    col_scale = np.where(col_scale > 0, col_scale, 1.0)
+    col_scale = np.where(col_scale > 1e-14 * col_scale.max(initial=0.0), col_scale, 1.0)
     A = A / col_scale
     cost_scaled = sf.cost / col_scale
     tab = np.zeros((m + 1, nz + m + 1))
@@ -449,23 +464,45 @@ def solve_lfp(numerator, denominator, feasible: LinearProgram) -> LpSolution:
     )
 
 
-def _nullspace(a, rtol=1e-11):
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1])
-    u, s, vt = np.linalg.svd(a)
-    tol = max(a.shape) * (s[0] if s.size else 0.0) * rtol
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T
+def _independent_rows(rows, null):
+    """Ascending indices of a maximal subset of ``rows`` whose projections
+    onto the orthonormal columns of ``null`` are linearly independent.
+
+    Rows are normalised first, so a row is kept only if it lies at least
+    ``DEP_TOL`` (relative) outside the span of the rows kept before it; the
+    choice is the column pivoting of one QR factorisation.
+    """
+    if rows.shape[0] == 0 or null.shape[1] == 0:
+        return []
+    norms = np.linalg.norm(rows, axis=1)
+    unit = rows / np.where(norms > 0, norms, 1.0)[:, None]
+    _, r, piv = qr(null.T @ unit.T, mode="economic", pivoting=True)
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > DEP_TOL))
+    return sorted(int(i) for i in piv[:rank])
 
 
 def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
     """Minimize ``0.5 x'Qx + c'x`` over the polyhedron described by ``feasible``.
 
     ``quadratic`` must be symmetric positive semidefinite (zero curvature
-    directions are handled).  A primal active-set method is warm-started
-    from a phase-1 simplex vertex, so the binding inequality rows at the
-    optimum are reported exactly in ``active`` (indices into the ub rows
-    followed by the finite-bound rows).
+    directions are handled by ray steps).  A primal active-set method is
+    started at a phase-1 simplex vertex.  Its working set holds the
+    equality rows and a linearly independent set of inequality rows: the
+    start keeps a maximal independent subset of the rows binding at the
+    vertex, and a blocking row enters only if it is independent of the
+    working set.  One full QR factorisation of the transposed working-set
+    rows is updated by one row per step; the trailing columns of its Q
+    span the null space the step is taken in, and one triangular solve
+    with its R gives the multipliers.  Ties between blocking rows, and between rows with
+    negative multipliers, go to the smallest row index.
+
+    Before an optimum is returned, its primal feasibility, dual
+    feasibility, stationarity and complementarity residuals are checked;
+    a failed check raises ``SolverFailureError``.  ``active`` lists a
+    linearly independent set of binding rows whose multipliers certify the
+    optimum (indices into the ub rows followed by the finite-bound rows),
+    and ``dual`` holds one multiplier per equality row followed by one per
+    ``active`` row, in that order.
     """
     n = feasible.n_vars
     Q = np.asarray(quadratic, dtype=float)
@@ -491,16 +528,22 @@ def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
     if start.status != OPTIMAL:
         return start
     G, h = _feasible_set_rows(feasible)
-    Aeq = feasible.eq_matrix
-    x = start.point.copy()
     m = G.shape[0]
-    work = [j for j in range(m) if h[j] - G[j] @ x <= 1e-9]
+    row_norm = np.linalg.norm(G, axis=1)
+    x = start.point.copy()
+    eq = _independent_rows(feasible.eq_matrix, np.eye(n))
+    Qf, R = qr(feasible.eq_matrix[eq].T)
+    neq = len(eq)
+    binding = np.nonzero(h - G @ x <= 1e-9)[0]
+    # ``work`` lists the working inequality rows in the column order of R.
+    work = [int(binding[i]) for i in _independent_rows(G[binding], Qf[:, neq:])]
+    Qf, R = qr(np.vstack([feasible.eq_matrix[eq], G[work]]).T)
     scale = max(1.0, np.abs(Q).max(), np.abs(c).max())
     max_iter = 200 + 50 * (n + m)
     for _ in range(max_iter):
+        k = neq + len(work)
         g = Q @ x + c
-        A_w = np.vstack([Aeq, G[work]])
-        Z = _nullspace(A_w)
+        Z = Qf[:, k:]
         ray = False
         if Z.shape[1] == 0:
             p = np.zeros(n)
@@ -508,7 +551,7 @@ def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
             H = Z.T @ Q @ Z
             lam, V = np.linalg.eigh(H)
             dd = V.T @ (Z.T @ g)
-            curv = lam > 1e-11 * max(1.0, lam.max() if lam.size else 0.0)
+            curv = lam > 1e-11 * max(1.0, lam.max())
             flat_slope = (~curv) & (np.abs(dd) > 1e-9 * scale)
             if flat_slope.any():
                 i = int(np.argmax(flat_slope))
@@ -518,38 +561,75 @@ def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
                 v = np.zeros_like(dd)
                 v[curv] = -dd[curv] / lam[curv]
                 p = Z @ (V @ v)
-        if not ray and np.linalg.norm(p) <= 1e-10 * max(1.0, np.linalg.norm(x)):
-            mult, *_ = np.linalg.lstsq(A_w.T, -g, rcond=None)
-            ineq_mult = mult[Aeq.shape[0]:]
-            bad = [k for k, v in enumerate(ineq_mult) if v < -1e-8 * scale]
-            if not bad:
-                value = float(0.5 * x @ Q @ x + c @ x)
-                return LpSolution(
-                    OPTIMAL, value=value, point=x, dual=mult,
-                    active=tuple(sorted(work)),
-                )
-            drop = min(bad, key=lambda k: work[k])
+        p_norm = np.linalg.norm(p)
+        if not ray and p_norm <= 1e-10 * max(1.0, np.linalg.norm(x)):
+            mult = solve_triangular(R[:k, :k], -(Qf[:, :k].T @ g))
+            bad = np.nonzero(mult[neq:] < -1e-8 * scale)[0]
+            if bad.size == 0:
+                return _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale)
+            drop = min(bad, key=lambda i: work[i])
+            Qf, R = qr_delete(Qf, R, neq + drop, which="col")
             work.pop(drop)
             continue
         cap = np.inf if ray else 1.0
-        alpha = cap
-        block = -1
-        for j in range(m):
-            if j in work:
-                continue
-            gp = G[j] @ p
-            if gp > 1e-12 * scale:
-                r = max(h[j] - G[j] @ x, 0.0) / gp
-                if r < alpha - 1e-12 or (
-                    r < alpha + 1e-12 and (block < 0 or j < block)
-                ):
-                    alpha = r
-                    block = j
+        alpha, block = cap, -1
+        gp = G @ p
+        moving = gp > DEP_TOL * row_norm * p_norm
+        moving[work] = False
+        cand = np.nonzero(moving)[0]
+        if cand.size:
+            ratios = np.maximum(h[cand] - G[cand] @ x, 0.0) / gp[cand]
+            best = ratios.min()
+            alpha = min(best, cap)
+            if best < cap - 1e-12:
+                block = int(cand[np.argmax(ratios <= best + 1e-12)])
         if ray and block < 0:
             return LpSolution(UNBOUNDED, value=-np.inf)
-        alpha = min(alpha, cap)
         x = x + alpha * p
-        if block >= 0 and (ray or alpha < cap - 1e-12):
+        if block >= 0:
+            Qf, R = qr_insert(Qf, R, G[block], k, which="col")
             work.append(block)
-            work.sort()
-    raise SolverFailureError("active-set QP exceeded the iteration budget")
+    raise SolverFailureError(
+        f"active-set QP exceeded the iteration budget: {max_iter} iterations on "
+        f"{n} variables, {m} inequality and {feasible.eq_matrix.shape[0]} equality "
+        f"rows, working set of {neq + len(work)} rows"
+    )
+
+
+def _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale):
+    """Check the KKT residuals of ``x`` and return it as the QP optimum.
+
+    The working set ``eq`` / ``work`` and its multipliers ``mult`` must
+    certify ``x``: primal feasibility, nonnegative inequality multipliers,
+    a stationary Lagrangian and zero slack on every working row.
+    """
+    neq = len(eq)
+    A_eq = feasible.eq_matrix
+    A_w = np.vstack([A_eq[eq], G[work]])
+    # slacks relative to the size of the terms they are the difference of
+    slack = (h - G @ x) / (1.0 + np.abs(G) @ np.abs(x) + np.abs(h))
+    eq_gap = (A_eq @ x - feasible.eq_rhs) / (
+        1.0 + np.abs(A_eq) @ np.abs(x) + np.abs(feasible.eq_rhs))
+    primal = max(-slack.min(initial=0.0), np.abs(eq_gap).max(initial=0.0))
+    dual = mult[neq:].min(initial=0.0)
+    stationarity = np.abs(Q @ x + c + A_w.T @ mult).max(initial=0.0)
+    # multipliers vanish off the working set, so complementarity asks that
+    # every working row binds
+    complementarity = np.abs(slack[work]).max(initial=0.0)
+    tol = 1e-7 * scale * (1.0 + np.abs(x).max(initial=0.0))
+    if (primal > 1e-7 or dual < -1e-8 * scale or stationarity > tol
+            or complementarity > 1e-7):
+        raise SolverFailureError(
+            "failed to certify the QP optimum: "
+            f"primal {primal:.3g}, dual {dual:.3g}, stationarity {stationarity:.3g}, "
+            f"complementarity {complementarity:.3g} on {len(x)} variables and "
+            f"{G.shape[0]} inequality rows"
+        )
+    order = np.argsort(work)
+    dual_eq = np.zeros(feasible.eq_matrix.shape[0])
+    dual_eq[eq] = mult[:neq]
+    return LpSolution(
+        OPTIMAL, value=float(0.5 * x @ Q @ x + c @ x), point=x,
+        dual=np.concatenate([dual_eq, mult[neq:][order]]),
+        active=tuple(work[i] for i in order),
+    )

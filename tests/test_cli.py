@@ -156,6 +156,27 @@ def test_robustness_subcommand(tmp_path, capsys):
     assert payload["breakdown_dbar"] == pytest.approx(0.2, abs=1e-3)
 
 
+def test_robustness_builds_each_identified_set_once(tmp_path, capsys, monkeypatch):
+    from mechtest import bounds, cli, typeshares
+
+    built = []
+    original = typeshares.build_identified_set
+
+    def counting(table, r):
+        built.append(r.kind)
+        return original(table, r)
+
+    monkeypatch.setattr(cli, "build_identified_set", counting)
+    monkeypatch.setattr(bounds, "build_identified_set", counting)
+    code, _ = run_cli(
+        ["robustness", "--input", str(FIXTURE), "--out", str(tmp_path / "rob.csv"),
+         "--dbar-max", "0.4", "--dbar-steps", "9"],
+        capsys,
+    )
+    assert code == 0
+    assert built.count(typeshares.DEFIER_BUDGET) == 9
+
+
 def test_ade_subcommand(tmp_path, capsys):
     out = tmp_path / "ade.json"
     code, _ = run_cli(["ade", "--input", str(FIXTURE), "--out", str(out)], capsys)

@@ -326,3 +326,24 @@ def test_lf_bootstrap_rejects_with_nuisance_coordinates():
     assert res.reject and res.p_value <= 0.05
     rejections, smallest = p_value_curve(system, LF_BOOT, (0.01, 0.05), b_draws=200, seed=4)
     assert rejections[0.05]
+
+
+def test_chisq_solves_the_32000_row_k10_ordered_design():
+    # K=10 ordered mediator and binary outcome under a randomized instrument
+    # with 70% compliers; treatment moves the mediator up one step for half
+    # of the treated and raises the outcome of 80% of the treated it leaves
+    # alone.  On this draw the active-set QP used to run out of iterations.
+    rng = np.random.default_rng((3, 0))
+    n, K = 32000, 10
+    z = (rng.random(n) < 0.5).astype(int)
+    u = rng.random(n)
+    d = np.where(u < 0.7, z, (u < 0.85).astype(int))
+    m = rng.integers(0, K, n)
+    moved = (d == 1) & (m < K - 1) & (rng.random(n) < 0.5)
+    m = m + moved
+    y = (rng.random(n) < 0.1 + 0.5 * m / K) | ((d == 1) & ~moved & (rng.random(n) < 0.8))
+    rec = RecordSet(y=y.astype(float), m=m.astype(float), d=d)
+    system = build_moment_system(rec, RestrictionSet.monotone(support_from_values(rec.m)))
+    result = test_conditional_chisq(system, alpha=0.05)
+    assert result.reject
+    assert result.df >= 1

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog as scipy_linprog, nnls
 
-from mechtest.errors import DomainError, StructuralError
+from mechtest import linprog
+from mechtest.errors import DomainError, SolverFailureError, StructuralError
 from mechtest.linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -281,3 +282,126 @@ def test_qp_kkt_certificates_on_polytopes():
         else:
             stationarity = np.linalg.norm(g)
         assert stationarity < 1e-6
+
+
+def _qp_residuals(sol, Q, c, G, h):
+    """Primal, dual, stationarity and complementarity residuals of a QP
+    optimum without equality rows, recomputed from ``point``, ``active``
+    and ``dual``."""
+    x, act, lam = sol.point, np.array(sol.active, dtype=int), sol.dual
+    assert lam.shape == act.shape
+    assert np.linalg.matrix_rank(G[act]) == act.size  # linearly independent
+    slack = h - G @ x
+    return (
+        max(-slack.min(), 0.0),
+        lam.min(initial=0.0),
+        np.abs(Q @ x + c + G[act].T @ lam).max(),
+        np.abs(lam * slack[act]).max(initial=0.0),
+    )
+
+
+def test_qp_certificate_residuals_on_polytopes():
+    rng = np.random.default_rng(17)  # the polytopes of the KKT test above
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        A = rng.normal(size=(n + 2, n))
+        M = rng.normal(size=(n, n))
+        w, V = np.linalg.eigh(M @ M.T)
+        w[rng.random(n) < 0.3] = 0.0
+        Q = V @ np.diag(w) @ V.T
+        c = rng.normal(size=n)
+        b = A @ rng.normal(size=n) + rng.uniform(0.1, 1.0, n + 2)
+        sol = solve_qp(Q, c, LinearProgram(
+            objective=np.zeros(n), ub_matrix=A, ub_rhs=b, bounds=[(-3, 3)] * n,
+        ))
+        assert sol.status == OPTIMAL
+        # solver row order: ub rows, then per variable its upper and lower bound
+        G = np.vstack([A, np.kron(np.eye(n), [[1.0], [-1.0]])])
+        h = np.concatenate([b, np.full(2 * n, 3.0)])
+        primal, dual, stationarity, complementarity = _qp_residuals(sol, Q, c, G, h)
+        assert primal <= 1e-9 and dual >= -1e-8
+        assert stationarity <= 1e-9 and complementarity <= 1e-9
+
+
+def _chisq_shaped_qp(rng):
+    """More rows than variables, most through the origin and three exact
+    sums of others, and the chi-squared objective: ``Q = diag(2I, 0)``
+    over ``(w, omega)`` with omega free.  As after whitening with a ridge,
+    some w columns are five orders of magnitude smaller than the rest."""
+    n_w = int(rng.integers(2, 6))
+    n_o = int(rng.integers(1, 5))
+    n = n_w + n_o
+    G = rng.normal(size=(n + int(rng.integers(2, 8)), n))
+    pairs = rng.integers(0, G.shape[0], (3, 2))
+    G = np.vstack([G, G[pairs[:, 0]] + G[pairs[:, 1]]])
+    G[:, :n_w] *= np.where(rng.random(n_w) < 0.3, 1e-5, 1.0)
+    h = np.where(rng.random(G.shape[0]) < 0.25, rng.uniform(0.1, 1.0, G.shape[0]), 0.0)
+    Q = np.zeros((n, n))
+    Q[:n_w, :n_w] = 2.0 * np.eye(n_w)
+    c = np.concatenate([rng.normal(size=n_w), np.zeros(n_o)])
+    lp = LinearProgram(objective=np.zeros(n), ub_matrix=G, ub_rhs=h,
+                       bounds=[(-np.inf, np.inf)] * n)
+    return Q, c, G, h, n_w, lp
+
+
+def test_qp_lagrangian_bound_on_degenerate_chisq_shaped_problems():
+    rng = np.random.default_rng(29)
+    degenerate = 0
+    for _ in range(80):
+        Q, c, G, h, n_w, lp = _chisq_shaped_qp(rng)
+        start = solve_lp(LinearProgram(objective=np.zeros(G.shape[1]), ub_matrix=G,
+                                       ub_rhs=h, bounds=lp.bounds))
+        degenerate += np.sum(h - G @ start.point <= 1e-9) > G.shape[1]
+        sol = solve_qp(Q, c, lp)
+        assert sol.status == OPTIMAL
+        x = sol.point
+        assert abs(sol.value - (0.5 * x @ Q @ x + c @ x)) <= 1e-12 * (1 + abs(sol.value))
+        primal, dual, stationarity, complementarity = _qp_residuals(sol, Q, c, G, h)
+        size = 1.0 + np.abs(x).max()
+        assert primal <= 1e-9 * size and dual >= -1e-8
+        assert stationarity <= 1e-9 * size
+        assert complementarity <= 1e-9 * size * (1.0 + np.abs(sol.dual).max(initial=0.0))
+        # Lagrangian dual bound from the returned multipliers: for lam >= 0
+        # with a stationary omega block, min_x of the Lagrangian is
+        # -|v_w|^2 / 4 - lam'h_A, where v = c + G_A' lam.
+        act = np.array(sol.active, dtype=int)
+        lam = np.clip(sol.dual, 0.0, None)
+        v = c + G[act].T @ lam
+        assert np.abs(v[n_w:]).max() <= 1e-9
+        bound = -0.25 * v[:n_w] @ v[:n_w] - lam @ h[act]
+        assert sol.value - bound <= 1e-9 * (1 + abs(sol.value))
+        again = solve_qp(Q, c, lp)
+        assert again.active == sol.active
+        assert (again.point == sol.point).all() and (again.dual == sol.dual).all()
+    assert degenerate >= 40  # most phase-1 vertices bind more rows than variables
+
+
+def test_qp_projection_onto_simplex_with_redundant_equalities():
+    rng = np.random.default_rng(31)
+    for t in range(60):
+        n = int(rng.integers(2, 8))
+        a = rng.normal(size=n)
+        eq, eq_rhs = np.ones((1, n)), [1.0]
+        if t % 2:  # a second, linearly dependent copy of the equality row
+            eq, eq_rhs = np.vstack([eq, 2.0 * eq]), [1.0, 2.0]
+        sol = solve_qp(2.0 * np.eye(n), -2.0 * a, LinearProgram(
+            objective=np.zeros(n), eq_matrix=eq, eq_rhs=eq_rhs, bounds=[(0.0, np.inf)] * n,
+        ))
+        # Euclidean projection of a onto the simplex by sorting
+        u = np.sort(a)[::-1]
+        css = np.cumsum(u)
+        rho = np.nonzero(u * np.arange(1, n + 1) > css - 1.0)[0][-1]
+        assert_allclose(sol.point, np.maximum(a - (css[rho] - 1.0) / (rho + 1), 0.0), atol=1e-12)
+        assert sol.dual.size == eq.shape[0] + len(sol.active)
+        act = list(sol.active)
+        G = -np.eye(n)
+        stationarity = 2.0 * (sol.point - a) + eq.T @ sol.dual[:eq.shape[0]] \
+            + G[act].T @ sol.dual[eq.shape[0]:]
+        assert np.abs(stationarity).max() <= 1e-12
+
+
+def test_budget_failures_name_the_problem_shape(monkeypatch):
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 0)
+    with pytest.raises(SolverFailureError,
+                       match="1 pivots on a standard form of 2 variables and 1 rows"):
+        solve_lp(LinearProgram(objective=[-1.0], bounds=[(0.0, 1.0)]))
