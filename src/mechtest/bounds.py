@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, SolverFailureError, UnsupportedCaseError
+from .errors import DomainError, StructuralError, SolverFailureError, UnsupportedCaseError
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_lfp
 from .probtab import DistTable, delta_sup
 from .typeshares import (
@@ -108,14 +108,14 @@ def nu_lower_bounds(table: DistTable, r: RestrictionSet, auto_relax=False) -> np
     data allow no k-always-takers at all.
     """
     spec, _ = resolve_identified_set(table, r, auto_relax)
-    return _nu_lower_bounds(table, spec)
+    return _nu_lower_bounds(table, spec, [theta_kk_min(spec, k) for k in range(spec.k)])
 
 
-def _nu_lower_bounds(table: DistTable, spec: IdentifiedSetSpec) -> np.ndarray:
+def _nu_lower_bounds(table: DistTable, spec: IdentifiedSetSpec, tmins) -> np.ndarray:
+    """Per-k bounds from the minimal always-taker shares ``tmins[k]``."""
     p1 = spec.p1
     out = np.zeros(spec.k)
-    for k in range(spec.k):
-        tmin = theta_kk_min(spec, k)
+    for k, tmin in enumerate(tmins):
         if tmin <= ZERO_TOL:
             continue
         gap = delta_sup(table, k)
@@ -177,7 +177,9 @@ def _pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
     """Linear-fractional program for the pooled bound.
 
     Variables are ``(theta, t_k := theta_kk nu_k)``; the objective is
-    ``sum_k t_k / sum_k theta_kk``.  Returns (value, theta, t, degenerate).
+    ``sum_k t_k / sum_k theta_kk``.  Returns (value, theta, t, degenerate);
+    a degenerate program, whose denominator can vanish, has value 0 and
+    ``theta`` None.
     """
     K = spec.k
     n = K * K + K
@@ -213,16 +215,11 @@ def _pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
         ub_rhs=np.concatenate(ub_rhs),
         bounds=tuple([(0.0, np.inf)] * n),
     )
-    probe = solve_lp(LinearProgram(
-        objective=den, eq_matrix=eq, eq_rhs=spec.eq_rhs,
-        ub_matrix=np.vstack(ub_rows), ub_rhs=np.concatenate(ub_rhs),
-        bounds=tuple([(0.0, np.inf)] * n),
-    ))
-    if probe.status != OPTIMAL:
-        raise SolverFailureError("pooled-bound feasibility probe failed")
-    if probe.value <= ZERO_TOL:
-        return 0.0, probe.point[: K * K].reshape(K, K), np.zeros(K), True
-    sol = solve_lfp((num, 0.0), (den, 0.0), feas)
+    try:
+        sol = solve_lfp((num, 0.0), (den, 0.0), feas)
+    except DomainError:
+        # the identified set lets the always-taker mass sum_k theta_kk vanish
+        return 0.0, None, np.zeros(K), True
     if sol.status != OPTIMAL:
         raise SolverFailureError("pooled-bound program did not solve")
     theta = sol.point[: K * K].reshape(K, K)
@@ -274,7 +271,11 @@ def ade_bounds(table: DistTable, r: RestrictionSet, k: int, auto_relax=False):
     if not 0 <= k < table.n_mediators:
         raise StructuralError(f"mediator index {k} out of range")
     spec, _ = resolve_identified_set(table, r, auto_relax)
-    tmin = theta_kk_min(spec, k)
+    return _ade_bounds(table, spec, k, theta_kk_min(spec, k))
+
+
+def _ade_bounds(table: DistTable, spec: IdentifiedSetSpec, k: int, tmin: float):
+    """Trimming bounds for k-always-takers given ``tmin = theta_kk_min(spec, k)``."""
     levels = np.asarray(table.outcome_levels)
     if tmin <= ZERO_TOL:
         span = float(levels.max() - levels.min())
@@ -326,7 +327,8 @@ def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
                   with_ade=False, nu_max=0.0) -> BoundsReport:
     """Full identification report for one table and restriction set."""
     spec, relaxed = resolve_identified_set(table, r, auto_relax)
-    nu_lb = _nu_lower_bounds(table, spec)
+    tmins = [theta_kk_min(spec, k) for k in range(spec.k)]
+    nu_lb = _nu_lower_bounds(table, spec, tmins)
     slack, theta_slack = _slack_lp(table, spec, 0.0)
     pooled, theta_pooled, _, degenerate = _pooled_lfp(table, spec)
     # The reported allocation is the pooled-program minimizer, so the pooled
@@ -340,11 +342,8 @@ def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
     ade = None
     ade_informative = None
     if with_ade:
-        ade = {}
-        ade_informative = {}
-        for k in range(spec.k):
-            ade[k] = ade_bounds(table, r, k, auto_relax=auto_relax)
-            ade_informative[k] = theta_kk_min(spec, k) > ZERO_TOL
+        ade = {k: _ade_bounds(table, spec, k, tmin) for k, tmin in enumerate(tmins)}
+        ade_informative = {k: tmin > ZERO_TOL for k, tmin in enumerate(tmins)}
     label = spec.restriction.kind
     if spec.restriction.params:
         label += ":" + ",".join(f"{p:g}" for p in spec.restriction.params)

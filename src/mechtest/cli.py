@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, bounds as bounds_mod, ident, inference, mc
 from .errors import MechtestError, StructuralError, UnsupportedCaseError
 from .probtab import DistTable, bin_records, from_records, read_csv, support_from_values
-from .typeshares import RestrictionSet, build_identified_set, min_defier_budget
+from .typeshares import RestrictionSet, build_identified_set, min_defier_budget, theta_kk_min
 
 DEFAULTS = {
     "strategy": "randomized",
@@ -272,9 +272,10 @@ def cmd_robustness(cfg: RunConfig):
 def cmd_ade(cfg: RunConfig):
     _, table = _load_table(cfg)
     r = parse_restriction(cfg.restriction, table.support)
+    spec, _ = bounds_mod.resolve_identified_set(table, r, cfg.auto_relax)
     intervals = {}
     for k in range(table.n_mediators):
-        lb, ub = bounds_mod.ade_bounds(table, r, k, auto_relax=cfg.auto_relax)
+        lb, ub = bounds_mod._ade_bounds(table, spec, k, theta_kk_min(spec, k))
         intervals[str(k)] = [lb, ub]
     out = cfg.out or "ade.json"
     _write_json(out, {"ade": intervals, "mediators": [list(p) for p in table.support.points]})
@@ -392,7 +393,7 @@ def cmd_diagnose(cfg: RunConfig):
         ],
     }
     if spec.feasible:
-        payload["sharp_null_slack"] = bounds_mod.sharp_null_slack(table, r)
+        payload["sharp_null_slack"] = bounds_mod._slack_lp(table, spec, 0.0)[0]
     out = cfg.out or "diagnose.json"
     _write_json(out, payload)
     manifest = _write_manifest(cfg, [out])

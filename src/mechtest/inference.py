@@ -194,7 +194,8 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
     which sum to one identically.
 
     A median independent-unit count per occupied cell below ``min_cell``
-    triggers :class:`CellCountWarning`.
+    triggers :class:`CellCountWarning`; more stacked cell probabilities
+    than independent units raise :class:`EstimationError`.
     """
     enc = encode(records, bins)
     support, levels = enc.support, enc.outcome_levels
@@ -203,6 +204,17 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
             f"restriction built for K={r.n_support} but records have K={support.k}"
         )
     K, Q = support.k, len(levels)
+    joint1, joint0, marg1, marg0, n_p = _p_layout(K, Q)
+    n_units = int(enc.cluster_of.max(initial=-1)) + 1
+    if n_p > n_units:
+        # the n_p x n_p covariance of n_units units has rank at most
+        # n_units; on an unbinned continuous outcome it would not even fit
+        # in memory
+        raise EstimationError(
+            f"the moment system has {n_p} cell probabilities but only {n_units} "
+            f"independent units ({Q} outcome levels); coarsen the outcome with "
+            "bins (--bins on the command line)"
+        )
     cells = enc.cell_sums(enc.cluster_of)
     arm_counts = cells.sum(axis=(2, 3))
     if (arm_counts.sum(axis=0) == 0).any():
@@ -217,7 +229,6 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
             CellCountWarning,
             stacklevel=2,
         )
-    joint1, joint0, marg1, marg0, n_p = _p_layout(K, Q)
     nu_ub = np.broadcast_to(np.asarray(nu_ub, dtype=float), (K,)).copy()
     if nu_ub.min() < 0 or nu_ub.max() > 1:
         raise StructuralError("nu_ub must lie in [0, 1]")

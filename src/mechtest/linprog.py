@@ -205,10 +205,14 @@ def _recover_point(sf: StandardForm, z):
 
 
 def _pivot(tab, basis, row, col):
+    """Pivot on ``tab[row, col]`` as one rank-1 update of the rows whose
+    ``col`` entry is nonzero; every element gets the same ``a - f*b`` as in
+    a row-by-row elimination, so the result is bit-identical to it."""
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    rows = np.flatnonzero(factor)
+    tab[rows] -= factor[rows, None] * tab[row]
     basis[row] = col
 
 
@@ -283,6 +287,11 @@ def _simplex_phase(tab, basis, n_enter, n_pivots, force_out_from=None, stop_belo
             )
 
 
+def _where(phase, n_pivots, n_vars, n_rows):
+    return (f"in phase {phase} after {n_pivots} pivots on a standard form of "
+            f"{n_vars} variables and {n_rows} rows")
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Globally solve ``lp``; every status is backed by a verified certificate.
 
@@ -330,18 +339,23 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         cb = np.array([1.0 if j >= nz else 0.0 for j in basis])
         y = cb @ tab[:m, nz: nz + m]
         y[neg] *= -1.0
-        if not (np.all(y @ sf.matrix <= 1e-7) and y @ sf.rhs > FEAS_TOL / 2):
-            raise SolverFailureError("failed to certify infeasibility")
+        ray = (y @ sf.matrix).max(initial=-np.inf)
+        bound = y @ sf.rhs
+        if not (ray <= 1e-7 and bound > FEAS_TOL / 2):
+            raise SolverFailureError(
+                f"failed to certify infeasibility {_where(1, piv, nz, m)}: Farkas values "
+                f"max(y'A) {ray:.3g} (must be <= 1e-7) and y'b {bound:.3g} "
+                f"(must be > {FEAS_TOL / 2:.3g})"
+            )
         return LpSolution(INFEASIBLE, farkas=y, standard=sf)
     # Pivot artificials out of the basis where a real column is available;
     # those that remain sit at level zero in redundant rows and are ejected
     # lazily by the force-out rule below.
     for i in range(m):
         if basis[i] >= nz:
-            for j in range(nz):
-                if abs(tab[i, j]) > 1e-7:
-                    _pivot(tab, basis, i, j)
-                    break
+            usable = np.abs(tab[i, :nz]) > 1e-7
+            if usable.any():
+                _pivot(tab, basis, i, int(usable.argmax()))
     tab[-1, :] = 0.0
     tab[-1, :nz] = cost_scaled
     for i in range(m):
@@ -371,13 +385,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     try:
         y = np.linalg.solve(B.T, cb)
     except np.linalg.LinAlgError as exc:
-        raise SolverFailureError("singular basis at the optimum") from exc
+        raise SolverFailureError(f"singular basis at the optimum {_where(2, piv, nz, m)}") from exc
     y[neg] *= -1.0
     reduced = sf.cost - y @ sf.matrix
     gap = abs(y @ sf.rhs - (value - sf.offset))
     primal = np.abs(sf.matrix @ z - sf.rhs).max() if m else 0.0
     if reduced.min() < -1e-7 or gap > 1e-7 * (1.0 + abs(value)) or primal > 1e-7:
-        raise SolverFailureError("failed to certify the LP optimum")
+        raise SolverFailureError(
+            f"failed to certify the LP optimum {_where(2, piv, nz, m)}: smallest reduced "
+            f"cost {reduced.min():.3g} (must be >= -1e-7), duality gap {gap:.3g} "
+            f"(must be <= {1e-7 * (1.0 + abs(value)):.3g}), primal residual "
+            f"{primal:.3g} (must be <= 1e-7)"
+        )
     return LpSolution(OPTIMAL, value=value, point=x, dual=y, standard=sf)
 
 

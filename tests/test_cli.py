@@ -177,6 +177,25 @@ def test_robustness_builds_each_identified_set_once(tmp_path, capsys, monkeypatc
     assert built.count(typeshares.DEFIER_BUDGET) == 9
 
 
+@pytest.mark.parametrize("command", ["ade", "diagnose"])
+def test_command_builds_the_identified_set_once(command, tmp_path, capsys, monkeypatch):
+    from mechtest import bounds, cli, typeshares
+
+    built = []
+    original = typeshares.build_identified_set
+
+    def counting(table, r):
+        built.append(r.kind)
+        return original(table, r)
+
+    monkeypatch.setattr(cli, "build_identified_set", counting)
+    monkeypatch.setattr(bounds, "build_identified_set", counting)
+    code, _ = run_cli([command, "--input", str(FIXTURE), "--out", str(tmp_path / "out.json")],
+                      capsys)
+    assert code == 0
+    assert built == [typeshares.MONOTONE]
+
+
 def test_ade_subcommand(tmp_path, capsys):
     out = tmp_path / "ade.json"
     code, _ = run_cli(["ade", "--input", str(FIXTURE), "--out", str(out)], capsys)
@@ -299,3 +318,21 @@ def test_binned_randomized_table_matches_discretized_table(tmp_path):
     assert table.outcome_levels == want.outcome_levels
     assert np.abs(table.mass - want.mass).max() <= 1e-15
     assert table.n_units == want.n_units
+
+
+@pytest.mark.parametrize("method", ["cond-chisq", "lf-boot"])
+def test_unbinned_continuous_outcome_is_an_input_error(method, tmp_path, capsys):
+    # 200 units, 200 distinct outcomes: 2*2*200 + 4 = 804 cell probabilities
+    rng = np.random.default_rng(11)
+    path = tmp_path / "continuous.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "d", "m1"])
+        for i in range(200):
+            writer.writerow([rng.normal(), i % 2, int(rng.integers(2))])
+    code, payload = run_cli(["test", "--input", str(path), "--method", method, "--boot", "19",
+                             "--out", str(tmp_path / "t.json")], capsys)
+    assert code == 2
+    assert payload["error"] == "EstimationError"
+    assert "804 cell probabilities" in payload["message"]
+    assert "--bins" in payload["message"]

@@ -154,6 +154,37 @@ def test_determinism_bit_identical():
     assert (a.dual == b.dual).all()
 
 
+def _pivot_by_rows(tab, basis, row, col):
+    """Row-by-row elimination: the reference the rank-1 pivot must match."""
+    tab[row] /= tab[row, col]
+    for r in range(tab.shape[0]):
+        if r != row and tab[r, col] != 0.0:
+            tab[r] -= tab[r, col] * tab[row]
+    basis[row] = col
+
+
+def test_pivot_matches_a_row_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(2, 25))
+        tab = rng.normal(size=(m + 1, n)) * rng.choice([1e-8, 1.0, 1e6], size=(m + 1, 1))
+        tab[rng.random(tab.shape) < 0.2] = 0.0
+        tab[rng.random(tab.shape) < 0.2] = -0.0
+        row, col = int(rng.integers(m)), int(rng.integers(n))
+        # exact zeros and negative zeros in the pivot column
+        kind = rng.integers(0, 3, m + 1)
+        tab[kind == 1, col] = 0.0
+        tab[kind == 2, col] = -0.0
+        tab[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        basis = [int(j) for j in rng.integers(0, n, m)]
+        ref_tab, ref_basis = tab.copy(), list(basis)
+        _pivot_by_rows(ref_tab, ref_basis, row, col)
+        linprog._pivot(tab, basis, row, col)
+        assert np.array_equal(tab, ref_tab)
+        assert np.array_equal(np.signbit(tab), np.signbit(ref_tab))
+        assert np.array_equal(basis, ref_basis)
+
+
 # -- linear-fractional programs ------------------------------------------
 
 
@@ -405,3 +436,26 @@ def test_budget_failures_name_the_problem_shape(monkeypatch):
     with pytest.raises(SolverFailureError,
                        match="1 pivots on a standard form of 2 variables and 1 rows"):
         solve_lp(LinearProgram(objective=[-1.0], bounds=[(0.0, 1.0)]))
+
+
+def test_certificate_failures_name_shape_phase_and_residuals(monkeypatch):
+    lp = LinearProgram(objective=[-1.0], bounds=[(0.0, 1.0)])
+    # a wrong dual: y = 0 leaves the reduced cost -1 and a duality gap of 1
+    monkeypatch.setattr(linprog.np.linalg, "solve", lambda a, b: np.zeros_like(b))
+    with pytest.raises(SolverFailureError) as info:
+        solve_lp(lp)
+    msg = str(info.value)
+    assert msg.startswith("failed to certify the LP optimum in phase 2 after ")
+    assert "pivots on a standard form of 2 variables and 1 rows" in msg
+    assert "smallest reduced cost -1 " in msg
+    assert "duality gap 1 " in msg
+    assert "primal residual 0 " in msg
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(linprog.np.linalg, "solve", singular)
+    with pytest.raises(SolverFailureError,
+                       match="singular basis at the optimum in phase 2 after .* pivots on "
+                             "a standard form of 2 variables and 1 rows"):
+        solve_lp(lp)
