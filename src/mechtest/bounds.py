@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructuralError, SolverFailureError, UnsupportedCaseError
-from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_lfp
+from .linprog import INFEASIBLE, OPTIMAL, solve_lp, solve_lfp
 from .probtab import DistTable, delta_sup
 from .typeshares import (
     DEFIER_BUDGET,
@@ -127,25 +127,13 @@ def _slack_lp(table: DistTable, spec: IdentifiedSetSpec, nu_ub):
     """LP ``min s`` s.t. gap_k <= P(M=m_k|1) - (1 - nu_ub_k) theta_kk + s``."""
     K = spec.k
     nu_ub = np.broadcast_to(np.asarray(nu_ub, dtype=float), (K,))
-    n = K * K + 1
-    eq = np.hstack([spec.eq_matrix, np.zeros((2 * K, 1))])
-    r = spec.restriction
-    ub_rows = [np.hstack([r.matrix, np.zeros((r.matrix.shape[0], 1))])]
-    ub_rhs = [r.rhs]
-    for k in range(K):
-        row = np.zeros(n)
-        row[k * K + k] = 1.0 - nu_ub[k]
-        row[-1] = -1.0
-        ub_rows.append(row[None, :])
-        ub_rhs.append(np.array([spec.p1[k] - delta_sup(table, k)]))
-    lp = LinearProgram(
-        objective=np.concatenate([np.zeros(K * K), [1.0]]),
-        eq_matrix=eq,
-        eq_rhs=spec.eq_rhs,
-        ub_matrix=np.vstack(ub_rows),
-        ub_rhs=np.concatenate(ub_rhs),
-        bounds=tuple([(0.0, np.inf)] * (K * K) + [(-np.inf, np.inf)]),
-    )
+    ks = np.arange(K)
+    rows = np.zeros((K, K * K + 1))
+    rows[ks, ks * (K + 1)] = 1.0 - nu_ub
+    rows[:, -1] = -1.0
+    gaps = np.array([delta_sup(table, k) for k in range(K)])
+    lp = spec.lp(np.concatenate([np.zeros(K * K), [1.0]]), rows, spec.p1 - gaps,
+                 extra_bounds=((-np.inf, np.inf),))
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise SolverFailureError("slack LP did not solve on a feasible set")
@@ -183,38 +171,21 @@ def _pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
     """
     K = spec.k
     n = K * K + K
-    diag_idx = [k * K + k for k in range(K)]
+    ks = np.arange(K)
     den = np.zeros(n)
-    den[diag_idx] = 1.0
+    den[ks * (K + 1)] = 1.0
     num = np.zeros(n)
     num[K * K:] = 1.0
-    eq = np.hstack([spec.eq_matrix, np.zeros((2 * K, K))])
-    r = spec.restriction
-    ub_rows = [np.hstack([r.matrix, np.zeros((r.matrix.shape[0], K))])]
-    ub_rhs = [r.rhs]
-    for k in range(K):
-        # t_k >= gap_k - sum_{l != k} theta_lk
-        row = np.zeros(n)
-        row[K * K + k] = -1.0
-        for l in range(K):
-            if l != k:
-                row[l * K + k] = -1.0
-        ub_rows.append(row[None, :])
-        ub_rhs.append(np.array([-delta_sup(table, k)]))
-        # t_k <= theta_kk
-        row = np.zeros(n)
-        row[K * K + k] = 1.0
-        row[k * K + k] = -1.0
-        ub_rows.append(row[None, :])
-        ub_rhs.append(np.array([0.0]))
-    feas = LinearProgram(
-        objective=np.zeros(n),
-        eq_matrix=eq,
-        eq_rhs=spec.eq_rhs,
-        ub_matrix=np.vstack(ub_rows),
-        ub_rhs=np.concatenate(ub_rhs),
-        bounds=tuple([(0.0, np.inf)] * n),
-    )
+    # per k: t_k >= gap_k - sum_{l != k} theta_lk, then t_k <= theta_kk
+    rows = np.zeros((K, 2, n))
+    l, k = np.nonzero(~np.eye(K, dtype=bool))
+    rows[k, 0, l * K + k] = -1.0
+    rows[ks, 0, K * K + ks] = -1.0
+    rows[ks, 1, K * K + ks] = 1.0
+    rows[ks, 1, ks * (K + 1)] = -1.0
+    gaps = np.array([delta_sup(table, k) for k in range(K)])
+    rhs = np.stack([-gaps, np.zeros(K)], axis=1).reshape(-1)
+    feas = spec.lp(np.zeros(n), rows.reshape(2 * K, n), rhs, extra_bounds=((0.0, np.inf),) * K)
     try:
         sol = solve_lfp((num, 0.0), (den, 0.0), feas)
     except DomainError:

@@ -46,7 +46,6 @@ DEFAULTS = {
     "design": "binary",
     "dbar_max": 0.5,
     "dbar_steps": 26,
-    "eta": 0.01,
 }
 
 
@@ -80,7 +79,7 @@ def _read_config_file(path):
 
 def _coerce(key, val):
     if isinstance(val, str):
-        if key in ("alpha", "t", "dbar_max", "eta"):
+        if key in ("alpha", "t", "dbar_max"):
             return float(val)
         if key in ("boot", "seed", "nsims", "clusters", "n", "dbar_steps"):
             return int(val)
@@ -261,7 +260,7 @@ def cmd_robustness(cfg: RunConfig):
         writer.writerow(["dbar", "nu_pooled_lb", "status"])
         writer.writerows(rows)
     breakdown = bounds_mod.breakdown_defier_budget(table)
-    summary = cfg.out.rsplit(".", 1)[0] + "_breakdown.json" if cfg.out else "robustness_breakdown.json"
+    summary = out.rsplit(".", 1)[0] + "_breakdown.json"
     _write_json(summary, {"breakdown_dbar": breakdown})
     manifest = _write_manifest(cfg, [out, summary])
     print(json.dumps({"ok": True, "outputs": [out, summary, manifest],
@@ -288,7 +287,7 @@ def _simulate_design(cfg: RunConfig):
     if cfg.design == "binary":
         cp, tp = mc.binary_pools()
     elif cfg.design == "cluster":
-        cp, tp = mc.cluster_pools(n_clusters=max(cfg.clusters, 20) or 20)
+        cp, tp = mc.cluster_pools(n_clusters=max(cfg.clusters, 20))
     elif cfg.design == "ordered":
         cp, tp = mc.ordered_pools()
     else:

@@ -68,11 +68,6 @@ def _check_l(L):
     return L
 
 
-def randomized_marginals(records: RecordSet) -> DistTable:
-    """Arm-wise laws straight from the empirical distribution (randomized D)."""
-    return from_records(records)
-
-
 def _clip_and_normalize(raw, label):
     """Clip negative estimated cells, renormalize to a pmf, log adjustments."""
     clipped = float(np.clip(-raw, 0.0, None).sum())
@@ -213,12 +208,12 @@ def correct_measurement_error(table: DistTable, L) -> DistTable:
 def apply_strategy(records: RecordSet, tag: StrategyTag) -> DistTable:
     """Dispatch records to the adapter selected by ``tag``."""
     if tag.kind == RANDOMIZED:
-        return randomized_marginals(records)
+        return from_records(records)
     if tag.kind == IV:
         return iv_complier_marginals(records)
     if tag.kind == IPW:
         return ipw_marginals(records)
-    return correct_measurement_error(randomized_marginals(records), tag.l_matrix)
+    return correct_measurement_error(from_records(records), tag.l_matrix)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc, gammaincinv
 
 from .errors import EstimationError, SolverFailureError, StructuralError
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp, solve_qp
@@ -33,6 +33,7 @@ from .rng import substream
 from .typeshares import MONOTONE, RestrictionSet, marginal_equalities
 
 HARD_SD_FLOOR = 1e-12
+CHISQ_RIDGE = 1e-10  # added to the covariance before whitening
 CELL_COUNT_FLOOR = 15
 
 LF_BOOT = "lf-boot"
@@ -128,17 +129,11 @@ def _json_float(x):
     return float(x)
 
 
-def _p_layout(K, Q):
-    """Index helpers into the stacked probability vector."""
-    joint1 = lambda k, q: k * Q + q
-    joint0 = lambda k, q: K * Q + k * Q + q
-    marg1 = lambda k: 2 * K * Q + k
-    marg0 = lambda k: 2 * K * Q + K + k
-    return joint1, joint0, marg1, marg0, 2 * K * Q + 2 * K
-
-
 def p_from_cells(cells):
-    """Stacked probability vector from an aggregated (2, K, Q) count array."""
+    """Stacked probability vector from an aggregated (2, K, Q) count array:
+    the arm-1 joint cells at ``k Q + q``, the arm-0 ones at ``K Q + k Q + q``,
+    then the arm-1 and arm-0 mediator marginals at ``2 K Q + k`` and
+    ``2 K Q + K + k``."""
     totals = cells.sum(axis=(1, 2))
     if totals.min() <= 0:
         raise EstimationError("a treatment arm is empty")
@@ -179,6 +174,66 @@ def median_cluster_cell_count(records: RecordSet, bins=None):
     return float(np.median(encode(records, bins).units_per_cell()))
 
 
+def _binary_rows(Q, n_p):
+    """Nuisance-free rows of a binary mediator under monotonicity: per
+    outcome q, ``P(q, m0 | 1) <= P(q, m0 | 0)`` and ``P(q, m1 | 0) <= P(q, m1 | 1)``."""
+    qs = np.arange(Q)
+    c2 = np.zeros((Q, 2, n_p))
+    c2[qs, 0, qs] = 1.0
+    c2[qs, 0, 2 * Q + qs] = -1.0
+    c2[qs, 1, 3 * Q + qs] = 1.0
+    c2[qs, 1, Q + qs] = -1.0
+    rows = [MomentRow(kind, k=k, q=q) for q in range(Q)
+            for k, kind in ((0, "gap_low"), (1, "gap_high"))]
+    return np.zeros((2 * Q, 0)), c2.reshape(2 * Q, n_p), rows
+
+
+def _general_rows(support, r: RestrictionSet, Q, nu_ub, n_p):
+    """Rows over omega = (theta, delta), one family at a time: per k the
+    budget, gap and delta >= 0 rows; marginal matching as paired
+    inequalities; the restriction rows; theta >= 0."""
+    K = support.k
+    n_theta = K * K
+    n_omega = n_theta + K * Q
+    ks, qs = np.arange(K), np.arange(Q)
+    cells = np.arange(K * Q).reshape(K, Q)  # joint cell (k, q) of an arm
+    delta = n_theta + cells
+    c1 = np.zeros((K, 1 + 2 * Q, n_omega))
+    c2 = np.zeros((K, 1 + 2 * Q, n_p))
+    c1[ks, 0, ks * (K + 1)] = -(1.0 - nu_ub)
+    c1[ks[:, None], 0, delta] = -1.0
+    c2[ks, 0, 2 * K * Q + ks] = -1.0
+    c1[ks[:, None], 1 + qs, delta] = 1.0
+    c2[ks[:, None], 1 + qs, cells] = 1.0
+    c2[ks[:, None], 1 + qs, K * Q + cells] = -1.0
+    c1[ks[:, None], 1 + Q + qs, delta] = 1.0
+    rows = [row for k in range(K) for row in (
+        [MomentRow("budget", k=k)]
+        + [MomentRow("gap", k=k, q=q) for q in range(Q)]
+        + [MomentRow("delta_nonneg", k=k, q=q, hard=True) for q in range(Q)])]
+    # per k: the arm-0 and arm-1 marginals matched from below, then from above
+    eq_a, _ = marginal_equalities(support, np.zeros(K), np.zeros(K))
+    sign = np.array([1.0, 1.0, -1.0, -1.0])
+    match1 = np.zeros((K, 4, n_omega))
+    match1[:, :, :n_theta] = sign[:, None] * eq_a.reshape(2, K, n_theta)[[0, 1, 0, 1]].swapaxes(0, 1)
+    match2 = np.zeros((K, 4, n_p))
+    match2[ks[:, None], np.arange(4), 2 * K * Q + np.array([K, 0, K, 0]) + ks[:, None]] = sign
+    rows += [MomentRow(f"match_m{arm}_{tag}", k=k, hard=True) for k in range(K)
+             for tag in ("lo", "hi") for arm in (0, 1)]
+    n_r = r.matrix.shape[0]
+    restr1 = np.zeros((n_r, n_omega))
+    restr1[:, :n_theta] = -r.matrix
+    restr2 = np.zeros((n_r, n_p))
+    restr2[:, : K * Q] = -r.rhs[:, None]
+    rows += [MomentRow("restriction", k=j, hard=True) for j in range(n_r)]
+    rows += [MomentRow("theta_nonneg", k=i // K, q=i % K, hard=True) for i in range(n_theta)]
+    c1 = np.vstack([c1.reshape(-1, n_omega), match1.reshape(-1, n_omega), restr1,
+                    np.eye(n_theta, n_omega)])
+    c2 = np.vstack([c2.reshape(-1, n_p), match2.reshape(-1, n_p), restr2,
+                    np.zeros((n_theta, n_p))])
+    return c1, c2, rows
+
+
 def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
                         nu_ub=0.0, min_cell=CELL_COUNT_FLOOR) -> MomentSystem:
     """Assemble the moment-inequality system for the null that at most a
@@ -204,7 +259,7 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
             f"restriction built for K={r.n_support} but records have K={support.k}"
         )
     K, Q = support.k, len(levels)
-    joint1, joint0, marg1, marg0, n_p = _p_layout(K, Q)
+    n_p = 2 * K * Q + 2 * K
     n_units = int(enc.cluster_of.max(initial=-1)) + 1
     if n_p > n_units:
         # the n_p x n_p covariance of n_units units has rank at most
@@ -232,93 +287,12 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
     nu_ub = np.broadcast_to(np.asarray(nu_ub, dtype=float), (K,)).copy()
     if nu_ub.min() < 0 or nu_ub.max() > 1:
         raise StructuralError("nu_ub must lie in [0, 1]")
-    rows = []
-    c1_rows = []
-    c2_rows = []
-    binary_special = K == 2 and r.kind == MONOTONE and not nu_ub.any()
-    if binary_special:
-        n_omega = 0
-        for q in range(Q):
-            c2 = np.zeros(n_p)
-            c2[joint1(0, q)] = 1.0
-            c2[joint0(0, q)] = -1.0
-            c1_rows.append(np.zeros(0))
-            c2_rows.append(c2)
-            rows.append(MomentRow("gap_low", k=0, q=q))
-            c2 = np.zeros(n_p)
-            c2[joint0(1, q)] = 1.0
-            c2[joint1(1, q)] = -1.0
-            c1_rows.append(np.zeros(0))
-            c2_rows.append(c2)
-            rows.append(MomentRow("gap_high", k=1, q=q))
-    else:
-        n_theta = K * K
-        n_omega = n_theta + K * Q
-        delta = lambda k, q: n_theta + k * Q + q
-        for k in range(K):
-            c1 = np.zeros(n_omega)
-            c1[k * K + k] = -(1.0 - nu_ub[k])
-            for q in range(Q):
-                c1[delta(k, q)] = -1.0
-            c2 = np.zeros(n_p)
-            c2[marg1(k)] = -1.0
-            c1_rows.append(c1)
-            c2_rows.append(c2)
-            rows.append(MomentRow("budget", k=k))
-            for q in range(Q):
-                c1 = np.zeros(n_omega)
-                c1[delta(k, q)] = 1.0
-                c2 = np.zeros(n_p)
-                c2[joint1(k, q)] = 1.0
-                c2[joint0(k, q)] = -1.0
-                c1_rows.append(c1)
-                c2_rows.append(c2)
-                rows.append(MomentRow("gap", k=k, q=q))
-            for q in range(Q):
-                c1 = np.zeros(n_omega)
-                c1[delta(k, q)] = 1.0
-                c1_rows.append(c1)
-                c2_rows.append(np.zeros(n_p))
-                rows.append(MomentRow("delta_nonneg", k=k, q=q, hard=True))
-        eq_a, _ = marginal_equalities(support, np.zeros(K), np.zeros(K))
-        for k in range(K):
-            for sign, tag in ((1.0, "lo"), (-1.0, "hi")):
-                # row sums match the arm-0 marginal
-                c1 = np.zeros(n_omega)
-                c1[:n_theta] = sign * eq_a[k]
-                c2 = np.zeros(n_p)
-                c2[marg0(k)] = sign
-                c1_rows.append(c1)
-                c2_rows.append(c2)
-                rows.append(MomentRow(f"match_m0_{tag}", k=k, hard=True))
-                # column sums match the arm-1 marginal
-                c1 = np.zeros(n_omega)
-                c1[:n_theta] = sign * eq_a[K + k]
-                c2 = np.zeros(n_p)
-                c2[marg1(k)] = sign
-                c1_rows.append(c1)
-                c2_rows.append(c2)
-                rows.append(MomentRow(f"match_m1_{tag}", k=k, hard=True))
-        for j in range(r.matrix.shape[0]):
-            c1 = np.zeros(n_omega)
-            c1[:n_theta] = -r.matrix[j]
-            c2 = np.zeros(n_p)
-            for k in range(K):
-                for q in range(Q):
-                    c2[joint1(k, q)] = -r.rhs[j]
-            c1_rows.append(c1)
-            c2_rows.append(c2)
-            rows.append(MomentRow("restriction", k=j, hard=True))
-        for i in range(n_theta):
-            c1 = np.zeros(n_omega)
-            c1[i] = 1.0
-            c1_rows.append(c1)
-            c2_rows.append(np.zeros(n_p))
-            rows.append(MomentRow("theta_nonneg", k=i // K, q=i % K, hard=True))
+    binary = K == 2 and r.kind == MONOTONE and not nu_ub.any()
+    c1, c2, rows = _binary_rows(Q, n_p) if binary else _general_rows(support, r, Q, nu_ub, n_p)
     label = r.kind + (":" + ",".join(f"{p:g}" for p in r.params) if r.params else "")
     return MomentSystem(
-        c1=np.array(c1_rows).reshape(len(rows), n_omega),
-        c2=np.array(c2_rows),
+        c1=c1,
+        c2=c2,
         p_hat=p_hat,
         sigma_hat=sigma,
         n_eff=cells.shape[0],
@@ -346,25 +320,12 @@ def _minmax_statistic(system: MomentSystem, p_vec, shift, sds, hard):
         if hard.any() and (mom[hard] > 1e-10).any():
             return np.inf, None
         return float(np.max(mom[soft] / sds[soft])), np.zeros(0)
-    n = system.n_omega + 1
-    ub_rows = []
-    ub_rhs = []
-    for j in range(system.n_rows):
-        row = np.zeros(n)
-        if hard[j]:
-            row[:-1] = -system.c1[j]
-            ub_rows.append(row)
-            ub_rhs.append(-mom[j])
-        else:
-            row[:-1] = -system.c1[j]
-            row[-1] = -sds[j]
-            ub_rows.append(row)
-            ub_rhs.append(-mom[j])
+    # variables (omega, t); hard rows leave t out, soft row j carries -sd_j t
     lp = LinearProgram(
         objective=np.concatenate([np.zeros(system.n_omega), [1.0]]),
-        ub_matrix=np.array(ub_rows),
-        ub_rhs=np.array(ub_rhs),
-        bounds=tuple([(-np.inf, np.inf)] * n),
+        ub_matrix=np.hstack([-system.c1, np.where(hard, 0.0, -sds)[:, None]]),
+        ub_rhs=-mom,
+        bounds=tuple([(-np.inf, np.inf)] * (system.n_omega + 1)),
     )
     sol = solve_lp(lp)
     if sol.status == INFEASIBLE:
@@ -449,12 +410,6 @@ def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
     return statistic, np.sort(draws)
 
 
-def _lf_critical(order, alpha):
-    """The ceil((1 - alpha) B)-th smallest of the B sorted draws."""
-    b_draws = order.size
-    return float(order[min(max(int(np.ceil((1.0 - alpha) * b_draws)) - 1, 0), b_draws - 1)])
-
-
 def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
                                    b_draws: int = 999, seed: int = 0) -> TestResult:
     """Studentized max test with least-favorable bootstrap critical values.
@@ -472,7 +427,8 @@ def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
     if b_draws < 200:
         raise StructuralError("need at least 200 bootstrap draws")
     statistic, order = _lf_draws(system, b_draws, seed)
-    critical = _lf_critical(order, alpha)
+    # the ceil((1 - alpha) B)-th smallest of the B sorted draws
+    critical = float(order[min(max(int(np.ceil((1.0 - alpha) * b_draws)) - 1, 0), b_draws - 1)])
     return TestResult(
         statistic=float(statistic),
         critical_value=critical,
@@ -485,16 +441,17 @@ def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
     )
 
 
-def _chisq_solution(system: MomentSystem, ridge=1e-10):
+def _chisq_solution(system: MomentSystem):
     """Minimized quadratic form and the binding-row df for the CS-style test.
 
     Whitens the deviation ``u = mu - p_hat`` with the ridge-regularized
     covariance so the QP is perfectly conditioned, then reads the active
-    rows off the solution.
+    rows off the solution.  df is the rank of the binding rows' gradients
+    in (p, omega) less that of their omega part.
     """
-    sigma = system.sigma_hat + ridge * np.eye(system.p_hat.size)
+    sigma = system.sigma_hat + CHISQ_RIDGE * np.eye(system.p_hat.size)
     lam, U = np.linalg.eigh(sigma)
-    lam = np.clip(lam, ridge, None)
+    lam = np.clip(lam, CHISQ_RIDGE, None)
     half = U @ np.diag(np.sqrt(lam))  # u = half @ w  =>  u'inv(sigma)u = w'w
     n_w = system.p_hat.size
     n = n_w + system.n_omega
@@ -515,13 +472,8 @@ def _chisq_solution(system: MomentSystem, ridge=1e-10):
     statistic = system.n_eff * float(sol.value)
     resid = rhs - ub @ sol.point
     active = np.nonzero(resid <= 1e-7 * (1.0 + np.abs(rhs)))[0]
-    if active.size == 0:
-        return statistic, 0
     grad = np.hstack([-system.c2[active], system.c1[active]])
-    if system.n_omega:
-        df = int(np.linalg.matrix_rank(grad) - np.linalg.matrix_rank(system.c1[active]))
-    else:
-        df = int(np.linalg.matrix_rank(system.c2[active]))
+    df = int(np.linalg.matrix_rank(grad) - np.linalg.matrix_rank(system.c1[active]))
     return statistic, max(df, 0)
 
 
@@ -538,8 +490,8 @@ def test_conditional_chisq(system: MomentSystem, alpha: float) -> TestResult:
         critical = np.inf
         p_value = 1.0
     else:
-        critical = float(chi2.ppf(1.0 - alpha, df))
-        p_value = float(chi2.sf(statistic, df))
+        critical = float(2.0 * gammaincinv(df / 2, 1.0 - alpha))  # chi2.ppf
+        p_value = float(chdtrc(df, statistic))  # chi2.sf
     return TestResult(
         statistic=float(statistic),
         critical_value=critical,
@@ -555,30 +507,3 @@ def test_conditional_chisq(system: MomentSystem, alpha: float) -> TestResult:
 # from collecting them as test cases when imported into test modules
 test_least_favorable_bootstrap.__test__ = False
 test_conditional_chisq.__test__ = False
-
-
-def p_value_curve(system: MomentSystem, method: str, grid, b_draws=999, seed=0):
-    """Evaluate the chosen test over an alpha grid.
-
-    Returns ``(rejections, smallest_rejecting_alpha)`` where the second
-    element is the 1.0 sentinel if no grid point rejects.  Bootstrap draws
-    are shared across the grid so rejection is monotone in alpha by
-    construction.
-    """
-    grid = sorted(float(a) for a in grid)
-    if any(not 0 < a < 1 for a in grid):
-        raise StructuralError("alpha grid must lie inside (0, 1)")
-    rejections = {}
-    if method == COND_CHISQ:
-        statistic, df = _chisq_solution(system)
-        for a in grid:
-            rejections[a] = bool(df > 0 and statistic > chi2.ppf(1.0 - a, df))
-    elif method == LF_BOOT:
-        # One set of draws shared across the grid; per-alpha order statistics.
-        statistic, order = _lf_draws(system, b_draws, seed)
-        for a in grid:
-            rejections[a] = bool(statistic > _lf_critical(order, a))
-    else:
-        raise StructuralError(f"unknown test method '{method}'")
-    smallest = next((a for a in grid if rejections[a]), 1.0)
-    return rejections, smallest

@@ -348,6 +348,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                 f"(must be > {FEAS_TOL / 2:.3g})"
             )
         return LpSolution(INFEASIBLE, farkas=y, standard=sf)
+    # Nothing below reads the artificial columns: they never enter again,
+    # and a pivot updates each column on its own.
+    tab = np.delete(tab, np.s_[nz: nz + m], axis=1)
     # Pivot artificials out of the basis where a real column is available;
     # those that remain sit at level zero in redundant rows and are ejected
     # lazily by the force-out rule below.

@@ -182,20 +182,23 @@ class IdentifiedSetSpec:
     def k(self):
         return self.support.k
 
-    def lp(self, objective, extra_ub=None, extra_ub_rhs=None) -> LinearProgram:
-        """LP over theta with the identified-set constraints baked in."""
-        ub = self.restriction.matrix
+    def lp(self, objective, extra_ub=None, extra_ub_rhs=None, extra_bounds=()) -> LinearProgram:
+        """LP over theta, then one trailing variable per ``extra_bounds``
+        pair, with the identified-set constraints baked in; ``extra_ub``
+        rows span all the variables."""
+        pad = len(extra_bounds)
+        ub = np.hstack([self.restriction.matrix, np.zeros((self.restriction.matrix.shape[0], pad))])
         rhs = self.restriction.rhs
         if extra_ub is not None:
             ub = np.vstack([ub, extra_ub])
             rhs = np.concatenate([rhs, extra_ub_rhs])
         return LinearProgram(
             objective=objective,
-            eq_matrix=self.eq_matrix,
+            eq_matrix=np.hstack([self.eq_matrix, np.zeros((self.eq_matrix.shape[0], pad))]),
             eq_rhs=self.eq_rhs,
             ub_matrix=ub,
             ub_rhs=rhs,
-            bounds=tuple((0.0, np.inf) for _ in range(self.k**2)),
+            bounds=tuple((0.0, np.inf) for _ in range(self.k**2)) + tuple(extra_bounds),
         )
 
 

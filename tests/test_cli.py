@@ -135,9 +135,11 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("surprise = 1\n", encoding="utf-8")
-    code, payload = run_cli(["test", "--config", str(cfg)], capsys)
-    assert code == 2
+    for key in ("surprise", "eta"):
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        code, payload = run_cli(["test", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert payload["message"] == f"unknown config key '{key}'"
 
 
 def test_robustness_subcommand(tmp_path, capsys):

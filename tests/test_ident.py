@@ -18,7 +18,6 @@ from mechtest.ident import (
     iv_complier_marginals,
     iv_relabel_comparison,
     misclassify_mediator,
-    randomized_marginals,
 )
 from mechtest.probtab import RecordSet, from_records
 from mechtest.typeshares import RestrictionSet
@@ -33,7 +32,7 @@ def test_randomized_equals_from_records():
         d=rng.integers(0, 2, 200),
         z=rng.integers(0, 2, 200),  # present but ignored
     )
-    a = randomized_marginals(rec)
+    a = from_records(rec)
     b = from_records(RecordSet(y=rec.y, m=rec.m, d=rec.d))
     assert_allclose(a.mass, b.mass)
 
@@ -42,7 +41,7 @@ def test_randomized_empty_arm_error():
     from mechtest.errors import EstimationError
 
     with pytest.raises(EstimationError):
-        randomized_marginals(RecordSet(y=[1.0, 0.0], m=[0.0, 1.0], d=[1, 1]))
+        from_records(RecordSet(y=[1.0, 0.0], m=[0.0, 1.0], d=[1, 1]))
 
 
 def perfect_compliance_records(rng, n=400):
@@ -56,7 +55,7 @@ def test_iv_perfect_compliance_collapses_to_randomized():
     rng = np.random.default_rng(1)
     rec = perfect_compliance_records(rng)
     table_iv = iv_complier_marginals(rec)
-    table_rand = randomized_marginals(rec)
+    table_rand = from_records(rec)
     assert_allclose(table_iv.mass, table_rand.mass, atol=1e-12)
 
 
@@ -159,7 +158,7 @@ def test_ipw_constant_half_equals_randomized():
     )
     rec = RecordSet(y=rec_plain.y, m=rec_plain.m, d=rec_plain.d,
                     pscore=np.full(n, 0.5))
-    assert_allclose(ipw_marginals(rec).mass, randomized_marginals(rec_plain).mass, atol=1e-12)
+    assert_allclose(ipw_marginals(rec).mass, from_records(rec_plain).mass, atol=1e-12)
 
 
 def test_ipw_two_strata_recovers_population_law():

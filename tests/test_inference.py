@@ -1,26 +1,30 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog as scipy_linprog
 from scipy.stats import chi2
 
 from conftest import make_table, random_table, records_from_table
 from mechtest.bounds import sharp_null_slack
 from mechtest.errors import EstimationError, StructuralError
+from mechtest import inference
 from mechtest.inference import (
-    COND_CHISQ,
-    LF_BOOT,
     CellCountWarning,
     MomentRow,
     MomentSystem,
     _minmax_statistic,
     build_moment_system,
     median_cluster_cell_count,
-    p_value_curve,
     test_conditional_chisq,
     test_least_favorable_bootstrap,
 )
 from mechtest.probtab import RecordSet, support_from_values
-from mechtest.typeshares import RestrictionSet
+from mechtest.rng import substream
+from mechtest.typeshares import RestrictionSet, marginal_equalities
 
 
 def build(records, r=None, **kw):
@@ -67,6 +71,78 @@ def test_general_system_dimensions():
     assert {"budget", "gap", "delta_nonneg", "restriction", "theta_nonneg"} <= kinds
     hard_kinds = {row.kind for row in system.rows if row.hard}
     assert "match_m0_lo" in hard_kinds and "match_m1_hi" in hard_kinds
+
+
+def loop_rows(support, r, Q, nu_ub):
+    """Row-by-row construction of the general moment system, the
+    reference for the block builder: ``(c1, c2, rows)``."""
+    K = support.k
+    n_theta, n_p = K * K, 2 * K * Q + 2 * K
+    n_omega = n_theta + K * Q
+    c1_rows, c2_rows, rows = [], [], []
+
+    def add(kind, c1, c2, **tags):
+        c1_rows.append(c1)
+        c2_rows.append(c2)
+        rows.append(MomentRow(kind, **tags))
+
+    for k in range(K):
+        c1, c2 = np.zeros(n_omega), np.zeros(n_p)
+        c1[k * K + k] = -(1.0 - nu_ub[k])
+        c1[n_theta + k * Q: n_theta + (k + 1) * Q] = -1.0
+        c2[2 * K * Q + k] = -1.0
+        add("budget", c1, c2, k=k)
+        for q in range(Q):
+            c1, c2 = np.zeros(n_omega), np.zeros(n_p)
+            c1[n_theta + k * Q + q] = 1.0
+            c2[k * Q + q] = 1.0
+            c2[K * Q + k * Q + q] = -1.0
+            add("gap", c1, c2, k=k, q=q)
+        for q in range(Q):
+            c1 = np.zeros(n_omega)
+            c1[n_theta + k * Q + q] = 1.0
+            add("delta_nonneg", c1, np.zeros(n_p), k=k, q=q, hard=True)
+    eq_a, _ = marginal_equalities(support, np.zeros(K), np.zeros(K))
+    for k in range(K):
+        for sign, tag in ((1.0, "lo"), (-1.0, "hi")):
+            for arm, eq_row, marg in ((0, k, 2 * K * Q + K + k), (1, K + k, 2 * K * Q + k)):
+                c1, c2 = np.zeros(n_omega), np.zeros(n_p)
+                c1[:n_theta] = sign * eq_a[eq_row]
+                c2[marg] = sign
+                add(f"match_m{arm}_{tag}", c1, c2, k=k, hard=True)
+    for j in range(r.matrix.shape[0]):
+        c1, c2 = np.zeros(n_omega), np.zeros(n_p)
+        c1[:n_theta] = -r.matrix[j]
+        c2[: K * Q] = -r.rhs[j]
+        add("restriction", c1, c2, k=j, hard=True)
+    for i in range(n_theta):
+        c1 = np.zeros(n_omega)
+        c1[i] = 1.0
+        add("theta_nonneg", c1, np.zeros(n_p), k=i // K, q=i % K, hard=True)
+    return np.array(c1_rows), np.array(c2_rows), tuple(rows)
+
+
+def test_block_built_rows_equal_row_by_row_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        K, Q, n = int(rng.integers(2, 6)), int(rng.integers(1, 5)), 400
+        if trial % 4 == 3:  # 2-D mediator
+            m = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 2, n)]).astype(float)
+        else:
+            m = rng.integers(0, K, n).astype(float)
+        rec = RecordSet(y=rng.integers(0, Q, n).astype(float), m=m, d=rng.integers(0, 2, n))
+        support = support_from_values(rec.m)
+        if support.totally_ordered:
+            r = (RestrictionSet.defier_budget(support, 0.1), RestrictionSet.unrestricted(support),
+                 RestrictionSet.bounded_effect(support, 1, 0.05))[trial % 3]
+        else:
+            r = RestrictionSet.elementwise_defier_budget(support, 0.05)
+        nu_ub = rng.uniform(0.0, 1.0, support.k) * (trial % 2)
+        system = build(rec, r, nu_ub=nu_ub)
+        c1, c2, rows = loop_rows(support, r, system.n_outcomes, nu_ub)
+        assert system.rows == rows
+        assert system.c1.tobytes() == c1.tobytes() and system.c1.shape == c1.shape
+        assert system.c2.tobytes() == c2.tobytes() and system.c2.shape == c2.shape
 
 
 def test_h0_form_is_exact():
@@ -268,22 +344,6 @@ def test_chisq_df_counts_binding_gradients():
     assert res.critical_value == pytest.approx(chi2.ppf(0.95, 1))
 
 
-def test_p_value_curve_monotone_and_sentinels():
-    rng = np.random.default_rng(11)
-    grid = (0.01, 0.05, 0.1, 0.2, 0.5)
-    strong = build(binary_records(rng, 3000, lift=0.5))
-    rejections, smallest = p_value_curve(strong, COND_CHISQ, grid)
-    vals = [rejections[a] for a in grid]
-    assert vals == sorted(vals)  # monotone in alpha
-    assert smallest == 0.01
-    null_sys = synthetic_system(-1.0, 1.0, 100)
-    rejections, smallest = p_value_curve(null_sys, COND_CHISQ, grid)
-    assert smallest == 1.0
-    rejections, smallest = p_value_curve(strong, LF_BOOT, grid, b_draws=300, seed=1)
-    vals = [rejections[a] for a in grid]
-    assert vals == sorted(vals)
-
-
 def test_cell_count_warning_and_median():
     rng = np.random.default_rng(12)
     rec = binary_records(rng, 60)
@@ -324,8 +384,6 @@ def test_lf_bootstrap_rejects_with_nuisance_coordinates():
     res = test_least_favorable_bootstrap(system, 0.05, b_draws=200, seed=4)
     assert np.isfinite(res.critical_value)
     assert res.reject and res.p_value <= 0.05
-    rejections, smallest = p_value_curve(system, LF_BOOT, (0.01, 0.05), b_draws=200, seed=4)
-    assert rejections[0.05]
 
 
 def test_chisq_solves_the_32000_row_k10_ordered_design():
@@ -347,3 +405,60 @@ def test_chisq_solves_the_32000_row_k10_ordered_design():
     result = test_conditional_chisq(system, alpha=0.05)
     assert result.reject
     assert result.df >= 1
+
+
+def test_chisq_quantile_and_tail_equal_scipy_stats_chi2(monkeypatch):
+    alphas = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9)
+    for df in range(1, 200, 3):
+        for stat in (0.05 * df, df - 1.0, 2.0 * df, 5.0 * df + 30.0):
+            monkeypatch.setattr(inference, "_chisq_solution", lambda system: (stat, df))
+            for alpha in alphas:
+                res = test_conditional_chisq(None, alpha)
+                assert res.critical_value == float(chi2.ppf(1.0 - alpha, df))
+                assert res.p_value == float(chi2.sf(stat, df))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(inference.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, mechtest.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def highs_minmax(system, p_vec, shift, sds, hard):
+    """``min t`` over free (omega, t) with hard rows ``C2 p - shift - C1 omega
+    <= 0`` and soft rows ``<= sd t``, solved by HiGHS."""
+    mom = system.c2 @ p_vec - shift
+    soft = ~hard
+    a_ub = np.vstack([np.hstack([-system.c1[soft], -sds[soft, None]]),
+                      np.hstack([-system.c1[hard], np.zeros((hard.sum(), 1))])])
+    res = scipy_linprog(
+        np.r_[np.zeros(system.n_omega), 1.0],
+        A_ub=a_ub,
+        b_ub=np.r_[-mom[soft], -mom[hard]],
+        bounds=[(None, None)] * (system.n_omega + 1),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def test_minmax_statistic_matches_highs_with_nuisance_coordinates():
+    rng = np.random.default_rng(41)
+    for K in (3, 4, 5):
+        system = build(ordered_violation_records(rng, n=4000, K=K))
+        assert system.n_omega > 0
+        sds, hard = system.moment_sds(), system.hard_mask()
+        zero = np.zeros(system.n_rows)
+        t0, omega_hat = _minmax_statistic(system, system.p_hat, zero, sds, hard)
+        ref = highs_minmax(system, system.p_hat, zero, sds, hard)
+        assert abs(t0 - ref) <= 1e-9 * (1.0 + abs(ref))
+        # one least-favorable draw: soft rows recentred at omega_hat
+        soft = ~np.array([row.hard for row in system.rows])
+        shift = np.where(soft, system.c2 @ system.p_hat - system.c1 @ omega_hat, 0.0)
+        p_star = inference.p_from_cells(inference._make_resampler(system)(substream(K, 0)))
+        t_b, _ = _minmax_statistic(system, p_star, shift, sds, hard)
+        ref = highs_minmax(system, p_star, shift, sds, hard)
+        assert abs(t_b - ref) <= 1e-9 * (1.0 + abs(ref))
