@@ -78,13 +78,13 @@ def _read_config_file(path):
 
 
 def _coerce(key, val):
-    if isinstance(val, str):
-        if key in ("alpha", "t", "dbar_max"):
-            return float(val)
-        if key in ("boot", "seed", "nsims", "clusters", "n", "dbar_steps"):
-            return int(val)
-        if key in ("auto_relax", "ade"):
-            return val.lower() in ("1", "true", "yes", "on")
+    """Typed value of a config-file entry; raises ValueError on bad text."""
+    if key in ("alpha", "t", "dbar_max"):
+        return float(val)
+    if key in ("boot", "seed", "nsims", "clusters", "n", "dbar_steps"):
+        return int(val)
+    if key in ("auto_relax", "ade"):
+        return val.lower() in ("1", "true", "yes", "on")
     return val
 
 
@@ -95,12 +95,16 @@ def resolve_config(args) -> RunConfig:
         for key, val in _read_config_file(args.config).items():
             if key not in DEFAULTS and key not in ("input", "out"):
                 raise StructuralError(f"unknown config key '{key}'")
-            values[key] = val
+            try:
+                values[key] = _coerce(key, val)
+            except ValueError:
+                raise StructuralError(
+                    f"{args.config}: invalid value '{val}' for config key '{key}'") from None
+    # defaults and flags arrive typed; only config-file text needs coercion
     for key in list(DEFAULTS) + ["input", "out"]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    values = {k: _coerce(k, v) for k, v in values.items()}
     cfg = RunConfig(
         command=args.command,
         input=values.pop("input", None),
@@ -109,6 +113,8 @@ def resolve_config(args) -> RunConfig:
     )
     if not 0.0 < cfg.alpha < 1.0:
         raise StructuralError("alpha must lie in (0, 1)")
+    if cfg.seed < 0:
+        raise StructuralError(f"seed must be a non-negative integer, got {cfg.seed}")
     return cfg
 
 

@@ -130,18 +130,19 @@ def _json_float(x):
 
 
 def p_from_cells(cells):
-    """Stacked probability vector from an aggregated (2, K, Q) count array:
-    the arm-1 joint cells at ``k Q + q``, the arm-0 ones at ``K Q + k Q + q``,
-    then the arm-1 and arm-0 mediator marginals at ``2 K Q + k`` and
-    ``2 K Q + K + k``."""
-    totals = cells.sum(axis=(1, 2))
+    """Stacked probability vectors from aggregated (..., 2, K, Q) count
+    arrays: the arm-1 joint cells at ``k Q + q``, the arm-0 ones at
+    ``K Q + k Q + q``, then the arm-1 and arm-0 mediator marginals at
+    ``2 K Q + k`` and ``2 K Q + K + k``."""
+    totals = cells.sum(axis=(-2, -1))[..., None]  # (..., 2, 1)
     if totals.min() <= 0:
         raise EstimationError("a treatment arm is empty")
-    joint1 = cells[1].reshape(-1) / totals[1]
-    joint0 = cells[0].reshape(-1) / totals[0]
-    marg1 = cells[1].sum(axis=1) / totals[1]
-    marg0 = cells[0].sum(axis=1) / totals[0]
-    return np.concatenate([joint1, joint0, marg1, marg0])
+    lead = cells.shape[:-3]
+    joint1 = cells[..., 1, :, :].reshape(lead + (-1,)) / totals[..., 1, :]
+    joint0 = cells[..., 0, :, :].reshape(lead + (-1,)) / totals[..., 0, :]
+    marg1 = cells[..., 1, :, :].sum(axis=-1) / totals[..., 1, :]
+    marg0 = cells[..., 0, :, :].sum(axis=-1) / totals[..., 0, :]
+    return np.concatenate([joint1, joint0, marg1, marg0], axis=-1)
 
 
 def _influence_covariance(cluster_cells):
@@ -310,16 +311,21 @@ def _minmax_statistic(system: MomentSystem, p_vec, shift, sds, hard):
     """``min over omega of max over soft rows`` of the studentized moments.
 
     Soft row j contributes ``((C2 p)_j - shift_j - (C1 omega)_j) / sd_j``;
-    hard rows constrain omega.  Returns +inf when the hard rows are jointly
-    infeasible at ``p_vec`` and -inf when the soft maximum is unbounded
-    below.
+    hard rows constrain omega.  Returns ``(t, omega)``: t is +inf when the
+    hard rows are jointly infeasible at ``p_vec`` and -inf when the soft
+    maximum is unbounded below; omega is the minimizer, None when t is not
+    finite.
+
+    Without nuisance coordinates omega is empty and ``p_vec`` may also be
+    a (B, n_p) stack, for which t holds the statistic of each row.
     """
-    mom = system.c2 @ p_vec - shift
     soft = ~hard
     if system.n_omega == 0:
-        if hard.any() and (mom[hard] > 1e-10).any():
-            return np.inf, None
-        return float(np.max(mom[soft] / sds[soft])), np.zeros(0)
+        mom = p_vec @ system.c2.T - shift
+        t = np.max(mom[..., soft] / sds[soft], axis=-1)
+        infeasible = (mom[..., hard] > 1e-10).any(axis=-1)
+        return np.where(infeasible, np.inf, t)[()], np.zeros(0)  # [()]: scalar for one vector
+    mom = system.c2 @ p_vec - shift
     # variables (omega, t); hard rows leave t out, soft row j carries -sd_j t
     lp = LinearProgram(
         objective=np.concatenate([np.zeros(system.n_omega), [1.0]]),
@@ -346,7 +352,7 @@ def _make_resampler(system: MomentSystem):
     """
     cells = system.cluster_cells
     arm = system.cluster_arm
-    shape = cells.shape[1:]
+    G, shape = cells.shape[0], cells.shape[1:]
     if (cells.sum(axis=(1, 2, 3)) == 1).all():
         agg = cells.sum(axis=0)
         totals = agg.sum(axis=(1, 2))
@@ -359,55 +365,57 @@ def _make_resampler(system: MomentSystem):
             return out
 
         return draw_units
+    # a draw is the multiplicity of each cluster times its counts, exact in int64
+    flat = cells.reshape(G, -1)
     if (arm >= 0).all():
         pools = [np.nonzero(arm == d)[0] for d in (0, 1)]
 
         def draw_clusters(rng):
-            out = np.zeros(shape, dtype=np.int64)
-            for d in (0, 1):
-                pool = pools[d]
-                out += cells[pool[rng.integers(0, pool.size, pool.size)]].sum(axis=0)
-            return out
+            idx = np.concatenate([pool[rng.integers(0, pool.size, pool.size)] for pool in pools])
+            return (np.bincount(idx, minlength=G) @ flat).reshape(shape)
 
         return draw_clusters
+    arm_totals = cells.sum(axis=(2, 3))  # (G, 2)
 
     def draw_mixed(rng):
         for _ in range(100):
-            out = cells[rng.integers(0, cells.shape[0], cells.shape[0])].sum(axis=0)
-            if out.sum(axis=(1, 2)).min() > 0:
-                return out
+            times = np.bincount(rng.integers(0, G, G), minlength=G)
+            if (times @ arm_totals).min() > 0:
+                return (times @ flat).reshape(shape)
         raise EstimationError("bootstrap could not produce both arms")
 
     return draw_mixed
 
 
 def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
-    """Statistic and bootstrap draws of the least-favorable max test.
+    """Statistic and sorted bootstrap draws of the least-favorable max test.
 
     Each soft row is recentred at its sample value at the minimizing omega,
     so every soft moment binds (the least-favorable configuration); the
     hard rows (nonnegativity, restriction and marginal matching) hold
-    exactly and keep their own right-hand sides.
+    exactly and keep their own right-hand sides.  Draw b resamples with
+    its own substream ``(seed, b)``; the B count tables are then evaluated
+    as one stack, and without nuisance coordinates as one array operation.
     """
     sds = system.moment_sds()
     hard = system.hard_mask()
     if not (~hard).any():
         raise EstimationError("degenerate data: no stochastic moment rows remain")
     t0, omega_hat = _minmax_statistic(system, system.p_hat, np.zeros(system.n_rows), sds, hard)
-    root_n = np.sqrt(system.n_eff)
-    statistic = root_n * max(t0, 0.0) if np.isfinite(t0) else np.inf
     shift = np.zeros(system.n_rows)
-    if omega_hat is not None:
+    if np.isfinite(t0):
         soft = ~np.array([r.hard for r in system.rows], dtype=bool)
         shift[soft] = (system.c2 @ system.p_hat - system.c1 @ omega_hat)[soft]
     resample = _make_resampler(system)
-    draws = np.empty(b_draws)
-    for b in range(b_draws):
-        rng = substream(seed, b)
-        p_star = p_from_cells(resample(rng))
-        t_b, _ = _minmax_statistic(system, p_star, shift, sds, hard)
-        draws[b] = root_n * max(t_b, 0.0) if np.isfinite(t_b) else np.inf
-    return statistic, np.sort(draws)
+    p_star = p_from_cells(np.stack([resample(substream(seed, b)) for b in range(b_draws)]))
+    if system.n_omega == 0:
+        t, _ = _minmax_statistic(system, p_star, shift, sds, hard)
+    else:
+        t = np.array([_minmax_statistic(system, p, shift, sds, hard)[0] for p in p_star])
+    t = np.append(t0, t)
+    # sqrt(N) t_+ with Python's max(t, 0.0), which keeps a -0.0 (np.maximum would not)
+    scaled = np.where(np.isfinite(t), np.sqrt(system.n_eff) * np.where(0.0 > t, 0.0, t), np.inf)
+    return scaled[0], np.sort(scaled[1:])
 
 
 def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
@@ -426,6 +434,8 @@ def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
         raise StructuralError("alpha must be in (0, 1)")
     if b_draws < 200:
         raise StructuralError("need at least 200 bootstrap draws")
+    if seed < 0:
+        raise StructuralError(f"seed must be a non-negative integer, got {seed}")
     statistic, order = _lf_draws(system, b_draws, seed)
     # the ceil((1 - alpha) B)-th smallest of the B sorted draws
     critical = float(order[min(max(int(np.ceil((1.0 - alpha) * b_draws)) - 1, 0), b_draws - 1)])

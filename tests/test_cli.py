@@ -142,6 +142,26 @@ def test_unknown_config_key(tmp_path, capsys):
         assert payload["message"] == f"unknown config key '{key}'"
 
 
+def test_malformed_config_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input = {FIXTURE}\nboot = abc\n", encoding="utf-8")
+    code, payload = run_cli(["test", "--config", str(cfg), "--out", str(tmp_path / "t.json")],
+                            capsys)
+    assert code == 2
+    assert payload["error"] == "StructuralError"
+    assert payload["message"] == f"{cfg}: invalid value 'abc' for config key 'boot'"
+
+
+@pytest.mark.parametrize("command, seed", [("test", "-1"), ("simulate", "-3")])
+def test_negative_seed_is_an_input_error(command, seed, tmp_path, capsys):
+    args = ["--input", str(FIXTURE)] if command == "test" else ["--nsims", "2", "--n", "200"]
+    code, payload = run_cli([command, *args, "--seed", seed, "--out", str(tmp_path / "o")],
+                            capsys)
+    assert code == 2
+    assert payload["error"] == "StructuralError"
+    assert payload["message"] == f"seed must be a non-negative integer, got {seed}"
+
+
 def test_robustness_subcommand(tmp_path, capsys):
     out = tmp_path / "rob.csv"
     code, payload = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from scipy.stats import chi2
 from conftest import make_table, random_table, records_from_table
 from mechtest.bounds import sharp_null_slack
 from mechtest.errors import EstimationError, StructuralError
-from mechtest import inference
+from mechtest import inference, mc
 from mechtest.inference import (
     CellCountWarning,
     MomentRow,
@@ -231,6 +232,8 @@ def test_bootstrap_preconditions():
         test_least_favorable_bootstrap(system, 0.05, b_draws=0)
     with pytest.raises(StructuralError):
         test_least_favorable_bootstrap(system, 1.5, b_draws=300)
+    with pytest.raises(StructuralError, match="seed must be a non-negative integer, got -1"):
+        test_least_favorable_bootstrap(system, 0.05, b_draws=300, seed=-1)
 
 
 def test_degenerate_data_error():
@@ -462,3 +465,168 @@ def test_minmax_statistic_matches_highs_with_nuisance_coordinates():
         t_b, _ = _minmax_statistic(system, p_star, shift, sds, hard)
         ref = highs_minmax(system, p_star, shift, sds, hard)
         assert abs(t_b - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def reference_draw(system, rng):
+    """One resampled (2, K, Q) count table as the per-draw loop made it,
+    summing the drawn clusters' count arrays."""
+    cells, arm = system.cluster_cells, system.cluster_arm
+    if (cells.sum(axis=(1, 2, 3)) == 1).all():  # the multinomial path is unchanged
+        return inference._make_resampler(system)(rng)
+    if (arm >= 0).all():
+        out = np.zeros(cells.shape[1:], dtype=np.int64)
+        for d in (0, 1):
+            pool = np.nonzero(arm == d)[0]
+            out += cells[pool[rng.integers(0, pool.size, pool.size)]].sum(axis=0)
+        return out
+    for _ in range(100):
+        out = cells[rng.integers(0, cells.shape[0], cells.shape[0])].sum(axis=0)
+        if out.sum(axis=(1, 2)).min() > 0:
+            return out
+    raise EstimationError("bootstrap could not produce both arms")
+
+
+def reference_p(cells):
+    totals = cells.sum(axis=(1, 2))
+    if totals.min() <= 0:
+        raise EstimationError("a treatment arm is empty")
+    return np.concatenate([cells[1].reshape(-1) / totals[1], cells[0].reshape(-1) / totals[0],
+                           cells[1].sum(axis=1) / totals[1], cells[0].sum(axis=1) / totals[0]])
+
+
+def reference_lf_draws(system, b_draws, seed):
+    """The LF bootstrap as a loop over draws, one vector at a time: the
+    reference for the stacked evaluation."""
+    sds, hard = system.moment_sds(), system.hard_mask()
+
+    def minmax(p_vec, shift):
+        if system.n_omega:
+            return _minmax_statistic(system, p_vec, shift, sds, hard)
+        mom = system.c2 @ p_vec - shift
+        if hard.any() and (mom[hard] > 1e-10).any():
+            return np.inf, None
+        return float(np.max(mom[~hard] / sds[~hard])), np.zeros(0)
+
+    t0, omega_hat = minmax(system.p_hat, np.zeros(system.n_rows))
+    root_n = np.sqrt(system.n_eff)
+    statistic = root_n * max(t0, 0.0) if np.isfinite(t0) else np.inf
+    shift = np.zeros(system.n_rows)
+    if omega_hat is not None:
+        soft = ~np.array([row.hard for row in system.rows], dtype=bool)
+        shift[soft] = (system.c2 @ system.p_hat - system.c1 @ omega_hat)[soft]
+    draws = np.empty(b_draws)
+    for b in range(b_draws):
+        t_b, _ = minmax(reference_p(reference_draw(system, substream(seed, b))), shift)
+        draws[b] = root_n * max(t_b, 0.0) if np.isfinite(t_b) else np.inf
+    return statistic, np.sort(draws)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def clustered(rec, labels):
+    return RecordSet(y=rec.y, m=rec.m, d=rec.d, cluster=labels)
+
+
+def lf_equivalence_case(name):
+    """``(system, b_draws, seed)`` of one input of the equivalence test."""
+    rng = np.random.default_rng(51)
+    unit = binary_records(rng, 1500, lift=0.1)
+    if name == "unit":
+        return build(unit), 300, 7
+    if name == "unit-four-levels":
+        n = 1200
+        rec = RecordSet(y=rng.integers(0, 4, n).astype(float),
+                        m=(rng.random(n) < 0.5).astype(float), d=rng.integers(0, 2, n))
+        return build(rec), 300, 8
+    if name == "arm-pure-clusters":  # 12 units each, within an arm
+        labels = 1000 * unit.d + np.arange(unit.n) // 12
+        return build(clustered(unit, labels)), 300, 9
+    if name == "mixed-clusters":
+        return build(clustered(unit, np.arange(unit.n) % 40)), 300, 10
+    if name == "hard-through-sd":
+        # one soft-flagged row with zero sd: hard through hard_mask alone,
+        # so the draws that move it above zero are +inf
+        system = build(unit)
+        j = int(np.argmin(system.c2 @ system.p_hat))
+        used = system.c2[j] != 0
+        sigma = np.where(used[:, None] | used[None, :], 0.0, system.sigma_hat)
+        return dataclasses.replace(system, sigma_hat=sigma), 300, 11
+    if name == "tied-draws":
+        # replicate 4 of the simulate run whose draws tie with the statistic
+        cp, tp = mc.cluster_pools()
+        dgp = mc.MixtureDgp(control_pool=cp, treated_pool=tp, t=0.0, cluster_mode=True,
+                            clusters_per_arm=20)
+        records = mc.draw_sample(dgp, mc._derive(789609968, 4))
+        return build(records, bins=5), 999, mc._derive(789609968, 4, 1)
+    assert name in ("ordered-nuisance", "ordered-negative-zero")
+    return build(ordered_violation_records(rng, n=1500)), 200, 12
+
+
+@pytest.mark.parametrize("name", ["unit", "unit-four-levels", "arm-pure-clusters",
+                                  "mixed-clusters", "hard-through-sd", "tied-draws",
+                                  "ordered-nuisance", "ordered-negative-zero"])
+def test_stacked_lf_draws_equal_the_per_draw_loop(name, monkeypatch):
+    system, b_draws, seed = lf_equivalence_case(name)
+    if name == "ordered-negative-zero":
+        # LP optima of -0.0, which max(t, 0.0) keeps and np.maximum would not
+        solve = inference.solve_lp
+
+        def signed_zero(lp):
+            sol = solve(lp)
+            if sol.status == inference.OPTIMAL and sol.value <= 0:
+                sol = dataclasses.replace(sol, value=-0.0)
+            return sol
+
+        monkeypatch.setattr(inference, "solve_lp", signed_zero)
+    statistic, order = inference._lf_draws(system, b_draws, seed)
+    ref_statistic, ref_order = reference_lf_draws(system, b_draws, seed)
+    assert_same_bits(statistic, ref_statistic)
+    assert_same_bits(order, ref_order)
+    result = test_least_favorable_bootstrap(system, 0.05, b_draws=b_draws, seed=seed)
+    monkeypatch.setattr(inference, "_lf_draws", lambda *args: (ref_statistic, ref_order))
+    assert repr(result) == repr(test_least_favorable_bootstrap(system, 0.05, b_draws=b_draws,
+                                                               seed=seed))
+    if name == "hard-through-sd":
+        assert np.isfinite(statistic) and 0 < np.isinf(order).sum() < b_draws
+    if name == "tied-draws":
+        assert (np.abs(order - statistic) <= 1e-9 * statistic).any()
+    if name == "arm-pure-clusters":
+        assert (system.cluster_arm >= 0).all()
+    if name == "ordered-negative-zero":
+        assert np.signbit(order[order == 0]).any()
+
+
+def test_mixed_cluster_resampler_retries_then_gives_up():
+    # 20 control-only clusters and one that holds every treated unit: a draw
+    # that misses it empties the treated arm and is redrawn
+    rng = np.random.default_rng(61)
+    d = np.r_[np.zeros(210, dtype=int), np.ones(100, dtype=int)]
+    rec = RecordSet(y=rng.integers(0, 2, d.size).astype(float),
+                    m=(rng.random(d.size) < 0.4).astype(float), d=d,
+                    cluster=np.minimum(np.arange(d.size) // 10, 20))
+    system = build(rec)
+    assert system.cluster_arm.tolist() == [0] * 20 + [-1]
+    cells = system.cluster_cells
+    G = cells.shape[0]
+    resample = inference._make_resampler(system)
+    retries = 0
+    for seed in range(30):
+        got = resample(substream(seed, 0))
+        ref_rng = substream(seed, 0)
+        for _ in range(100):
+            want = cells[ref_rng.integers(0, G, G)].sum(axis=0)
+            if want[1].sum() > 0:
+                break
+            retries += 1
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(resample(substream(seed, 0)), got)  # deterministic
+    assert retries > 0
+    no_treated = cells.copy()
+    no_treated[:, 1] = 0
+    resample = inference._make_resampler(dataclasses.replace(system, cluster_cells=no_treated))
+    with pytest.raises(EstimationError, match="could not produce both arms"):
+        resample(substream(0, 0))
