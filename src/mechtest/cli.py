@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,32 +29,11 @@ from .errors import MechtestError, StructuralError, UnsupportedCaseError
 from .probtab import DistTable, bin_records, from_records, read_csv, support_from_values
 from .typeshares import RestrictionSet, build_identified_set, min_defier_budget, theta_kk_min
 
-DEFAULTS = {
-    "strategy": "randomized",
-    "restriction": "monotone",
-    "bins": "none",
-    "alpha": 0.05,
-    "method": "lf-boot",
-    "boot": 999,
-    "seed": 0,
-    "auto_relax": False,
-    "ade": False,
-    "t": 1.0,
-    "nsims": 100,
-    "clusters": 0,
-    "n": 2000,
-    "design": "binary",
-    "dbar_max": 0.5,
-    "dbar_steps": 26,
-}
-
 
 @dataclass
 class RunConfig:
     command: str
-    input: str = None
-    out: str = None
-    values: dict = field(default_factory=dict)
+    values: dict
 
     def __getattr__(self, name):
         values = object.__getattribute__(self, "values")
@@ -77,66 +56,67 @@ def _read_config_file(path):
     return out
 
 
-def _coerce(key, val):
-    """Typed value of a config-file entry; raises ValueError on bad text."""
-    if key in ("alpha", "t", "dbar_max"):
-        return float(val)
-    if key in ("boot", "seed", "nsims", "clusters", "n", "dbar_steps"):
-        return int(val)
-    if key in ("auto_relax", "ade"):
-        return val.lower() in ("1", "true", "yes", "on")
-    return val
+def _typed(key, text, error):
+    """Typed value of option ``key`` from ``text``; raises ``error`` as a
+    StructuralError when the text does not parse or is not allowed."""
+    kind = OPTIONS[key].kind
+    try:
+        if kind is bool:
+            return _BOOLS[text.lower()]
+        if isinstance(kind, tuple):
+            if text not in kind:
+                raise ValueError(text)
+            return text
+        return kind(text)
+    except (KeyError, ValueError):
+        raise StructuralError(error) from None
 
 
 def resolve_config(args) -> RunConfig:
-    """Layer defaults < config file < explicit flags."""
-    values = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    """Layer defaults < config file < explicit flags.  Flags arrive as text
+    too, so values from both sources are parsed and checked alike."""
+    values = {key: opt.default for key, opt in OPTIONS.items()}
+    if args.config:
         for key, val in _read_config_file(args.config).items():
-            if key not in DEFAULTS and key not in ("input", "out"):
+            if key not in OPTIONS:
                 raise StructuralError(f"unknown config key '{key}'")
-            try:
-                values[key] = _coerce(key, val)
-            except ValueError:
-                raise StructuralError(
-                    f"{args.config}: invalid value '{val}' for config key '{key}'") from None
-    # defaults and flags arrive typed; only config-file text needs coercion
-    for key in list(DEFAULTS) + ["input", "out"]:
+            values[key] = _typed(
+                key, val, f"{args.config}: invalid value '{val}' for config key '{key}'")
+    for key in OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
-    cfg = RunConfig(
-        command=args.command,
-        input=values.pop("input", None),
-        out=values.pop("out", None),
-        values=values,
-    )
-    if not 0.0 < cfg.alpha < 1.0:
+            values[key] = _typed(key, flag, f"invalid value '{flag}' for --{key.replace('_', '-')}")
+    for key, opt in OPTIONS.items():
+        if opt.least is not None and values[key] < opt.least:
+            need = "a non-negative integer" if opt.least == 0 else f"at least {opt.least}"
+            raise StructuralError(f"{key} must be {need}, got {values[key]}")
+    if not 0.0 < values["alpha"] < 1.0:
         raise StructuralError("alpha must lie in (0, 1)")
-    if cfg.seed < 0:
-        raise StructuralError(f"seed must be a non-negative integer, got {cfg.seed}")
-    return cfg
+    return RunConfig(args.command, values)
 
 
 def parse_restriction(spec_str: str, support) -> RestrictionSet:
     name, _, arg = spec_str.partition(":")
     name = name.strip().lower()
-    if name == "monotone":
-        return RestrictionSet.monotone(support)
-    if name == "defier_budget":
-        return RestrictionSet.defier_budget(support, float(arg))
-    if name == "elementwise":
-        return RestrictionSet.elementwise_monotone(support)
-    if name == "elementwise_defier_budget":
-        return RestrictionSet.elementwise_defier_budget(support, float(arg))
-    if name == "bounded":
-        kappa, _, dbar = arg.partition(",")
-        return RestrictionSet.bounded_effect(support, float(kappa), float(dbar))
-    if name == "none":
-        return RestrictionSet.unrestricted(support)
-    if name == "custom":
-        rows = np.loadtxt(arg, delimiter=",", ndmin=2)
-        return RestrictionSet.custom(support, rows[:, :-1], rows[:, -1])
+    try:
+        if name == "monotone":
+            return RestrictionSet.monotone(support)
+        if name == "defier_budget":
+            return RestrictionSet.defier_budget(support, float(arg))
+        if name == "elementwise":
+            return RestrictionSet.elementwise_monotone(support)
+        if name == "elementwise_defier_budget":
+            return RestrictionSet.elementwise_defier_budget(support, float(arg))
+        if name == "bounded":
+            kappa, _, dbar = arg.partition(",")
+            return RestrictionSet.bounded_effect(support, float(kappa), float(dbar))
+        if name == "none":
+            return RestrictionSet.unrestricted(support)
+        if name == "custom":
+            rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+            return RestrictionSet.custom(support, rows[:, :-1], rows[:, -1])
+    except ValueError as exc:
+        raise StructuralError(f"invalid restriction '{spec_str}': {exc}") from None
     raise StructuralError(f"unknown restriction '{spec_str}'")
 
 
@@ -153,10 +133,10 @@ def parse_strategy(spec_str: str) -> ident.StrategyTag:
 def parse_bins(spec_str):
     if spec_str in (None, "", "none"):
         return None
-    text = str(spec_str)
-    if "," in text:
-        return tuple(float(c) for c in text.split(","))
-    return int(text)
+    try:
+        return tuple(float(c) for c in spec_str.split(",")) if "," in spec_str else int(spec_str)
+    except ValueError:
+        raise StructuralError(f"invalid bins '{spec_str}'") from None
 
 
 def _hash_file(path):
@@ -176,7 +156,7 @@ def _write_json(path, payload):
 def _write_manifest(cfg: RunConfig, outputs):
     manifest = {
         "command": cfg.command,
-        "config": {k: cfg.values[k] for k in sorted(cfg.values)},
+        "config": {k: v for k, v in sorted(cfg.values.items()) if k not in ("input", "out")},
         "input": cfg.input,
         "input_sha256": _hash_file(cfg.input) if cfg.input else None,
         "outputs": outputs,
@@ -222,6 +202,14 @@ def cmd_bounds(cfg: RunConfig):
     return 0
 
 
+def _run_test(cfg: RunConfig, system, seed):
+    """The test ``cfg.method`` on ``system``; ``seed`` drives lf-boot's draws."""
+    if cfg.method == inference.LF_BOOT:
+        return inference.test_least_favorable_bootstrap(
+            system, alpha=cfg.alpha, b_draws=cfg.boot, seed=seed)
+    return inference.test_conditional_chisq(system, alpha=cfg.alpha)
+
+
 def cmd_test(cfg: RunConfig):
     if cfg.strategy != "randomized":
         raise UnsupportedCaseError(
@@ -231,14 +219,7 @@ def cmd_test(cfg: RunConfig):
     records = read_csv(cfg.input)
     r = parse_restriction(cfg.restriction, support_from_values(records.m))
     system = inference.build_moment_system(records, r, bins=parse_bins(cfg.bins))
-    if cfg.method == inference.LF_BOOT:
-        result = inference.test_least_favorable_bootstrap(
-            system, alpha=cfg.alpha, b_draws=cfg.boot, seed=cfg.seed
-        )
-    elif cfg.method == inference.COND_CHISQ:
-        result = inference.test_conditional_chisq(system, alpha=cfg.alpha)
-    else:
-        raise StructuralError(f"unknown test method '{cfg.method}'")
+    result = _run_test(cfg, system, cfg.seed)
     out = cfg.out or "test.json"
     _write_json(out, result.to_json_dict())
     manifest = _write_manifest(cfg, [out])
@@ -294,10 +275,8 @@ def _simulate_design(cfg: RunConfig):
         cp, tp = mc.binary_pools()
     elif cfg.design == "cluster":
         cp, tp = mc.cluster_pools(n_clusters=max(cfg.clusters, 20))
-    elif cfg.design == "ordered":
-        cp, tp = mc.ordered_pools()
     else:
-        raise StructuralError(f"unknown simulation design '{cfg.design}'")
+        cp, tp = mc.ordered_pools()
     if cfg.clusters:
         if cp.cluster is None:
             raise StructuralError("requested clusters on a design without them")
@@ -325,12 +304,7 @@ def cmd_simulate(cfg: RunConfig):
     def replicate(records, seed):
         r = parse_restriction(cfg.restriction, support_from_values(records.m))
         system = inference.build_moment_system(records, r, bins=bins, min_cell=0)
-        if cfg.method == inference.LF_BOOT:
-            result = inference.test_least_favorable_bootstrap(
-                system, alpha=cfg.alpha, b_draws=cfg.boot, seed=seed,
-            )
-        else:
-            result = inference.test_conditional_chisq(system, alpha=cfg.alpha)
+        result = _run_test(cfg, system, seed)
         table = from_records(bin_records(records, bins))
         pooled = bounds_mod.nu_pooled_lower_bound(table, r, auto_relax=True)
         return _Replicate(result.reject, result.statistic, result.p_value, pooled,
@@ -416,6 +390,43 @@ COMMANDS = {
 }
 
 
+_ON_INPUT = tuple(c for c in COMMANDS if c != "simulate")
+_TESTING = ("test", "simulate")
+
+
+# Each option: its default; its type, or a tuple of its allowed values; the
+# subcommands that take it as a flag; its help text; and the least value below
+# which later code would fail.  A config file may set any option for any
+# subcommand, and flags and config values pass the same checks.
+Option = namedtuple("Option", "default kind commands help least", defaults=(None, None))
+OPTIONS = {
+    "input": Option(None, str, _ON_INPUT, "input CSV (columns y, d, m1..mp, ...)"),
+    "out": Option(None, str, tuple(COMMANDS), "output path"),
+    "strategy": Option("randomized", str, _ON_INPUT, "randomized | iv | ipw | me:<L.csv>"),
+    "restriction": Option(
+        "monotone", str, ("bounds", "test", "ade", "simulate", "diagnose"),
+        "monotone | defier_budget:<d> | elementwise | elementwise_defier_budget:<d> | "
+        "bounded:<kappa>,<d> | none | custom:<csv>"),
+    "bins": Option("none", str, tuple(COMMANDS), "outcome bins: int, comma cutpoints, or 'none'"),
+    "alpha": Option(0.05, float, _TESTING, "test level in (0, 1)"),
+    "method": Option(inference.LF_BOOT, (inference.LF_BOOT, inference.COND_CHISQ), _TESTING),
+    "boot": Option(999, int, _TESTING, "bootstrap draws of lf-boot", least=200),
+    "seed": Option(0, int, _TESTING, "master seed", least=0),
+    "auto_relax": Option(False, bool, ("bounds", "ade"),
+                         "relax an empty identified set to the least defier budget"),
+    "ade": Option(False, bool, ("bounds",), "add average-direct-effect bounds"),
+    "t": Option(1.0, float, ("simulate",), "share of treated units from the treated pool"),
+    "nsims": Option(100, int, ("simulate",), "simulation replicates"),
+    "clusters": Option(0, int, ("simulate",), "clusters per arm; 0 resamples units", least=0),
+    "n": Option(2000, int, ("simulate",), "units per replicate", least=1),
+    "design": Option("binary", ("binary", "cluster", "ordered"), ("simulate",)),
+    "dbar_max": Option(0.5, float, ("robustness",), "largest defier budget of the curve"),
+    "dbar_steps": Option(26, int, ("robustness",), "defier budgets on the curve", least=0),
+}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mechtest",
@@ -426,34 +437,12 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--out", help="output path")
-        if name != "simulate":
-            p.add_argument("--input", help="input CSV (columns y, d, m1..mp, ...)")
-        p.add_argument("--restriction", help="monotone | defier_budget:<d> | elementwise | "
-                       "elementwise_defier_budget:<d> | bounded:<kappa>,<d> | none | custom:<csv>")
-        p.add_argument("--bins", help="outcome bins: int, comma cutpoints, or 'none'")
-        p.add_argument("--seed", type=int)
-        if name in ("bounds", "ade", "robustness", "diagnose"):
-            p.add_argument("--strategy", help="randomized | iv | ipw | me:<L.csv>")
-        if name in ("bounds", "ade"):
-            p.add_argument("--auto-relax", dest="auto_relax", action="store_const", const=True)
-        if name == "bounds":
-            p.add_argument("--ade", action="store_const", const=True)
-        if name in ("test", "simulate"):
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--method", choices=["lf-boot", "cond-chisq"])
-            p.add_argument("--boot", type=int)
-        if name == "test":
-            p.add_argument("--strategy")
-        if name == "robustness":
-            p.add_argument("--dbar-max", dest="dbar_max", type=float)
-            p.add_argument("--dbar-steps", dest="dbar_steps", type=int)
-        if name == "simulate":
-            p.add_argument("--t", type=float)
-            p.add_argument("--nsims", type=int)
-            p.add_argument("--clusters", type=int)
-            p.add_argument("--n", type=int)
-            p.add_argument("--design", choices=["binary", "cluster", "ordered"])
+        for key, opt in OPTIONS.items():
+            if name in opt.commands:
+                # every flag arrives as text and is parsed like a config value
+                switch = dict(action="store_const", const="true") if opt.kind is bool else {}
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               help=opt.help or " | ".join(opt.kind), **switch)
     return parser
 
 
@@ -461,7 +450,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command != "simulate" and not cfg.input:
+        if args.command in OPTIONS["input"].commands and not cfg.input:
             raise StructuralError("--input is required")
         return COMMANDS[args.command](cfg)
     except MechtestError as exc:

@@ -434,8 +434,6 @@ def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
         raise StructuralError("alpha must be in (0, 1)")
     if b_draws < 200:
         raise StructuralError("need at least 200 bootstrap draws")
-    if seed < 0:
-        raise StructuralError(f"seed must be a non-negative integer, got {seed}")
     statistic, order = _lf_draws(system, b_draws, seed)
     # the ceil((1 - alpha) B)-th smallest of the B sorted draws
     critical = float(order[min(max(int(np.ceil((1.0 - alpha) * b_draws)) - 1, 0), b_draws - 1)])

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import MechtestError, StructuralError
 from .inference import median_cluster_cell_count
 from .probtab import RecordSet
-from .rng import substream
+from .rng import check_seed, substream
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def rejection_rate(dgp: MixtureDgp, test_fn, n_sims: int, seed: int) -> Simulati
 
 def _derive(seed, *stream):
     """Deterministic child seed for draw substreams."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(s) for s in stream))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -225,12 +225,12 @@ def read_csv(path) -> RecordSet:
                 raise StructuralError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
             try:
                 rows_y.append(float(row[idx["y"]]))
-                rows_d.append(int(float(row[idx["d"]])))
+                rows_d.append(float(row[idx["d"]]))
                 rows_m.append([float(row[idx[c]]) for c in m_cols])
                 if has_cluster:
                     rows_c.append(row[idx["cluster"]].strip())
                 if has_z:
-                    rows_z.append(int(float(row[idx["z"]])))
+                    rows_z.append(float(row[idx["z"]]))
                 if has_p:
                     rows_p.append(float(row[idx["pscore"]]))
             except ValueError as exc:

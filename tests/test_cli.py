@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mechtest.cli import _load_table, build_parser, main, resolve_config
+from mechtest.cli import OPTIONS, _load_table, build_parser, main, resolve_config
 from mechtest.probtab import discretize_outcome, from_records, quantile_cutpoints
 
 FIXTURE = Path(__file__).parent / "data" / "binary_fixture.csv"
@@ -160,6 +161,110 @@ def test_negative_seed_is_an_input_error(command, seed, tmp_path, capsys):
     assert code == 2
     assert payload["error"] == "StructuralError"
     assert payload["message"] == f"seed must be a non-negative integer, got {seed}"
+
+
+@pytest.mark.parametrize("option, spec", [
+    ("--bins", "abc"), ("--restriction", "defier_budget:x"), ("--restriction", "bounded:1"),
+])
+def test_malformed_spec_is_an_input_error(option, spec, tmp_path, capsys):
+    code, payload = run_cli(["bounds", "--input", str(FIXTURE), option, spec,
+                             "--out", str(tmp_path / "b.json")], capsys)
+    assert code == 2
+    assert payload["error"] == "StructuralError"
+    assert f"'{spec}'" in payload["message"]
+
+
+# two non-default values of every option: (text, typed value)
+OPTION_SAMPLES = {
+    "input": [("a.csv", "a.csv"), ("b.csv", "b.csv")],
+    "out": [("a.json", "a.json"), ("b.json", "b.json")],
+    "strategy": [("iv", "iv"), ("ipw", "ipw")],
+    "restriction": [("none", "none"), ("defier_budget:0.1", "defier_budget:0.1")],
+    "bins": [("5", "5"), ("0,1.5", "0,1.5")],
+    "alpha": [("0.1", 0.1), ("0.01", 0.01)],
+    "method": [("cond-chisq", "cond-chisq"), ("lf-boot", "lf-boot")],
+    "boot": [("300", 300), ("200", 200)],
+    "seed": [("7", 7), ("0", 0)],
+    "auto_relax": [("off", False), ("true", True)],
+    "ade": [("no", False), ("1", True)],
+    "t": [("0.5", 0.5), ("0", 0.0)],
+    "nsims": [("3", 3), ("1", 1)],
+    "clusters": [("20", 20), ("0", 0)],
+    "n": [("600", 600), ("1", 1)],
+    "design": [("ordered", "ordered"), ("cluster", "cluster")],
+    "dbar_max": [("0.25", 0.25), ("1e-3", 0.001)],
+    "dbar_steps": [("4", 4), ("0", 0)],
+}
+
+
+def _resolved(tmp_path, command, config=None, flags=()):
+    argv = [command, *flags]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv += ["--config", str(path)]
+    return resolve_config(build_parser().parse_args(argv)).values
+
+
+def _flag(key, text):
+    flag = "--" + key.replace("_", "-")
+    return [flag] if OPTIONS[key].kind is bool else [flag, text]
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_option_resolves_alike_from_config_and_flag(key, tmp_path):
+    assert set(OPTION_SAMPLES) == set(OPTIONS)
+    command = OPTIONS[key].commands[0]
+    (text1, value1), (text2, value2) = OPTION_SAMPLES[key]
+    for text, value in OPTION_SAMPLES[key]:
+        got = _resolved(tmp_path, command, config=f"{key} = {text}\n")[key]
+        assert got == value and type(got) is type(value)
+        if OPTIONS[key].kind is not bool or value:
+            got = _resolved(tmp_path, command, flags=_flag(key, text))[key]
+            assert got == value and type(got) is type(value)
+    # the flag wins over the config file
+    assert _resolved(tmp_path, command, f"{key} = {text1}\n", _flag(key, text2))[key] == value2
+
+
+@pytest.mark.parametrize("key, text", [
+    ("method", "lfboot"), ("design", "grid"), ("boot", "10"), ("seed", "-2"), ("n", "-5"),
+    ("n", "0"), ("clusters", "-3"), ("dbar_steps", "-1"), ("alpha", "1.5"), ("nsims", "1.5"),
+    ("ade", "maybe"),
+])
+def test_bad_option_value_exits_2_by_either_route(key, text, tmp_path, capsys):
+    command = OPTIONS[key].commands[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    routes = [["--config", str(cfg)]]
+    if OPTIONS[key].kind is not bool:
+        routes.append(_flag(key, text))
+    for route in routes:
+        code, payload = run_cli([command, *route, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert payload["error"] == "StructuralError"
+        assert key in payload["message"] or key.replace("_", "-") in payload["message"]
+    assert not any(tmp_path.glob("o*"))
+
+
+def test_each_subcommand_takes_the_flags_it_reads():
+    common = {"--config", "--out", "--restriction", "--bins", "--seed"}
+    before = {
+        "bounds": common | {"--input", "--strategy", "--auto-relax", "--ade"},
+        "test": common | {"--input", "--strategy", "--alpha", "--method", "--boot"},
+        "robustness": common | {"--input", "--strategy", "--dbar-max", "--dbar-steps"},
+        "ade": common | {"--input", "--strategy", "--auto-relax"},
+        "simulate": common | {"--alpha", "--method", "--boot", "--t", "--nsims", "--clusters",
+                              "--n", "--design"},
+        "diagnose": common | {"--input", "--strategy"},
+    }
+    # flags that their subcommand never read
+    unread = {("bounds", "--seed"), ("ade", "--seed"), ("robustness", "--seed"),
+              ("diagnose", "--seed"), ("robustness", "--restriction")}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(before)
+    for name, parser in sub.choices.items():
+        flags = {s for action in parser._actions for s in action.option_strings}
+        assert flags - {"-h", "--help"} == {f for f in before[name] if (name, f) not in unread}
 
 
 def test_robustness_subcommand(tmp_path, capsys):
@@ -352,7 +457,7 @@ def test_unbinned_continuous_outcome_is_an_input_error(method, tmp_path, capsys)
         writer.writerow(["y", "d", "m1"])
         for i in range(200):
             writer.writerow([rng.normal(), i % 2, int(rng.integers(2))])
-    code, payload = run_cli(["test", "--input", str(path), "--method", method, "--boot", "19",
+    code, payload = run_cli(["test", "--input", str(path), "--method", method, "--boot", "200",
                              "--out", str(tmp_path / "t.json")], capsys)
     assert code == 2
     assert payload["error"] == "EstimationError"

@@ -14,6 +14,7 @@ from mechtest.mc import (
     rejection_rate,
 )
 from mechtest.probtab import RecordSet, from_records
+from mechtest.rng import substream
 
 
 def two_sample_tv(rec):
@@ -93,6 +94,16 @@ def test_rejection_rate_stubs():
     never = rejection_rate(dgp, lambda rec, seed: _Stub(False), n_sims=10, seed=0)
     assert never.rate == 0.0
     assert isinstance(always, SimulationSummary)
+
+
+def test_negative_seed_is_an_input_error():
+    cp, tp = binary_pools(scale=1)
+    dgp = MixtureDgp(control_pool=cp, treated_pool=tp, t=0.0, n_control=20, n_treated=20)
+    calls = [lambda: substream(-1), lambda: substream(-1, 4), lambda: draw_sample(dgp, -1),
+             lambda: rejection_rate(dgp, lambda rec, seed: _Stub(True), n_sims=1, seed=-1)]
+    for call in calls:
+        with pytest.raises(StructuralError, match="seed must be a non-negative integer, got -1"):
+            call()
 
 
 def test_rejection_rate_counts_errors_separately():

@@ -240,6 +240,19 @@ def test_csv_malformed_row_reports_line(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("column", ["d", "z"])
+def test_csv_binary_columns_are_not_truncated(column, tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("y,d,m1,z\n1,1.0,0,1.0\n0,0.0,1,0\n", encoding="utf-8")
+    rec = read_csv(path)
+    assert rec.d.tolist() == [1, 0] and rec.z.tolist() == [1, 0]
+    for bad in ("0.5", "1.9", "-0.4"):
+        row = {"y": "1", "d": "1", "m1": "0", "z": "1", column: bad}
+        path.write_text("y,d,m1,z\n" + ",".join(row.values()) + "\n0,0,1,0\n", encoding="utf-8")
+        with pytest.raises(StructuralError, match="must be binary 0/1"):
+            read_csv(path)
+
+
 def test_csv_missing_required_column(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text("y,m1\n1,0\n", encoding="utf-8")
