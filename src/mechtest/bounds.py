@@ -16,15 +16,11 @@ from .errors import DomainError, StructuralError, SolverFailureError, Unsupporte
 from .linprog import INFEASIBLE, OPTIMAL, solve_lp, solve_lfp
 from .probtab import DistTable, delta_sup
 from .typeshares import (
-    DEFIER_BUDGET,
-    ELEMENTWISE,
-    ELEMENTWISE_DEFIER_BUDGET,
-    MONOTONE,
+    ORDER_KINDS,
     IdentifiedSetSpec,
     RestrictionSet,
     _require_feasible,
     build_identified_set,
-    joint_theta_min_exists,
     min_defier_budget,
     theta_kk_min,
 )
@@ -91,8 +87,7 @@ def resolve_identified_set(table: DistTable, r: RestrictionSet, auto_relax=False
     spec = build_identified_set(table, r)
     if spec.feasible:
         return spec, None
-    if auto_relax and r.kind in (MONOTONE, DEFIER_BUDGET, ELEMENTWISE,
-                                 ELEMENTWISE_DEFIER_BUDGET):
+    if auto_relax and r.kind in ORDER_KINDS:
         relaxed, dbar = _auto_relaxed_restriction(spec)
         spec = build_identified_set(table, relaxed)
         if spec.feasible:

@@ -67,7 +67,10 @@ def _typed(key, text, error):
             if text not in kind:
                 raise ValueError(text)
             return text
-        return kind(text)
+        value = kind(text)
+        if kind is float and not np.isfinite(value):
+            raise ValueError(text)
+        return value
     except (KeyError, ValueError):
         raise StructuralError(error) from None
 
@@ -126,7 +129,10 @@ def parse_strategy(spec_str: str) -> ident.StrategyTag:
     if name in (ident.RANDOMIZED, ident.IV, ident.IPW):
         return ident.StrategyTag(kind=name)
     if name == ident.MEASUREMENT_ERROR:
-        return ident.StrategyTag(kind=name, l_matrix=np.loadtxt(arg, delimiter=",", ndmin=2))
+        try:
+            return ident.StrategyTag(kind=name, l_matrix=np.loadtxt(arg, delimiter=",", ndmin=2))
+        except ValueError as exc:
+            raise StructuralError(f"invalid strategy '{spec_str}': {exc}") from None
     raise StructuralError(f"unknown strategy '{spec_str}'")
 
 

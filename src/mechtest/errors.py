@@ -47,9 +47,6 @@ class IdentificationError(MechtestError):
 class WeakInstrumentError(IdentificationError):
     """First stage of the instrument is zero or too close to it."""
 
-    def __init__(self, message):
-        super().__init__(message)
-
 
 class OverlapError(IdentificationError):
     """Propensity scores leave the required overlap interval."""
@@ -61,9 +58,6 @@ class OverlapError(IdentificationError):
 
 class IncoherenceError(IdentificationError):
     """A measurement-error correction produced an invalid distribution."""
-
-    def __init__(self, message):
-        super().__init__(message)
 
 
 class SolverFailureError(MechtestError):

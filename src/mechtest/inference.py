@@ -69,12 +69,9 @@ class MomentSystem:
     sigma_hat: np.ndarray
     n_eff: int
     rows: tuple
-    n_mediators: int
     n_outcomes: int
-    outcome_levels: tuple
     cluster_cells: np.ndarray
     cluster_arm: np.ndarray
-    restriction: str
 
     @property
     def n_omega(self):
@@ -290,7 +287,6 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
         raise StructuralError("nu_ub must lie in [0, 1]")
     binary = K == 2 and r.kind == MONOTONE and not nu_ub.any()
     c1, c2, rows = _binary_rows(Q, n_p) if binary else _general_rows(support, r, Q, nu_ub, n_p)
-    label = r.kind + (":" + ",".join(f"{p:g}" for p in r.params) if r.params else "")
     return MomentSystem(
         c1=c1,
         c2=c2,
@@ -298,12 +294,9 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
         sigma_hat=sigma,
         n_eff=cells.shape[0],
         rows=tuple(rows),
-        n_mediators=K,
         n_outcomes=Q,
-        outcome_levels=levels,
         cluster_cells=cells,
         cluster_arm=arm,
-        restriction=label,
     )
 
 

@@ -17,10 +17,13 @@ implementation favors robustness and verifiable certificates over speed:
   is returned only after its KKT residuals have been checked, with a set
   of binding rows and multipliers that certify it.
 
-Everything is deterministic: identical inputs give bit-identical outputs.
+Inputs must be finite: a NaN or infinite entry in an objective, a matrix
+or a right-hand side raises ``StructuralError``; only bounds may be
+infinite.  Everything is deterministic: identical inputs give bit-identical
+outputs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import qr, qr_delete, qr_insert, solve_triangular
@@ -62,9 +65,11 @@ class LinearProgram:
     """``min c'x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  lo <= x <= hi``.
 
     ``bounds`` holds one ``(lo, hi)`` pair per variable; use ``-np.inf`` /
-    ``np.inf`` for free sides (default is ``x >= 0``).  The same object
-    doubles as a feasible-set description for :func:`solve_lfp` and
-    :func:`solve_qp`, which ignore ``objective``.
+    ``np.inf`` for free sides (default is ``x >= 0``).  It is stored as an
+    ``(n, 2)`` array whose columns are ``lower`` and ``upper``.  Every other
+    entry must be finite.  The same object doubles as a feasible-set
+    description for :func:`solve_lfp` and :func:`solve_qp`, which ignore
+    ``objective``.
     """
 
     objective: np.ndarray
@@ -72,7 +77,7 @@ class LinearProgram:
     eq_rhs: np.ndarray = None
     ub_matrix: np.ndarray = None
     ub_rhs: np.ndarray = None
-    bounds: tuple = None
+    bounds: np.ndarray = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -80,40 +85,61 @@ class LinearProgram:
             raise StructuralError("objective must be a vector")
         n = c.shape[0]
         aeq = _as_matrix(self.eq_matrix, n)
-        beq = _as_vector(self.eq_rhs, aeq.shape[0], "eq_rhs")
         aub = _as_matrix(self.ub_matrix, n)
-        bub = _as_vector(self.ub_rhs, aub.shape[0], "ub_rhs")
-        if self.bounds is None:
-            bnds = tuple((0.0, np.inf) for _ in range(n))
-        else:
-            bnds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-            if len(bnds) != n:
-                raise StructuralError(f"{len(bnds)} bounds for {n} variables")
-        for lo, hi in bnds:
-            if np.isnan(lo) or np.isnan(hi):
-                raise StructuralError("bounds may not be NaN")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "eq_matrix", aeq)
-        object.__setattr__(self, "eq_rhs", beq)
-        object.__setattr__(self, "ub_matrix", aub)
-        object.__setattr__(self, "ub_rhs", bub)
-        object.__setattr__(self, "bounds", bnds)
+        arrays = {
+            "objective": c,
+            "eq_matrix": aeq,
+            "eq_rhs": _as_vector(self.eq_rhs, aeq.shape[0], "eq_rhs"),
+            "ub_matrix": aub,
+            "ub_rhs": _as_vector(self.ub_rhs, aub.shape[0], "ub_rhs"),
+        }
+        for name, a in arrays.items():
+            if not np.isfinite(a).all():
+                raise StructuralError(f"{name} has a NaN or infinite entry")
+            object.__setattr__(self, name, a)
+        pairs = [(0.0, np.inf)] * n if self.bounds is None else self.bounds
+        if len(pairs) != n:
+            raise StructuralError(f"{len(pairs)} bounds for {n} variables")
+        bounds = np.array(pairs, dtype=float).reshape(n, 2)
+        if np.isnan(bounds).any():
+            raise StructuralError("bounds may not be NaN")
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def n_vars(self):
         return self.objective.shape[0]
 
+    @property
+    def lower(self):
+        return self.bounds[:, 0]
+
+    @property
+    def upper(self):
+        return self.bounds[:, 1]
+
 
 @dataclass(frozen=True)
 class StandardForm:
-    """``min c'z s.t. Az = b, z >= 0`` plus the recipe to map z back to x."""
+    """``min c'z s.t. Az = b, z >= 0``; the original variables are
+    ``x = shifts + T z``."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     cost: np.ndarray
     offset: float
-    var_map: tuple  # per original variable: (kind, z column(s), shift)
     n_rows_eq: int
+    T: np.ndarray
+    shifts: np.ndarray
+
+    def point(self, z):
+        """``shifts + T z`` for a standard-form point ``z``, whose slack
+        columns are ignored.  Each entry is formed from its own columns of
+        ``T`` alone (``shift + z``, ``shift - z``, or ``z+ - z-`` for a free
+        variable, whose shift is zero), so no zero term of the product can
+        change the sign of a zero."""
+        nonzero = self.T != 0
+        own = np.add.reduceat(self.T.sum(axis=0) * z[: self.T.shape[1]], nonzero.argmax(axis=1))
+        return np.where(nonzero.sum(axis=1) == 2, own, self.shifts + own)
 
 
 @dataclass(frozen=True)
@@ -138,49 +164,31 @@ class LpSolution:
     standard: StandardForm = None
     active: tuple = ()
 
-    @property
-    def optimal(self):
-        return self.status == OPTIMAL
-
 
 def standard_form(lp: LinearProgram) -> StandardForm:
-    """Rewrite ``lp`` as ``min c'z s.t. Az = b, z >= 0``."""
-    n = lp.n_vars
-    var_map = []
-    sub_cols = []  # (original index, sign) per z column
-    shifts = np.zeros(n)  # x = shifts + T z
-    extra_ub = []  # (z column, rhs) rows encoding two-sided bounds
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if np.isinf(lo) and np.isinf(hi):
-            var_map.append(("split", (len(sub_cols), len(sub_cols) + 1), 0.0))
-            sub_cols.append((i, 1.0))
-            sub_cols.append((i, -1.0))
-        elif np.isinf(hi):
-            var_map.append(("shift", (len(sub_cols),), lo))
-            shifts[i] = lo
-            sub_cols.append((i, 1.0))
-        elif np.isinf(lo):
-            var_map.append(("mirror", (len(sub_cols),), hi))
-            shifts[i] = hi
-            sub_cols.append((i, -1.0))
-        else:
-            var_map.append(("shift", (len(sub_cols),), lo))
-            shifts[i] = lo
-            sub_cols.append((i, 1.0))
-            extra_ub.append((len(sub_cols) - 1, hi - lo))
-    nz = len(sub_cols)
-    T = np.zeros((n, nz))
-    for j, (i, s) in enumerate(sub_cols):
-        T[i, j] = s
+    """Rewrite ``lp`` as ``min c'z s.t. Az = b, z >= 0``.
+
+    Each variable takes one column of z, shifted by its finite lower bound
+    or mirrored at its upper bound when only that is finite; a free
+    variable takes a second, negated column right after its first.  A
+    variable with both bounds finite adds one ``z <= hi - lo`` row after
+    the ub rows.
+    """
+    lo, hi = lp.lower, lp.upper
+    inf_lo, inf_hi = np.isinf(lp.bounds).T
+    free = inf_lo & inf_hi
+    boxed = ~(inf_lo | inf_hi)
+    width = 1 + free
+    col = np.cumsum(width) - width  # first z column of each variable
+    nz = int(width.sum())
+    T = np.zeros((lp.n_vars, nz))
+    T[np.arange(lp.n_vars), col] = np.where(inf_lo & ~inf_hi, -1.0, 1.0)  # mirrored
+    T[free, col[free] + 1] = -1.0
+    shifts = np.where(inf_lo, np.where(inf_hi, 0.0, hi), lo)
     a_eq = lp.eq_matrix @ T
     b_eq = lp.eq_rhs - lp.eq_matrix @ shifts
-    a_ub = lp.ub_matrix @ T
-    b_ub = lp.ub_rhs - lp.ub_matrix @ shifts
-    for col, rhs in extra_ub:
-        row = np.zeros((1, nz))
-        row[0, col] = 1.0
-        a_ub = np.vstack([a_ub, row])
-        b_ub = np.append(b_ub, rhs)
+    a_ub = np.vstack([lp.ub_matrix @ T, np.eye(nz)[col[boxed]]])
+    b_ub = np.concatenate([lp.ub_rhs - lp.ub_matrix @ shifts, hi[boxed] - lo[boxed]])
     n_ub = a_ub.shape[0]
     A = np.zeros((a_eq.shape[0] + n_ub, nz + n_ub))
     A[: a_eq.shape[0], :nz] = a_eq
@@ -189,19 +197,7 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     b = np.concatenate([b_eq, b_ub])
     cost = np.concatenate([lp.objective @ T, np.zeros(n_ub)])
     offset = float(lp.objective @ shifts)
-    return StandardForm(A, b, cost, offset, tuple(var_map), a_eq.shape[0])
-
-
-def _recover_point(sf: StandardForm, z):
-    x = np.empty(len(sf.var_map))
-    for i, (kind, cols, shift) in enumerate(sf.var_map):
-        if kind == "shift":
-            x[i] = shift + z[cols[0]]
-        elif kind == "mirror":
-            x[i] = shift - z[cols[0]]
-        else:
-            x[i] = z[cols[0]] - z[cols[1]]
-    return x
+    return StandardForm(A, b, cost, offset, a_eq.shape[0], T, shifts)
 
 
 def _pivot(tab, basis, row, col):
@@ -372,7 +368,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if basis[i] < nz:
             z[basis[i]] = max(tab[i, -1], 0.0)
     z /= col_scale
-    x = _recover_point(sf, z)
+    x = sf.point(z)
     value = float(sf.cost @ z + sf.offset)
     # Dual vector: solve B'y = c_B against the sign-corrected rows, undo the
     # sign flips, then verify feasibility and the zero duality gap.
@@ -393,7 +389,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     reduced = sf.cost - y @ sf.matrix
     gap = abs(y @ sf.rhs - (value - sf.offset))
     primal = np.abs(sf.matrix @ z - sf.rhs).max() if m else 0.0
-    if reduced.min() < -1e-7 or gap > 1e-7 * (1.0 + abs(value)) or primal > 1e-7:
+    if not (reduced.min() >= -1e-7 and gap <= 1e-7 * (1.0 + abs(value)) and primal <= 1e-7):
         raise SolverFailureError(
             f"failed to certify the LP optimum {_where(2, piv, nz, m)}: smallest reduced "
             f"cost {reduced.min():.3g} (must be >= -1e-7), duality gap {gap:.3g} "
@@ -404,22 +400,15 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def _feasible_set_rows(lp: LinearProgram):
-    """All inequality rows (ub rows, then finite bounds) as ``G x <= h``."""
-    n = lp.n_vars
-    rows = [lp.ub_matrix]
-    rhs = [lp.ub_rhs]
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if np.isfinite(hi):
-            e = np.zeros((1, n))
-            e[0, i] = 1.0
-            rows.append(e)
-            rhs.append(np.array([hi]))
-        if np.isfinite(lo):
-            e = np.zeros((1, n))
-            e[0, i] = -1.0
-            rows.append(e)
-            rhs.append(np.array([-lo]))
-    return np.vstack(rows), np.concatenate(rhs)
+    """All inequality rows as ``G x <= h``: the ub rows, then per variable
+    ``x <= hi`` and ``-x <= -lo`` for each finite bound."""
+    i = np.arange(lp.n_vars)
+    rows = np.zeros((i.size, 2, i.size))
+    rows[i, 0, i] = 1.0
+    rows[i, 1, i] = -1.0
+    rhs = np.stack([lp.upper, -lp.lower], axis=1)
+    finite = np.isfinite(rhs)
+    return np.vstack([lp.ub_matrix, rows[finite]]), np.concatenate([lp.ub_rhs, rhs[finite]])
 
 
 def solve_lfp(numerator, denominator, feasible: LinearProgram) -> LpSolution:
@@ -441,15 +430,7 @@ def solve_lfp(numerator, denominator, feasible: LinearProgram) -> LpSolution:
     ncoef = _as_vector(np.asarray(numerator[0], dtype=float), n, "numerator")
     dcoef = _as_vector(np.asarray(denominator[0], dtype=float), n, "denominator")
     nconst, dconst = float(numerator[1]), float(denominator[1])
-    aux = LinearProgram(
-        objective=dcoef,
-        eq_matrix=feasible.eq_matrix,
-        eq_rhs=feasible.eq_rhs,
-        ub_matrix=feasible.ub_matrix,
-        ub_rhs=feasible.ub_rhs,
-        bounds=feasible.bounds,
-    )
-    denom_min = solve_lp(aux)
+    denom_min = solve_lp(replace(feasible, objective=dcoef))
     if denom_min.status == INFEASIBLE:
         return denom_min
     if denom_min.status == UNBOUNDED or denom_min.value + dconst <= FEAS_TOL:
@@ -531,22 +512,15 @@ def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
     c = _as_vector(np.asarray(linear, dtype=float), n, "linear")
     if Q.shape != (n, n):
         raise StructuralError("quadratic matrix does not match variable count")
+    if not (np.isfinite(Q).all() and np.isfinite(c).all()):
+        raise StructuralError("quadratic or linear term has a NaN or infinite entry")
     if not np.allclose(Q, Q.T, atol=1e-8 * max(1.0, np.abs(Q).max())):
         raise DomainError("quadratic matrix must be symmetric")
     Q = 0.5 * (Q + Q.T)
     eigs = np.linalg.eigvalsh(Q)
     if eigs.size and eigs.min() < -1e-8 * max(1.0, abs(eigs).max()):
         raise DomainError("quadratic matrix must be positive semidefinite")
-    start = solve_lp(
-        LinearProgram(
-            objective=np.zeros(n),
-            eq_matrix=feasible.eq_matrix,
-            eq_rhs=feasible.eq_rhs,
-            ub_matrix=feasible.ub_matrix,
-            ub_rhs=feasible.ub_rhs,
-            bounds=feasible.bounds,
-        )
-    )
+    start = solve_lp(replace(feasible, objective=np.zeros(n)))
     if start.status != OPTIMAL:
         return start
     G, h = _feasible_set_rows(feasible)
@@ -639,8 +613,8 @@ def _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale):
     # every working row binds
     complementarity = np.abs(slack[work]).max(initial=0.0)
     tol = 1e-7 * scale * (1.0 + np.abs(x).max(initial=0.0))
-    if (primal > 1e-7 or dual < -1e-8 * scale or stationarity > tol
-            or complementarity > 1e-7):
+    if not (primal <= 1e-7 and dual >= -1e-8 * scale and stationarity <= tol
+            and complementarity <= 1e-7):
         raise SolverFailureError(
             "failed to certify the QP optimum: "
             f"primal {primal:.3g}, dual {dual:.3g}, stationarity {stationarity:.3g}, "

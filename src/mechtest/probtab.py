@@ -410,6 +410,8 @@ def _check_cutpoints(cutpoints):
     cuts = tuple(float(c) for c in cutpoints)
     if len(cuts) == 0:
         raise StructuralError("empty interval set")
+    if not np.isfinite(cuts).all():
+        raise StructuralError(f"cutpoints must be finite, got {cuts}")
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise StructuralError("cutpoints must be strictly increasing")
     return cuts

@@ -11,7 +11,7 @@ with a closed-form cross-check and an explicit cascade allocation in the
 totally-ordered monotone case.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,21 +31,17 @@ ELEMENTWISE_DEFIER_BUDGET = "elementwise_defier_budget"
 BOUNDED_EFFECT = "bounded_effect"
 UNRESTRICTED = "unrestricted"
 CUSTOM = "custom"
+# order restrictions that a defier budget relaxes
+ORDER_KINDS = (MONOTONE, DEFIER_BUDGET, ELEMENTWISE, ELEMENTWISE_DEFIER_BUDGET)
 
 
 def _flat(l, k, K):
     return l * K + k
 
 
-def _defier_cells(support: MediatorSupport):
-    """Cells (l, k) whose type violates scalar monotonicity, i.e. m_l > m_k."""
-    if not support.totally_ordered:
-        raise UnsupportedCaseError("defier cells need a totally ordered scalar mediator")
-    K = support.k
-    return [(l, k) for l in range(K) for k in range(K) if l > k]
-
-
 def _non_elementwise_cells(support: MediatorSupport):
+    """Cells (l, k) with m_l not elementwise <= m_k; on a totally ordered
+    scalar support these are the defier cells, m_l > m_k."""
     K = support.k
     return [
         (l, k)
@@ -53,6 +49,12 @@ def _non_elementwise_cells(support: MediatorSupport):
         for k in range(K)
         if not support.elementwise_leq(l, k)
     ]
+
+
+def _defier_cells(support: MediatorSupport):
+    if not support.totally_ordered:
+        raise UnsupportedCaseError("defier cells need a totally ordered scalar mediator")
+    return _non_elementwise_cells(support)
 
 
 def _indicator_row(cells, K):
@@ -96,8 +98,8 @@ class RestrictionSet:
     @classmethod
     def defier_budget(cls, support: MediatorSupport, dbar: float):
         """Total defier share at most ``dbar``."""
-        if dbar < 0:
-            raise StructuralError("defier budget must be nonnegative")
+        if not 0 <= dbar < np.inf:
+            raise StructuralError(f"defier budget must be finite and nonnegative, got {dbar}")
         K = support.k
         row = _indicator_row(_defier_cells(support), K)
         return cls(DEFIER_BUDGET, row[None, :], np.array([float(dbar)]), K, (float(dbar),))
@@ -112,8 +114,8 @@ class RestrictionSet:
 
     @classmethod
     def elementwise_defier_budget(cls, support: MediatorSupport, dbar: float):
-        if dbar < 0:
-            raise StructuralError("defier budget must be nonnegative")
+        if not 0 <= dbar < np.inf:
+            raise StructuralError(f"defier budget must be finite and nonnegative, got {dbar}")
         K = support.k
         row = _indicator_row(_non_elementwise_cells(support), K)
         return cls(
@@ -135,8 +137,9 @@ class RestrictionSet:
     def bounded_effect(cls, support: MediatorSupport, kappa: float, dbar: float):
         """At most ``dbar`` of the population moves the mediator by more
         than ``kappa`` in Euclidean norm."""
-        if dbar < 0 or kappa < 0:
-            raise StructuralError("kappa and dbar must be nonnegative")
+        if not (0 <= dbar < np.inf and 0 <= kappa < np.inf):
+            raise StructuralError(
+                f"kappa and dbar must be finite and nonnegative, got {kappa} and {dbar}")
         K = support.k
         cells = [
             (l, k)
@@ -198,7 +201,7 @@ class IdentifiedSetSpec:
             eq_rhs=self.eq_rhs,
             ub_matrix=ub,
             ub_rhs=rhs,
-            bounds=tuple((0.0, np.inf) for _ in range(self.k**2)) + tuple(extra_bounds),
+            bounds=((0.0, np.inf),) * self.k**2 + tuple(extra_bounds),
         )
 
 
@@ -228,26 +231,9 @@ def build_identified_set(table: DistTable, r: RestrictionSet) -> IdentifiedSetSp
     p0 = table.marginal_m(0)
     p1 = table.marginal_m(1)
     A, b = marginal_equalities(support, p0, p1)
-    probe = solve_lp(
-        LinearProgram(
-            objective=np.zeros(support.k**2),
-            eq_matrix=A,
-            eq_rhs=b,
-            ub_matrix=r.matrix,
-            ub_rhs=r.rhs,
-            bounds=tuple((0.0, np.inf) for _ in range(support.k**2)),
-        )
-    )
-    return IdentifiedSetSpec(
-        support=support,
-        p0=p0,
-        p1=p1,
-        restriction=r,
-        eq_matrix=A,
-        eq_rhs=b,
-        feasible=probe.status == OPTIMAL,
-        farkas=probe.farkas,
-    )
+    spec = IdentifiedSetSpec(support, p0, p1, r, A, b, feasible=False)
+    probe = solve_lp(spec.lp(np.zeros(support.k**2)))
+    return replace(spec, feasible=probe.status == OPTIMAL, farkas=probe.farkas)
 
 
 def min_defier_budget(spec: IdentifiedSetSpec) -> float:
@@ -257,19 +243,8 @@ def min_defier_budget(spec: IdentifiedSetSpec) -> float:
     the identified set nonempty; it is the suggestion attached to
     infeasibility errors under monotonicity.
     """
-    if spec.support.totally_ordered:
-        cells = _defier_cells(spec.support)
-    else:
-        cells = _non_elementwise_cells(spec.support)
-    obj = _indicator_row(cells, spec.k)
-    sol = solve_lp(
-        LinearProgram(
-            objective=obj,
-            eq_matrix=spec.eq_matrix,
-            eq_rhs=spec.eq_rhs,
-            bounds=tuple((0.0, np.inf) for _ in range(spec.k**2)),
-        )
-    )
+    marginals_only = replace(spec, restriction=RestrictionSet.unrestricted(spec.support))
+    sol = solve_lp(marginals_only.lp(_indicator_row(_non_elementwise_cells(spec.support), spec.k)))
     if sol.status != OPTIMAL:  # pragma: no cover - marginals always couple
         raise SolverFailureError("defier-budget probe LP failed")
     return max(float(sol.value), 0.0)
@@ -278,8 +253,7 @@ def min_defier_budget(spec: IdentifiedSetSpec) -> float:
 def _require_feasible(spec: IdentifiedSetSpec):
     if not spec.feasible:
         suggestion = None
-        if spec.restriction.kind in (MONOTONE, DEFIER_BUDGET, ELEMENTWISE,
-                                     ELEMENTWISE_DEFIER_BUDGET):
+        if spec.restriction.kind in ORDER_KINDS:
             suggestion = min_defier_budget(spec)
         msg = "identified set is empty under the declared restriction"
         if suggestion is not None:

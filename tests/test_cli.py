@@ -174,6 +174,36 @@ def test_malformed_spec_is_an_input_error(option, spec, tmp_path, capsys):
     assert f"'{spec}'" in payload["message"]
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("bounds", "--restriction", "defier_budget:nan"),
+    ("bounds", "--restriction", "defier_budget:inf"),
+    ("bounds", "--restriction", "elementwise_defier_budget:nan"),
+    ("bounds", "--restriction", "bounded:nan,0.1"),
+    ("bounds", "--restriction", "bounded:1,inf"),
+    ("bounds", "--bins", "1,nan"),
+    ("test", "--restriction", "defier_budget:nan"),
+    ("robustness", "--dbar-max", "nan"),
+    ("robustness", "--dbar-max", "inf"),
+])
+def test_non_finite_parameter_is_an_input_error(command, option, value, tmp_path, capsys):
+    code = main([command, "--input", str(FIXTURE), option, value, "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "StructuralError"
+    assert not any(tmp_path.glob("o*"))
+
+
+def test_measurement_error_matrix_with_text_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "L.csv"
+    path.write_text("a,b\n1,x\n", encoding="utf-8")
+    code, payload = run_cli(["bounds", "--input", str(FIXTURE), "--strategy", f"me:{path}",
+                             "--out", str(tmp_path / "b.json")], capsys)
+    assert code == 2
+    assert payload["error"] == "StructuralError"
+    assert f"'me:{path}'" in payload["message"]
+
+
 # two non-default values of every option: (text, typed value)
 OPTION_SAMPLES = {
     "input": [("a.csv", "a.csv"), ("b.csv", "b.csv")],

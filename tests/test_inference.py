@@ -292,12 +292,9 @@ def synthetic_system(p_hat, sigma, n_eff):
         sigma_hat=np.atleast_2d(sigma).astype(float),
         n_eff=n_eff,
         rows=(MomentRow("gap", k=0, q=0),),
-        n_mediators=1,
         n_outcomes=1,
-        outcome_levels=(0.0,),
         cluster_cells=np.zeros((1, 2, 1, 1), dtype=np.int64),
         cluster_arm=np.array([-1]),
-        restriction="none",
     )
 
 

@@ -94,19 +94,29 @@ def test_optimal_certificates_random():
         assert abs(sol.dual @ sf.rhs - (sol.value - sf.offset)) < 1e-8
 
 
+def _random_bounds(rng, x0):
+    """Bounds around ``x0`` of every kind: free, lower only (a nonzero
+    shift), upper only (a mirrored column), boxed and fixed."""
+    lo, hi = x0 - rng.uniform(0.1, 2.0, x0.size), x0 + rng.uniform(0.1, 2.0, x0.size)
+    kinds = rng.integers(0, 5, x0.size)
+    return [[(-np.inf, np.inf), (l, np.inf), (-np.inf, h), (l, h), (x, x)][kind]
+            for kind, l, h, x in zip(kinds, lo, hi, x0)]
+
+
 def test_matches_scipy_highs_random():
     rng = np.random.default_rng(3)
-    for _ in range(200):
+    seen = set()
+    for _ in range(300):
         n = int(rng.integers(2, 7))
         me = int(rng.integers(0, 3))
         mu = int(rng.integers(0, 4))
         c = rng.normal(size=n)
         Ae = rng.normal(size=(me, n))
         Au = rng.normal(size=(mu, n))
-        x0 = rng.uniform(0, 1, n)
+        x0 = rng.uniform(-1, 1, n)
         be = Ae @ x0
         bu = Au @ x0 + rng.uniform(-0.2, 1.0, mu)
-        bounds = [(0.0, float(rng.uniform(1, 3))) for _ in range(n)]
+        bounds = _random_bounds(rng, x0)
         mine = solve_lp(LinearProgram(
             objective=c, eq_matrix=Ae, eq_rhs=be,
             ub_matrix=Au, ub_rhs=bu, bounds=bounds,
@@ -114,13 +124,34 @@ def test_matches_scipy_highs_random():
         ref = scipy_linprog(
             c, A_ub=Au if mu else None, b_ub=bu if mu else None,
             A_eq=Ae if me else None, b_eq=be if me else None,
-            bounds=bounds, method="highs",
+            # presolve reports some unbounded programs as infeasible
+            bounds=bounds, method="highs", options={"presolve": False},
         )
+        seen.add(ref.status)
         if ref.status == 0:
             assert mine.status == OPTIMAL
             assert abs(mine.value - ref.fun) < 1e-7
+            assert abs(c @ mine.point - mine.value) < 1e-9
+            lo, hi = np.array(bounds).T
+            assert (mine.point >= lo - 1e-9).all() and (mine.point <= hi + 1e-9).all()
+            assert np.abs(Ae @ mine.point - be).max(initial=0.0) < 1e-9
+            assert (Au @ mine.point - bu).max(initial=0.0) < 1e-9
         elif ref.status == 2:
             assert mine.status == INFEASIBLE
+        elif ref.status == 3:
+            assert mine.status == UNBOUNDED
+    assert seen == {0, 2, 3}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ub_rhs", [0.0, np.inf]), ("objective", [np.nan, 1.0]), ("ub_matrix", [[1.0, 1.0], [np.nan, 1.0]]),
+])
+def test_non_finite_program_is_rejected(field, value):
+    """A NaN or infinite entry is an input error, not a certified optimum."""
+    lp = dict(objective=[1.0, -1.0], ub_matrix=[[1.0, 1.0], [0.0, 1.0]], ub_rhs=[2.0, 1.0],
+              bounds=[(0.0, np.inf), (-np.inf, 5.0)])
+    with pytest.raises(StructuralError, match=field):
+        LinearProgram(**{**lp, field: value})
 
 
 def test_farkas_on_random_infeasible():
@@ -248,6 +279,16 @@ def test_qp_projection_onto_halfspace():
     assert_allclose(sol.value + 2.0, 0.5, atol=1e-10)  # +2 restores the constant
     assert_allclose(sol.point, [0.5, 0.5], atol=1e-9)
     assert sol.active == (0,)
+
+
+@pytest.mark.parametrize("quadratic, linear", [
+    (np.eye(2), [np.nan, 0.0]), (np.eye(2), [np.inf, 0.0]), ([[1.0, 0.0], [0.0, np.inf]], [0.0, 0.0]),
+])
+def test_qp_rejects_non_finite_objective(quadratic, linear):
+    feasible = LinearProgram(np.zeros(2), ub_matrix=[[1.0, 1.0]], ub_rhs=[1.0],
+                             bounds=[(-np.inf, np.inf)] * 2)
+    with pytest.raises(StructuralError, match="NaN or infinite"):
+        solve_qp(quadratic, linear, feasible)
 
 
 def test_qp_rejects_non_psd():
