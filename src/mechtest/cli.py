@@ -91,7 +91,8 @@ def resolve_config(args) -> RunConfig:
             values[key] = _typed(key, flag, f"invalid value '{flag}' for --{key.replace('_', '-')}")
     for key, opt in OPTIONS.items():
         if opt.least is not None and values[key] < opt.least:
-            need = "a non-negative integer" if opt.least == 0 else f"at least {opt.least}"
+            noun = "integer" if opt.kind is int else "number"
+            need = f"a non-negative {noun}" if opt.least == 0 else f"at least {opt.least}"
             raise StructuralError(f"{key} must be {need}, got {values[key]}")
     if not 0.0 < values["alpha"] < 1.0:
         raise StructuralError("alpha must lie in (0, 1)")
@@ -424,9 +425,10 @@ OPTIONS = {
     "t": Option(1.0, float, ("simulate",), "share of treated units from the treated pool"),
     "nsims": Option(100, int, ("simulate",), "simulation replicates"),
     "clusters": Option(0, int, ("simulate",), "clusters per arm; 0 resamples units", least=0),
-    "n": Option(2000, int, ("simulate",), "units per replicate", least=1),
+    "n": Option(2000, int, ("simulate",), "units per replicate", least=2),
     "design": Option("binary", ("binary", "cluster", "ordered"), ("simulate",)),
-    "dbar_max": Option(0.5, float, ("robustness",), "largest defier budget of the curve"),
+    "dbar_max": Option(0.5, float, ("robustness",), "largest defier budget of the curve",
+                       least=0),
     "dbar_steps": Option(26, int, ("robustness",), "defier budgets on the curve", least=0),
 }
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,

@@ -29,7 +29,7 @@ from scipy.special import chdtrc, gammaincinv
 from .errors import EstimationError, SolverFailureError, StructuralError
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp, solve_qp
 from .probtab import RecordSet, encode
-from .rng import substream
+from .rng import substreams
 from .typeshares import MONOTONE, RestrictionSet, marginal_equalities
 
 HARD_SD_FLOOR = 1e-12
@@ -341,7 +341,9 @@ def _make_resampler(system: MomentSystem):
     Unit-level records resample as a per-arm multinomial over the observed
     cells, which is distributionally identical to redrawing rows and much
     faster.  Mixed-arm clusters fall back to whole-dataset resampling with
-    a deterministic retry when a draw empties an arm.
+    a deterministic retry when a draw empties an arm.  The resampler
+    ``draw(rng, out=None)`` writes one (2, K, Q) count table into ``out``
+    (a new array by default) and returns it.
     """
     cells = system.cluster_cells
     arm = system.cluster_arm
@@ -351,8 +353,8 @@ def _make_resampler(system: MomentSystem):
         totals = agg.sum(axis=(1, 2))
         probs = [agg[d].reshape(-1) / totals[d] for d in (0, 1)]
 
-        def draw_units(rng):
-            out = np.empty(shape, dtype=np.int64)
+        def draw_units(rng, out=None):
+            out = np.empty(shape, dtype=np.int64) if out is None else out
             for d in (0, 1):
                 out[d] = rng.multinomial(totals[d], probs[d]).reshape(shape[1:])
             return out
@@ -363,18 +365,22 @@ def _make_resampler(system: MomentSystem):
     if (arm >= 0).all():
         pools = [np.nonzero(arm == d)[0] for d in (0, 1)]
 
-        def draw_clusters(rng):
+        def draw_clusters(rng, out=None):
+            out = np.empty(shape, dtype=np.int64) if out is None else out
             idx = np.concatenate([pool[rng.integers(0, pool.size, pool.size)] for pool in pools])
-            return (np.bincount(idx, minlength=G) @ flat).reshape(shape)
+            out[...] = (np.bincount(idx, minlength=G) @ flat).reshape(shape)
+            return out
 
         return draw_clusters
     arm_totals = cells.sum(axis=(2, 3))  # (G, 2)
 
-    def draw_mixed(rng):
+    def draw_mixed(rng, out=None):
+        out = np.empty(shape, dtype=np.int64) if out is None else out
         for _ in range(100):
             times = np.bincount(rng.integers(0, G, G), minlength=G)
             if (times @ arm_totals).min() > 0:
-                return (times @ flat).reshape(shape)
+                out[...] = (times @ flat).reshape(shape)
+                return out
         raise EstimationError("bootstrap could not produce both arms")
 
     return draw_mixed
@@ -387,8 +393,9 @@ def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
     so every soft moment binds (the least-favorable configuration); the
     hard rows (nonnegativity, restriction and marginal matching) hold
     exactly and keep their own right-hand sides.  Draw b resamples with
-    its own substream ``(seed, b)``; the B count tables are then evaluated
-    as one stack, and without nuisance coordinates as one array operation.
+    its own substream ``(seed, b)`` into row b of one (B, 2, K, Q) count
+    array, which is then evaluated as one stack, and without nuisance
+    coordinates as one array operation.
     """
     sds = system.moment_sds()
     hard = system.hard_mask()
@@ -400,7 +407,10 @@ def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
         soft = ~np.array([r.hard for r in system.rows], dtype=bool)
         shift[soft] = (system.c2 @ system.p_hat - system.c1 @ omega_hat)[soft]
     resample = _make_resampler(system)
-    p_star = p_from_cells(np.stack([resample(substream(seed, b)) for b in range(b_draws)]))
+    cells = np.empty((b_draws, *system.cluster_cells.shape[1:]), dtype=np.int64)
+    for row, rng in zip(cells, substreams(seed, b_draws)):
+        resample(rng, row)
+    p_star = p_from_cells(cells)
     if system.n_omega == 0:
         t, _ = _minmax_statistic(system, p_star, shift, sds, hard)
     else:

@@ -5,11 +5,28 @@ substream per unit of work (bootstrap draw, simulation replicate) as
 ``SeedSequence(entropy=master_seed, spawn_key=(stream,...))``.  Results are
 therefore reproducible from ``(seed, config)`` alone and independent of
 execution order, so parallel evaluation cannot change them.
+
+The B draws of the least-favorable bootstrap take their generators from
+:func:`substreams`, which seeds all of them in one array pass.  It
+reproduces numpy's ``SeedSequence`` -> ``PCG64`` seeding (NEP 19; O'Neill
+2015) exactly, so draw b sees the same stream as ``substream(seed, b)``;
+``tests/test_rng.py`` pins the two against each other.
 """
 
 import numpy as np
 
 from .errors import StructuralError
+
+# numpy's SeedSequence: pool size in 32-bit words and the hash constants
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_CHUNK = 4096  # streams seeded per array pass
 
 
 def check_seed(seed) -> int:
@@ -25,3 +42,79 @@ def substream(master_seed: int, *stream: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=check_seed(master_seed),
                                  spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def _hashmix(value, h, mult):
+    """SeedSequence's ``hashmix`` of ``value`` (an int or a uint32 array)
+    under hash constant ``h``; returns the result and the next constant."""
+    nxt = h * mult & _MASK32
+    value = (value ^ h) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of pool word ``x`` with ``y``."""
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def substreams(master_seed: int, n: int):
+    """Generators of substreams ``(master_seed, b)`` for b = 0 .. n-1, in order.
+
+    Each yields exactly the stream of ``substream(master_seed, b)``.  One
+    ``Generator`` is reused: a yielded generator is valid only until the
+    next one is drawn.  The seed and ``n`` are checked before anything is
+    drawn.
+    """
+    master_seed, n = check_seed(master_seed), int(n)
+    if not 0 <= n <= 1 << 32:  # a spawn key of one 32-bit word
+        raise StructuralError(f"number of substreams must lie in [0, 2**32], got {n}")
+    # the seed's 32-bit words, zero-padded to the pool size because a spawn key follows
+    words = [master_seed & _MASK32]
+    while master_seed >> 32:
+        master_seed >>= 32
+        words.append(master_seed & _MASK32)
+    words += [0] * (_POOL - len(words))
+    # the mixing of the seed words, shared by every stream
+    h, pool = _INIT_A, []
+    for word in words[:_POOL]:
+        value, h = _hashmix(word, h, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            value, h = _hashmix(word, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    return _seeded(pool, h, n)
+
+
+def _seeded(pool, h, n):
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for start in range(0, n, _CHUNK):
+        # mix in the spawn key b, then generate_state(4, uint64), as uint32 arrays
+        key = np.arange(start, min(start + _CHUNK, n)).astype(np.uint32)
+        mixed, hk = [], h
+        for word in pool:
+            value, hk = _hashmix(key, hk, _MULT_A)
+            mixed.append(_mix(word, value))
+        state, hb = [], _INIT_B
+        for i in range(2 * _POOL):
+            value, hb = _hashmix(mixed[i % _POOL], hb, _MULT_B)
+            state.append(value.astype(np.uint64))
+        # little-endian uint64 words: (initstate high, low, initseq high, low)
+        halves = [(state[2 * i] | state[2 * i + 1] << 32).tolist() for i in range(_POOL)]
+        for s_hi, s_lo, q_hi, q_lo in zip(*halves):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128,
+                          "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield generator

@@ -220,7 +220,7 @@ OPTION_SAMPLES = {
     "t": [("0.5", 0.5), ("0", 0.0)],
     "nsims": [("3", 3), ("1", 1)],
     "clusters": [("20", 20), ("0", 0)],
-    "n": [("600", 600), ("1", 1)],
+    "n": [("600", 600), ("2", 2)],
     "design": [("ordered", "ordered"), ("cluster", "cluster")],
     "dbar_max": [("0.25", 0.25), ("1e-3", 0.001)],
     "dbar_steps": [("4", 4), ("0", 0)],
@@ -258,8 +258,8 @@ def test_option_resolves_alike_from_config_and_flag(key, tmp_path):
 
 @pytest.mark.parametrize("key, text", [
     ("method", "lfboot"), ("design", "grid"), ("boot", "10"), ("seed", "-2"), ("n", "-5"),
-    ("n", "0"), ("clusters", "-3"), ("dbar_steps", "-1"), ("alpha", "1.5"), ("nsims", "1.5"),
-    ("ade", "maybe"),
+    ("n", "0"), ("n", "1"), ("clusters", "-3"), ("dbar_steps", "-1"), ("dbar_max", "-0.5"),
+    ("alpha", "1.5"), ("nsims", "1.5"), ("ade", "maybe"),
 ])
 def test_bad_option_value_exits_2_by_either_route(key, text, tmp_path, capsys):
     command = OPTIONS[key].commands[0]
