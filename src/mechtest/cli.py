@@ -318,6 +318,9 @@ def cmd_simulate(cfg: RunConfig):
                           mc.median_cell_count(records, bins=bins))
 
     summary = mc.rejection_rate(dgp, replicate, cfg.nsims, cfg.seed)
+    if summary.n_errors == summary.n_sims:
+        # nothing to report: fail as ``test`` fails on the first sample
+        raise summary.results[0]
     rows = []
     for sim, rep in enumerate(summary.results):
         if isinstance(rep, MechtestError):
@@ -338,10 +341,9 @@ def cmd_simulate(cfg: RunConfig):
                          "nu_pooled_lb", "median_cell_count"])
         writer.writerows(rows)
     manifest = _write_manifest(cfg, [out])
-    ok = summary.n_sims - summary.n_errors
     print(json.dumps({
         "ok": True, "outputs": [out, manifest],
-        "rejection_rate": summary.rate if ok else None,
+        "rejection_rate": summary.rate,
         "errors": summary.n_errors,
     }))
     return 0

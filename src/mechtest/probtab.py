@@ -13,6 +13,7 @@ builder.
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -188,62 +189,70 @@ class RecordSet:
         return self.m.shape[1]
 
 
+BLOCK_ROWS = 16384  # rows parsed at once: spreads per-column work, caps the row lists
+
+
 def read_csv(path) -> RecordSet:
-    """Load records from a CSV file.
+    """Load records from a CSV file, ``BLOCK_ROWS`` rows at a time.
 
     Header row required.  Columns: ``y``, ``d`` (mandatory), mediators
-    ``m1..mp``, optional ``cluster``, ``z``, ``pscore``.  Any malformed row
-    is a hard error naming the offending line.
+    ``m1..mp``, optional ``cluster``, ``z``, ``pscore``; rows are split by the
+    ``csv`` module's default dialect, numbers parsed by ``float()``.  Any malformed
+    row, CSV-level error or non-UTF-8 byte is a hard error naming its line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StructuralError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        for col in ("y", "d"):
-            if col not in header:
-                raise StructuralError(f"{path}: missing required column '{col}'")
-        m_cols = sorted(
-            (h for h in header if h.startswith("m") and h[1:].isdigit()),
-            key=lambda h: int(h[1:]),
-        )
-        if not m_cols:
-            raise StructuralError(f"{path}: no mediator columns m1..mp found")
-        expected = [f"m{i + 1}" for i in range(len(m_cols))]
-        if m_cols != expected:
-            raise StructuralError(f"{path}: mediator columns must be contiguous m1..mp, got {m_cols}")
-        idx = {h: header.index(h) for h in header}
-        rows_y, rows_m, rows_d = [], [], []
-        rows_c, rows_z, rows_p = [], [], []
-        has_cluster = "cluster" in header
-        has_z = "z" in header
-        has_p = "pscore" in header
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise StructuralError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows_y.append(float(row[idx["y"]]))
-                rows_d.append(float(row[idx["d"]]))
-                rows_m.append([float(row[idx[c]]) for c in m_cols])
-                if has_cluster:
-                    rows_c.append(row[idx["cluster"]].strip())
-                if has_z:
-                    rows_z.append(float(row[idx["z"]]))
-                if has_p:
-                    rows_p.append(float(row[idx["pscore"]]))
-            except ValueError as exc:
-                raise StructuralError(f"{path}: line {ln}: {exc}")
     try:
-        return RecordSet(
-            y=np.array(rows_y),
-            m=np.array(rows_m),
-            d=np.array(rows_d),
-            cluster=np.array(rows_c) if has_cluster else None,
-            z=np.array(rows_z) if has_z else None,
-            pscore=np.array(rows_p) if has_p else None,
-        )
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise StructuralError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            for col in ("y", "d"):
+                if col not in header:
+                    raise StructuralError(f"{path}: missing required column '{col}'")
+            m_cols = sorted((h for h in header if h.startswith("m") and h[1:].isdigit()),
+                            key=lambda h: int(h[1:]))
+            if not m_cols:
+                raise StructuralError(f"{path}: no mediator columns m1..mp found")
+            if m_cols != [f"m{i + 1}" for i in range(len(m_cols))]:
+                raise StructuralError(f"{path}: mediator columns must be contiguous m1..mp, got {m_cols}")
+            fields = {c: header.index(c) for c in ("y", "d", *m_cols, "z", "pscore") if c in header}
+            parts = {c: [] for c in ("y", "d", "m", "cluster", "z", "pscore") if c in [*header, "m"]}
+            for ln in count(2, BLOCK_ROWS):
+                rows = []
+                try:
+                    rows.extend(islice(reader, BLOCK_ROWS))
+                    if not rows:
+                        break
+                    if set(map(len, rows)) != {len(header)}:
+                        raise ValueError("field count")
+                    cols = list(zip(*rows))
+                    block = {c: np.fromiter(map(float, cols[j]), float, len(rows))
+                             for c, j in fields.items()}
+                except (csv.Error, ValueError):
+                    # the first bad row read, as a row-by-row parse meets it
+                    for ln, row in enumerate(rows, start=ln):
+                        try:
+                            if len(row) != len(header):
+                                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                            [float(row[j]) for j in fields.values()]
+                        except ValueError as exc:
+                            raise StructuralError(f"{path}: line {ln}: {exc}")
+                    raise
+                block["m"] = np.column_stack([block.pop(c) for c in m_cols])
+                if "cluster" in parts:
+                    block["cluster"] = np.array(list(map(str.strip, cols[header.index("cluster")])))
+                for c, values in block.items():
+                    parts[c].append(values)
+    except csv.Error as exc:
+        raise StructuralError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            ln = next(ln for ln, line in enumerate(fh, start=1)
+                      if line.decode("utf-8", "ignore").encode() != line)
+        raise StructuralError(f"{path}: line {ln}: not UTF-8 ({exc.reason})") from None
+    try:
+        return RecordSet(**{c: np.concatenate(p) if p else np.array([]) for c, p in parts.items()})
     except StructuralError as exc:
         raise StructuralError(f"{path}: {exc}")
 
@@ -391,19 +400,9 @@ def quantile_cutpoints(values, n_bins: int):
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
         raise StructuralError("no values to compute quantiles from")
-    cuts = []
-    for i in range(1, n_bins):
-        u = i / n_bins
-        # Left-continuous inverse cdf: smallest value with F(y) >= u.
-        idx = int(np.ceil(u * vals.size)) - 1
-        cuts.append(vals[max(idx, 0)])
-    cuts = sorted(set(cuts))
-    return tuple(float(c) for c in cuts)
-
-
-def bin_index(values, cutpoints):
-    """Right-closed binning: y goes to bin #{c in cutpoints : y > c}."""
-    return np.searchsorted(np.asarray(cutpoints, dtype=float), np.asarray(values, dtype=float), side="left")
+    # Left-continuous inverse cdf: smallest value with F(y) >= i / n_bins.
+    idx = np.ceil(np.arange(1, n_bins) / n_bins * vals.size).astype(int) - 1
+    return tuple(sorted(set(vals[np.maximum(idx, 0)].tolist())))
 
 
 def _check_cutpoints(cutpoints):
@@ -419,9 +418,10 @@ def _check_cutpoints(cutpoints):
 
 def _bin_levels(levels, cutpoints):
     """Labels of the occupied bins of the increasing ``levels`` (the smallest
-    level in each) and the label index of every level."""
-    _, first, bin_of_level = np.unique(bin_index(levels, cutpoints), return_index=True,
-                                       return_inverse=True)
+    level in each) and the label index of every level; bins are right-closed,
+    so a level goes to bin #{c in cutpoints : level > c}."""
+    bins = np.searchsorted(cutpoints, levels, side="left")
+    _, first, bin_of_level = np.unique(bins, return_index=True, return_inverse=True)
     return levels[first], bin_of_level.reshape(-1)
 
 

@@ -8,7 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mechtest.cli import OPTIONS, _load_table, build_parser, main, resolve_config
+from mechtest import mc
+from mechtest.cli import (
+    OPTIONS, _load_table, _simulate_design, build_parser, main, resolve_config,
+)
 from mechtest.probtab import discretize_outcome, from_records, quantile_cutpoints
 
 FIXTURE = Path(__file__).parent / "data" / "binary_fixture.csv"
@@ -420,6 +423,43 @@ def test_simulate_needs_a_replicate(tmp_path, capsys):
     code, payload = run_cli(
         ["simulate", "--nsims", "0", "--out", str(tmp_path / "sim.csv")], capsys)
     assert code == 2 and payload["error"] == "StructuralError"
+
+
+def test_simulate_without_a_successful_replicate_fails_as_test_does(tmp_path, capsys):
+    # unbinned, the cluster design's continuous outcome leaves more cells than units
+    args = ["simulate", "--design", "cluster", "--nsims", "2", "--method", "cond-chisq",
+            "--out", str(tmp_path / "sim.csv")]
+    code = main(args)
+    lines = capsys.readouterr().out.strip().splitlines()
+    payload = json.loads(lines[0])
+    assert code == 2 and len(lines) == 1 and payload["error"] == "EstimationError"
+    assert list(tmp_path.iterdir()) == []
+    # the first replicate's sample, run through ``test``, fails alike
+    dgp = _simulate_design(resolve_config(build_parser().parse_args(args)))
+    sample = mc.draw_sample(dgp, mc._derive(0, 0))
+    path = tmp_path / "sample.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "d", "m1"])
+        writer.writerows(zip(map(repr, sample.y.tolist()), sample.d.tolist(),
+                             map(repr, sample.m[:, 0].tolist())))
+    assert run_cli(["test", "--input", str(path), "--method", "cond-chisq",
+                    "--out", str(tmp_path / "test.json")], capsys) == (code, payload)
+
+
+@pytest.mark.parametrize("content, where", [
+    (b"y,d,m1\n1,0,0\n1,1,\xff\n", "line 3: not UTF-8"),
+    (b"y,d,m1,cluster\n1,0,0,a\n0,1,1," + b"c" * 131073 + b"\n", "line 3: field larger than"),
+])
+def test_unreadable_input_is_an_input_error(content, where, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    code = main(["bounds", "--input", str(path), "--out", str(tmp_path / "b.json")])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "StructuralError"
+    assert payload["message"].startswith(f"{path}: {where}")
 
 
 def _continuous_records_csv(path, n=2000, K=4, seed=41):

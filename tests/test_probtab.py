@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import make_table, random_table
+from mechtest import probtab
 from mechtest.errors import EstimationError, StructuralError
 from mechtest.probtab import (
     RecordSet,
@@ -314,3 +316,204 @@ def test_encode_bins_label_each_bin_by_its_smallest_value(bins):
     assert table.outcome_levels == enc.outcome_levels
     with pytest.raises(StructuralError):
         encode(rec, (1.0, 0.0))
+
+
+def _reference_read_csv(path):
+    """The row-by-row reader that ``read_csv`` replaced, kept as its reference."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise StructuralError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        for col in ("y", "d"):
+            if col not in header:
+                raise StructuralError(f"{path}: missing required column '{col}'")
+        m_cols = sorted(
+            (h for h in header if h.startswith("m") and h[1:].isdigit()),
+            key=lambda h: int(h[1:]),
+        )
+        if not m_cols:
+            raise StructuralError(f"{path}: no mediator columns m1..mp found")
+        expected = [f"m{i + 1}" for i in range(len(m_cols))]
+        if m_cols != expected:
+            raise StructuralError(f"{path}: mediator columns must be contiguous m1..mp, got {m_cols}")
+        idx = {h: header.index(h) for h in header}
+        rows_y, rows_m, rows_d = [], [], []
+        rows_c, rows_z, rows_p = [], [], []
+        has_cluster = "cluster" in header
+        has_z = "z" in header
+        has_p = "pscore" in header
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise StructuralError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rows_y.append(float(row[idx["y"]]))
+                rows_d.append(float(row[idx["d"]]))
+                rows_m.append([float(row[idx[c]]) for c in m_cols])
+                if has_cluster:
+                    rows_c.append(row[idx["cluster"]].strip())
+                if has_z:
+                    rows_z.append(float(row[idx["z"]]))
+                if has_p:
+                    rows_p.append(float(row[idx["pscore"]]))
+            except ValueError as exc:
+                raise StructuralError(f"{path}: line {ln}: {exc}")
+    try:
+        return RecordSet(
+            y=np.array(rows_y),
+            m=np.array(rows_m),
+            d=np.array(rows_d),
+            cluster=np.array(rows_c) if has_cluster else None,
+            z=np.array(rows_z) if has_z else None,
+            pscore=np.array(rows_p) if has_p else None,
+        )
+    except StructuralError as exc:
+        raise StructuralError(f"{path}: {exc}")
+
+
+def _outcome(reader, path):
+    """Every RecordSet field as (dtype, shape, bytes), or the error message."""
+    try:
+        rec = reader(path)
+    except StructuralError as exc:
+        return "error", str(exc)
+    arrays = {name: getattr(rec, name) for name in ("y", "m", "d", "cluster", "z", "pscore")}
+    return {name: None if arr is None else (arr.dtype.str, arr.shape, arr.tobytes())
+            for name, arr in arrays.items()}
+
+
+def _rows_text(header, rows):
+    return "\r\n".join([header, *rows]) + "\r\n"
+
+
+def _block_corpus(block):
+    """Files around block boundaries, clean and with a fault in the last row
+    of a block or the first row of the next one."""
+    header = "y,d,m1,cluster,z,pscore"
+    rows = [f"{i % 6},{i % 2},{(i // 2) % 3},c{i % 7},{(i // 3) % 2},0.{1 + i % 8}"
+            for i in range(2 * block + 3)]
+    yield "clean-1", _rows_text(header, rows[:block])
+    yield "clean-2", _rows_text(header, rows[:block + 1])
+    yield "clean-3", _rows_text(header, rows)
+    for at in (block - 1, block, 2 * block - 1, 2 * block):
+        for fault in ("x", "1,1", "1,0,0,c,0,0.5,9", ""):
+            bad = list(rows)
+            bad[at] = bad[at].replace("0.", fault + "0.", 1) if fault == "x" else fault
+            yield f"fault-{at}-{fault!r}", _rows_text(header, bad)
+    # a later fault in the same block and in a later block never masks the first
+    bad = list(rows)
+    bad[1], bad[2], bad[block + 1] = "1,q,0,c,0,0.5", "1,1", "z,0,0,c,0,0.5"
+    yield "two-rows", _rows_text(header, bad)
+
+
+_HAND_CORPUS = {
+    "quoted-and-spaced": 'y,d,m1,cluster\n" 1.5 ",1, 0 ,"a, b"\n2 ,"0",1,  x y \n',
+    "space-before-quote": 'y,d,m1\n1,0,0\n2, "0",1\n',
+    "float-forms": "y,d,m1,m2,pscore\n1_0,1,-0.0,1e-320,0.5\n-0.0,0,1E+2,.5,5e-1\n",
+    "two-mediators": "y,d,m1,m2\n1,0,0,1\n0,1,1,0\n1,1,1,1\n",
+    "mediators-out-of-order": "y,m2,d,m1\n1,0,0,1\n0,1,1,0\n",
+    "cluster-with-spaces": "cluster,y,d,m1\n  north  east ,1,0,0\nsouth,0,1,1\n north  east,1,1,0\n",
+    "header-only": "y,d,m1,m2,cluster,z,pscore\n",
+    "header-only-crlf": "y,d,m1\r\n",
+    "empty": "",
+    "blank-header": "\ny,d,m1\n1,0,0\n",
+    "bom": "\ufeffy,d,m1\n1,0,0\n",
+    "missing-d": "y,m1\n1,0\n",
+    "no-mediator": "y,d\n1,0\n",
+    "gap-in-mediators": "y,d,m1,m3\n1,0,0,0\n",
+    "blank-line": "y,d,m1\n1,0,0\n\n0,1,1\n",
+    "trailing-blank-lines": "y,d,m1\n1,0,0\n0,1,1\n\n\n",
+    "short-row": "y,d,m1\n1,0,0\n0,1\n",
+    "long-row": "y,d,m1\n1,0,0\n0,1,1,1\n",
+    "two-bad-columns": "y,d,m1,z,pscore\n1,0,0,0,0.5\n1,1,0,q,oops\n",
+    "bad-value-then-short-row": "y,d,m1\n1,0,0\n1,x,0\n1,0\n",
+    "short-row-then-bad-value": "y,d,m1\n1,0,0\n1,0\n1,x,0\n",
+    "bad-mediator-then-bad-y": "y,d,m1,m2\n1,0,0,0\nbad,0,1,x\n",
+    "nan-outcome": "y,d,m1\nnan,0,0\n1,1,1\n",
+    "inf-pscore": "y,d,m1,pscore\n1,0,0,inf\n1,1,1,0.5\n",
+    "nan-cluster-label": "y,d,m1,cluster\n1,0,0,nan\n1,1,1,inf\n",
+    "fractional-treatment": "y,d,m1\n1,0.5,0\n1,1,1\n",
+    "instrument-two": "y,d,m1,z\n1,0,0,2\n1,1,1,1\n",
+    "treatment-as-float": "y,d,m1,z\n1,1.0,0,0.0\n0,0.0,1,1.0\n",
+    "duplicate-column": "y,d,m1,y\n1,0,0,x\n0,1,1,y\n",
+    "extra-columns": "id,y,note,d,m1\n7,1,hello,0,0\n8,0,,1,1\n",
+    "multiline-label": 'y,d,m1,cluster\n1,0,0,"a\nb"\n0,1,1,c\n',
+    "bad-row-after-multiline-label": 'y,d,m1,cluster\n1,0,0,"a\nb"\nx,1,1,c\n',
+    "parse-order-not-file-order": "pscore,z,m1,y,d\noops,q,x,0,0\n",
+    "field-limit-after-bad-row": "y,d,m1,cluster\n1,0,0,a\nq,1,1,b\n1,0,0," + "c" * 131073 + "\n",
+}
+
+
+def _fuzz_corpus(n_files, seed):
+    """Small random files mixing clean and malformed fields."""
+    rng = np.random.default_rng(seed)
+    tokens = ["0", "1", "1.0", "0.0", " 1 ", '"0"', "2.5", "-0.0", "1e-320", "1_0",
+              "nan", "inf", "", "x", "0x1", "1,5"]
+    for i in range(n_files):
+        header = ["y", "d", "m1"] + (["m2"] if rng.random() < 0.5 else [])
+        header += [c for c in ("cluster", "z", "pscore") if rng.random() < 0.5]
+        perm = rng.permutation(len(header))
+        header = [header[j] for j in perm]
+        rows = []
+        for _ in range(int(rng.integers(0, 9))):
+            row = []
+            for col in header:
+                if rng.random() < 0.04:
+                    row.append(str(tokens[rng.integers(len(tokens))]))
+                elif col in ("d", "z"):
+                    row.append(str(rng.integers(0, 2)))
+                elif col == "cluster":
+                    row.append(f" g {rng.integers(0, 3)}")
+                else:
+                    row.append(str(rng.integers(0, 3) / 2))
+            if rng.random() < 0.03:
+                row = row[:-1] if rng.random() < 0.5 else row + ["1"]
+            rows.append(",".join(row))
+        yield f"fuzz-{i}", _rows_text(",".join(header), rows)
+
+
+@pytest.mark.parametrize("block", [3, probtab.BLOCK_ROWS])
+def test_read_csv_matches_the_row_by_row_reference(block, tmp_path, monkeypatch):
+    monkeypatch.setattr(probtab, "BLOCK_ROWS", block)
+    corpus = list(_block_corpus(block))
+    if block < 100:
+        corpus += list(_HAND_CORPUS.items()) + list(_fuzz_corpus(300, 12))
+    for name, text in corpus:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path), name
+
+
+@pytest.mark.parametrize("lines, where", [
+    (["y,d,m1", "1,0,0", "1,1,\xff"], "line 3"),
+    (["y,d,m1,cluster", "1,0,0,a", "0,1,1,\xc3"], "line 3"),
+    (["y,d,\xe9m1", "1,0,0"], "line 1"),
+])
+def test_read_csv_bytes_that_are_not_utf8_are_input_errors(lines, where, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    with pytest.raises(StructuralError) as info:
+        read_csv(path)
+    assert str(info.value).startswith(f"{path}: {where}: not UTF-8")
+
+
+def test_quantile_cutpoints_match_the_per_bin_loop():
+    def per_bin(values, n_bins):
+        vals = np.sort(np.asarray(values, dtype=float))
+        cuts = []
+        for i in range(1, n_bins):
+            idx = int(np.ceil(i / n_bins * vals.size)) - 1
+            cuts.append(vals[max(idx, 0)])
+        return tuple(float(c) for c in sorted(set(cuts)))
+
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 7, 100, 1001):
+        signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        for values in (rng.normal(size=n), rng.integers(-2, 3, n) * 0.5, signed_zeros):
+            for n_bins in (1, 2, 3, 5, 7, 10, 3 * n):
+                got = quantile_cutpoints(values, n_bins)
+                want = per_bin(values, n_bins)
+                assert np.array_equal(np.array(got), np.array(want))
+                assert np.signbit(got).tolist() == np.signbit(want).tolist()
