@@ -132,7 +132,7 @@ def _slack_lp(table: DistTable, spec: IdentifiedSetSpec, nu_ub):
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise SolverFailureError("slack LP did not solve on a feasible set")
-    theta = sol.point[: K * K].reshape(K, K)
+    theta = spec.point(sol.point)[: K * K].reshape(K, K)
     return float(sol.value), theta
 
 
@@ -182,14 +182,15 @@ def _pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
     rhs = np.stack([-gaps, np.zeros(K)], axis=1).reshape(-1)
     feas = spec.lp(np.zeros(n), rows.reshape(2 * K, n), rhs, extra_bounds=((0.0, np.inf),) * K)
     try:
-        sol = solve_lfp((num, 0.0), (den, 0.0), feas)
+        cols = spec.columns(n)
+        sol = solve_lfp((num[cols], 0.0), (den[cols], 0.0), feas)
     except DomainError:
         # the identified set lets the always-taker mass sum_k theta_kk vanish
         return 0.0, None, np.zeros(K), True
     if sol.status != OPTIMAL:
         raise SolverFailureError("pooled-bound program did not solve")
-    theta = sol.point[: K * K].reshape(K, K)
-    return max(float(sol.value), 0.0), theta, sol.point[K * K:], False
+    point = spec.point(sol.point)
+    return max(float(sol.value), 0.0), point[: K * K].reshape(K, K), point[K * K:], False
 
 
 def nu_pooled_lower_bound(table: DistTable, r: RestrictionSet, auto_relax=False) -> float:

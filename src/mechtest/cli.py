@@ -470,8 +470,8 @@ def main(argv=None):
             "exit_code": exc.exit_code,
         }))
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFoundError", "message": str(exc), "exit_code": 2}))
+    except OSError as exc:  # an input or output path that cannot be opened
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": 2}))
         return 2
 
 

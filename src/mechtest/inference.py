@@ -1,10 +1,11 @@
 """Finite-sample tests of the full-mediation null via moment inequalities.
 
-The null is expressed as ``exists omega with C1 omega - C2 p >= 0`` where p
-stacks the conditional cell probabilities ``P(Y=y_q, M=m_k | arm)`` and the
-mediator marginals, and omega holds the nuisance type shares plus one
-auxiliary coordinate per (mediator, outcome) cell that linearizes the
-positive-part gap.  Two tests are provided:
+The null is expressed as ``exists omega >= 0 with C1 omega - C2 p >= 0 and
+E1 omega = E2 p``, where p stacks the conditional cell probabilities
+``P(Y=y_q, M=m_k | arm)`` and the mediator marginals, and omega holds the
+type shares the restriction leaves free plus one auxiliary coordinate per
+(mediator, outcome) cell that linearizes the positive-part gap.  Two tests
+are provided:
 
 * a least-favorable nonparametric bootstrap of the studentized max
   statistic (conservative but fully specified), and
@@ -12,12 +13,12 @@ positive-part gap.  Two tests are provided:
   form and whose degrees of freedom come from the binding-constraint
   gradients at the solution.
 
-Rows that involve no sampled probabilities (nonnegativity, restriction
-rows, and the marginal-matching equalities with the estimate substituted)
-are handled as exact constraints on omega; everything else is studentized
-with its own standard deviation.  Covariances are influence-function based
-at the independent-unit level (clusters when present), so the clustered
-and iid paths share one formula.
+The type-share polytope comes from ``typeshares.share_polytope``: pinned
+shares are not coordinates, omega >= 0 is a bound, and the 2K marginal
+matches are equalities.  They and the restriction rows hold exactly; the
+budget and gap rows are studentized with their own standard deviations.
+Covariances are influence-function based at the independent-unit level
+(clusters when present), so the clustered and iid paths share one formula.
 """
 
 import warnings
@@ -30,7 +31,7 @@ from .errors import EstimationError, SolverFailureError, StructuralError
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp, solve_qp
 from .probtab import RecordSet, encode
 from .rng import substreams
-from .typeshares import MONOTONE, RestrictionSet, marginal_equalities
+from .typeshares import MONOTONE, RestrictionSet, share_polytope
 
 HARD_SD_FLOOR = 1e-12
 CHISQ_RIDGE = 1e-10  # added to the covariance before whitening
@@ -54,17 +55,21 @@ class MomentRow:
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """``H0: exists omega, C1 omega - C2 p >= 0`` with sampling metadata.
+    """``H0: exists omega >= 0, C1 omega - C2 p >= 0, E1 omega = E2 p`` with
+    sampling metadata.
 
-    ``p_hat`` stacks joint cells for arm 1, joint cells for arm 0, then the
-    mediator marginals for arms 1 and 0.  ``cluster_cells[g, d, k, q]``
-    counts observations so the bootstrap can recompute ``p_hat`` under
-    resampling; ``cluster_arm`` is 0/1 for arm-pure clusters and -1 for
-    clusters spanning both arms.
+    ``rows`` labels the inequality rows of ``c1`` / ``c2``; ``e1`` / ``e2``
+    hold the equality rows, which are always exact.  ``p_hat`` stacks joint
+    cells for arm 1, joint cells for arm 0, then the mediator marginals for
+    arms 1 and 0.  ``cluster_cells[g, d, k, q]`` counts observations so the
+    bootstrap can recompute ``p_hat`` under resampling; ``cluster_arm`` is
+    0/1 for arm-pure clusters and -1 for clusters spanning both arms.
     """
 
     c1: np.ndarray
     c2: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
     p_hat: np.ndarray
     sigma_hat: np.ndarray
     n_eff: int
@@ -187,49 +192,36 @@ def _binary_rows(Q, n_p):
 
 
 def _general_rows(support, r: RestrictionSet, Q, nu_ub, n_p):
-    """Rows over omega = (theta, delta), one family at a time: per k the
-    budget, gap and delta >= 0 rows; marginal matching as paired
-    inequalities; the restriction rows; theta >= 0."""
+    """Rows over omega = (free type shares, delta) >= 0: per k the budget
+    row and the gap rows, then the restriction rows that pin no cell; and
+    the 2K marginal matches as equalities, control-arm row sums first."""
     K = support.k
     n_theta = K * K
-    n_omega = n_theta + K * Q
+    free, match, restr, restr_rhs = share_polytope(support, r)
     ks, qs = np.arange(K), np.arange(Q)
     cells = np.arange(K * Q).reshape(K, Q)  # joint cell (k, q) of an arm
     delta = n_theta + cells
-    c1 = np.zeros((K, 1 + 2 * Q, n_omega))
-    c2 = np.zeros((K, 1 + 2 * Q, n_p))
+    c1 = np.zeros((K, 1 + Q, n_theta + K * Q))
+    c2 = np.zeros((K, 1 + Q, n_p))
     c1[ks, 0, ks * (K + 1)] = -(1.0 - nu_ub)
     c1[ks[:, None], 0, delta] = -1.0
     c2[ks, 0, 2 * K * Q + ks] = -1.0
     c1[ks[:, None], 1 + qs, delta] = 1.0
     c2[ks[:, None], 1 + qs, cells] = 1.0
     c2[ks[:, None], 1 + qs, K * Q + cells] = -1.0
-    c1[ks[:, None], 1 + Q + qs, delta] = 1.0
     rows = [row for k in range(K) for row in (
-        [MomentRow("budget", k=k)]
-        + [MomentRow("gap", k=k, q=q) for q in range(Q)]
-        + [MomentRow("delta_nonneg", k=k, q=q, hard=True) for q in range(Q)])]
-    # per k: the arm-0 and arm-1 marginals matched from below, then from above
-    eq_a, _ = marginal_equalities(support, np.zeros(K), np.zeros(K))
-    sign = np.array([1.0, 1.0, -1.0, -1.0])
-    match1 = np.zeros((K, 4, n_omega))
-    match1[:, :, :n_theta] = sign[:, None] * eq_a.reshape(2, K, n_theta)[[0, 1, 0, 1]].swapaxes(0, 1)
-    match2 = np.zeros((K, 4, n_p))
-    match2[ks[:, None], np.arange(4), 2 * K * Q + np.array([K, 0, K, 0]) + ks[:, None]] = sign
-    rows += [MomentRow(f"match_m{arm}_{tag}", k=k, hard=True) for k in range(K)
-             for tag in ("lo", "hi") for arm in (0, 1)]
-    n_r = r.matrix.shape[0]
-    restr1 = np.zeros((n_r, n_omega))
-    restr1[:, :n_theta] = -r.matrix
-    restr2 = np.zeros((n_r, n_p))
-    restr2[:, : K * Q] = -r.rhs[:, None]
-    rows += [MomentRow("restriction", k=j, hard=True) for j in range(n_r)]
-    rows += [MomentRow("theta_nonneg", k=i // K, q=i % K, hard=True) for i in range(n_theta)]
-    c1 = np.vstack([c1.reshape(-1, n_omega), match1.reshape(-1, n_omega), restr1,
-                    np.eye(n_theta, n_omega)])
-    c2 = np.vstack([c2.reshape(-1, n_p), match2.reshape(-1, n_p), restr2,
-                    np.zeros((n_theta, n_p))])
-    return c1, c2, rows
+        [MomentRow("budget", k=k)] + [MomentRow("gap", k=k, q=q) for q in range(Q)])]
+    restr2 = np.zeros((restr.shape[0], n_p))
+    restr2[:, : K * Q] = -restr_rhs[:, None]
+    rows += [MomentRow("restriction", k=j, hard=True) for j in range(restr.shape[0])]
+    omega = np.concatenate([free, delta.reshape(-1)])  # among the (theta, delta) columns
+    c1 = np.vstack([c1.reshape(-1, n_theta + K * Q)[:, omega],
+                    np.hstack([-restr, np.zeros((restr.shape[0], K * Q))])])
+    e1 = np.hstack([match, np.zeros((2 * K, K * Q))])
+    e2 = np.zeros((2 * K, n_p))
+    e2[ks, 2 * K * Q + K + ks] = 1.0
+    e2[K + ks, 2 * K * Q + ks] = 1.0
+    return c1, np.vstack([c2.reshape(-1, n_p), restr2]), rows, e1, e2
 
 
 def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
@@ -239,12 +231,12 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
 
     For a binary mediator under monotonicity with ``nu_ub = 0`` the system
     reduces to the nuisance-free two-direction cell comparisons.  Otherwise
-    omega = (type shares, gap linearizers) and the rows comprise, per
-    mediator value: one budget row, the per-cell gap rows, the linearizer
-    nonnegativity rows; then the marginal-matching equalities as paired
-    inequalities, restriction rows, and share nonnegativity.  Constants in
-    restriction rows are expressed through the arm-1 cell probabilities,
-    which sum to one identically.
+    omega = (the type shares ``share_polytope`` leaves free, gap
+    linearizers) >= 0; the inequality rows are, per mediator value, one
+    budget row and the per-cell gap rows, then the restriction rows that
+    pin no cell; the equality rows match the 2K mediator marginals.
+    Constants in restriction rows are expressed through the arm-1 cell
+    probabilities, which sum to one identically.
 
     A median independent-unit count per occupied cell below ``min_cell``
     triggers :class:`CellCountWarning`; more stacked cell probabilities
@@ -286,10 +278,13 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
     if nu_ub.min() < 0 or nu_ub.max() > 1:
         raise StructuralError("nu_ub must lie in [0, 1]")
     binary = K == 2 and r.kind == MONOTONE and not nu_ub.any()
-    c1, c2, rows = _binary_rows(Q, n_p) if binary else _general_rows(support, r, Q, nu_ub, n_p)
+    c1, c2, rows, *eq = _binary_rows(Q, n_p) if binary else _general_rows(support, r, Q, nu_ub, n_p)
+    e1, e2 = eq or (np.zeros((0, 0)), np.zeros((0, n_p)))
     return MomentSystem(
         c1=c1,
         c2=c2,
+        e1=e1,
+        e2=e2,
         p_hat=p_hat,
         sigma_hat=sigma,
         n_eff=cells.shape[0],
@@ -304,7 +299,8 @@ def _minmax_statistic(system: MomentSystem, p_vec, shift, sds, hard):
     """``min over omega of max over soft rows`` of the studentized moments.
 
     Soft row j contributes ``((C2 p)_j - shift_j - (C1 omega)_j) / sd_j``;
-    hard rows constrain omega.  Returns ``(t, omega)``: t is +inf when the
+    hard rows, the equalities ``E1 omega = E2 p`` and omega >= 0 constrain
+    omega.  Returns ``(t, omega)``: t is +inf when the
     hard rows are jointly infeasible at ``p_vec`` and -inf when the soft
     maximum is unbounded below; omega is the minimizer, None when t is not
     finite.
@@ -322,9 +318,11 @@ def _minmax_statistic(system: MomentSystem, p_vec, shift, sds, hard):
     # variables (omega, t); hard rows leave t out, soft row j carries -sd_j t
     lp = LinearProgram(
         objective=np.concatenate([np.zeros(system.n_omega), [1.0]]),
+        eq_matrix=np.hstack([system.e1, np.zeros((system.e1.shape[0], 1))]),
+        eq_rhs=system.e2 @ p_vec,
         ub_matrix=np.hstack([-system.c1, np.where(hard, 0.0, -sds)[:, None]]),
         ub_rhs=-mom,
-        bounds=tuple([(-np.inf, np.inf)] * (system.n_omega + 1)),
+        bounds=((0.0, np.inf),) * system.n_omega + ((-np.inf, np.inf),),
     )
     sol = solve_lp(lp)
     if sol.status == INFEASIBLE:
@@ -391,8 +389,8 @@ def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
 
     Each soft row is recentred at its sample value at the minimizing omega,
     so every soft moment binds (the least-favorable configuration); the
-    hard rows (nonnegativity, restriction and marginal matching) hold
-    exactly and keep their own right-hand sides.  Draw b resamples with
+    hard rows, the marginal-matching equalities and omega >= 0 hold exactly
+    and keep their own right-hand sides.  Draw b resamples with
     its own substream ``(seed, b)`` into row b of one (B, 2, K, Q) count
     array, which is then evaluated as one stack, and without nuisance
     coordinates as one array operation.
@@ -457,8 +455,10 @@ def _chisq_solution(system: MomentSystem):
 
     Whitens the deviation ``u = mu - p_hat`` with the ridge-regularized
     covariance so the QP is perfectly conditioned, then reads the active
-    rows off the solution.  df is the rank of the binding rows' gradients
-    in (p, omega) less that of their omega part.
+    rows off the solution: the binding inequality rows and every equality.
+    df is the rank of their gradients in (p, omega) less that of their
+    omega part, where a binding bound omega_i >= 0 counts as the row e_i,
+    i.e. removes column i from both.
     """
     sigma = system.sigma_hat + CHISQ_RIDGE * np.eye(system.p_hat.size)
     lam, U = np.linalg.eigh(sigma)
@@ -466,14 +466,16 @@ def _chisq_solution(system: MomentSystem):
     half = U @ np.diag(np.sqrt(lam))  # u = half @ w  =>  u'inv(sigma)u = w'w
     n_w = system.p_hat.size
     n = n_w + system.n_omega
-    # rows: C2 (p_hat + half w) - C1 omega <= 0
+    # C2 (p_hat + half w) - C1 omega <= 0 and E2 (p_hat + half w) - E1 omega = 0
     ub = np.hstack([system.c2 @ half, -system.c1])
     rhs = -(system.c2 @ system.p_hat)
     feas = LinearProgram(
         objective=np.zeros(n),
+        eq_matrix=np.hstack([system.e2 @ half, -system.e1]),
+        eq_rhs=-(system.e2 @ system.p_hat),
         ub_matrix=ub,
         ub_rhs=rhs,
-        bounds=tuple([(-np.inf, np.inf)] * n),
+        bounds=((-np.inf, np.inf),) * n_w + ((0.0, np.inf),) * system.n_omega,
     )
     Q = np.zeros((n, n))
     Q[:n_w, :n_w] = 2.0 * np.eye(n_w)
@@ -482,9 +484,11 @@ def _chisq_solution(system: MomentSystem):
         raise SolverFailureError(f"conditional chi-squared QP ended with status {sol.status}")
     statistic = system.n_eff * float(sol.value)
     resid = rhs - ub @ sol.point
-    active = np.nonzero(resid <= 1e-7 * (1.0 + np.abs(rhs)))[0]
-    grad = np.hstack([-system.c2[active], system.c1[active]])
-    df = int(np.linalg.matrix_rank(grad) - np.linalg.matrix_rank(system.c1[active]))
+    active = resid <= 1e-7 * (1.0 + np.abs(rhs))
+    off_bound = n_w + np.flatnonzero(sol.point[n_w:] > 1e-7)
+    grad = np.vstack([np.hstack([-system.c2[active], system.c1[active]]),
+                      np.hstack([-system.e2, system.e1])])[:, np.r_[:n_w, off_bound]]
+    df = int(np.linalg.matrix_rank(grad) - np.linalg.matrix_rank(grad[:, n_w:]))
     return statistic, max(df, 0)
 
 

@@ -13,9 +13,10 @@ implementation favors robustness and verifiable certificates over speed:
 * ``solve_qp`` is a primal active-set method for convex (PSD) objectives,
   started at a phase-1 vertex.  Its working set stays linearly
   independent, and one QR factorisation of the working-set rows is
-  updated by one row per step instead of being recomputed.  The optimum
-  is returned only after its KKT residuals have been checked, with a set
-  of binding rows and multipliers that certify it.
+  updated by one row per step instead of being recomputed; with equality
+  rows, each iterate is put back on the working rows through it.  The
+  optimum is returned only after its KKT residuals have been checked, with
+  a set of binding rows and multipliers that certify it.
 
 Inputs must be finite: a NaN or infinite entry in an objective, a matrix
 or a right-hand side raises ``StructuralError``; only bounds may be
@@ -419,7 +420,9 @@ def solve_lfp(numerator, denominator, feasible: LinearProgram) -> LpSolution:
     numerator, denominator : tuple
         Affine forms ``(coefficients, constant)``.
     feasible : LinearProgram
-        Only the constraint part is used; the objective is ignored.
+        Only the constraint part is used; the objective is ignored.  With
+        ``y = t x``, a zero bound of x is the same bound of y; every other
+        finite bound b becomes a row ``+-(y - b t) <= 0``.
 
     The denominator must be strictly positive everywhere on the feasible
     set (checked with an auxiliary LP; violations raise ``DomainError``).
@@ -435,7 +438,9 @@ def solve_lfp(numerator, denominator, feasible: LinearProgram) -> LpSolution:
         return denom_min
     if denom_min.status == UNBOUNDED or denom_min.value + dconst <= FEAS_TOL:
         raise DomainError("denominator is not strictly positive on the feasible set")
-    G, h = _feasible_set_rows(feasible)
+    zero = feasible.bounds == 0.0
+    G, h = _feasible_set_rows(replace(feasible, bounds=np.where(zero, [-np.inf, np.inf],
+                                                                 feasible.bounds)))
     neq = feasible.eq_matrix.shape[0]
     eq = np.zeros((neq + 1, n + 1))
     eq[:neq, :n] = feasible.eq_matrix
@@ -451,7 +456,7 @@ def solve_lfp(numerator, denominator, feasible: LinearProgram) -> LpSolution:
         eq_rhs=eq_rhs,
         ub_matrix=ub,
         ub_rhs=np.zeros(G.shape[0]),
-        bounds=tuple([(-np.inf, np.inf)] * n + [(0.0, np.inf)]),
+        bounds=np.vstack([np.where(zero, 0.0, [-np.inf, np.inf]), [0.0, np.inf]]),
     )
     sol = solve_lp(cc)
     if sol.status != OPTIMAL:
@@ -538,6 +543,12 @@ def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
     max_iter = 200 + 50 * (n + m)
     for _ in range(max_iter):
         k = neq + len(work)
+        if neq:
+            # a step keeps the working rows only up to rounding, which nearly
+            # dependent equalities magnify in x: put x back on them
+            resid = np.concatenate([feasible.eq_matrix[eq] @ x - feasible.eq_rhs[eq],
+                                    G[work] @ x - h[work]])
+            x = x - Qf[:, :k] @ solve_triangular(R[:k, :k], resid, trans="T")
         g = Q @ x + c
         Z = Qf[:, k:]
         ray = False

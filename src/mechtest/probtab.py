@@ -218,6 +218,7 @@ def read_csv(path) -> RecordSet:
                 raise StructuralError(f"{path}: mediator columns must be contiguous m1..mp, got {m_cols}")
             fields = {c: header.index(c) for c in ("y", "d", *m_cols, "z", "pscore") if c in header}
             parts = {c: [] for c in ("y", "d", "m", "cluster", "z", "pscore") if c in [*header, "m"]}
+            parts["m"].append(np.empty((0, len(m_cols))))  # a header-only file keeps p columns
             for ln in count(2, BLOCK_ROWS):
                 rows = []
                 try:

@@ -70,6 +70,8 @@ class RestrictionSet:
 
     Combined everywhere with the simplex (theta >= 0, marginals matching),
     so equality-to-zero restrictions are encoded as single ``<= 0`` rows.
+    ``matrix`` is the public statement; the LPs and moment systems read it
+    through :func:`share_polytope`, where such rows become pinned cells.
     """
 
     kind: str
@@ -88,39 +90,38 @@ class RestrictionSet:
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def _pins(cls, kind, cells, K):
+        """One ``theta_lk <= 0`` row per cell (l, k)."""
+        return cls(kind, np.eye(K * K)[[_flat(l, k, K) for l, k in cells]], np.zeros(len(cells)), K)
+
+    @classmethod
+    def _budget(cls, kind, cells, K, dbar, *params):
+        """Summed share of ``cells`` at most ``dbar``; ``params`` precede it
+        in the label."""
+        if not 0 <= dbar < np.inf:
+            raise StructuralError(f"defier budget must be finite and nonnegative, got {dbar}")
+        return cls(kind, _indicator_row(cells, K)[None, :], np.array([float(dbar)]), K,
+                   (*params, float(dbar)))
+
+    @classmethod
     def monotone(cls, support: MediatorSupport):
         """No defiers: theta_lk = 0 whenever m_l > m_k (scalar order)."""
-        cells = _defier_cells(support)
-        K = support.k
-        B = np.array([_indicator_row([c], K) for c in cells]).reshape(len(cells), K * K)
-        return cls(MONOTONE, B, np.zeros(len(cells)), K)
+        return cls._pins(MONOTONE, _defier_cells(support), support.k)
 
     @classmethod
     def defier_budget(cls, support: MediatorSupport, dbar: float):
         """Total defier share at most ``dbar``."""
-        if not 0 <= dbar < np.inf:
-            raise StructuralError(f"defier budget must be finite and nonnegative, got {dbar}")
-        K = support.k
-        row = _indicator_row(_defier_cells(support), K)
-        return cls(DEFIER_BUDGET, row[None, :], np.array([float(dbar)]), K, (float(dbar),))
+        return cls._budget(DEFIER_BUDGET, _defier_cells(support), support.k, dbar)
 
     @classmethod
     def elementwise_monotone(cls, support: MediatorSupport):
         """theta_lk = 0 unless every coordinate of m_l is <= that of m_k."""
-        K = support.k
-        cells = _non_elementwise_cells(support)
-        B = np.array([_indicator_row([c], K) for c in cells]).reshape(len(cells), K * K)
-        return cls(ELEMENTWISE, B, np.zeros(len(cells)), K)
+        return cls._pins(ELEMENTWISE, _non_elementwise_cells(support), support.k)
 
     @classmethod
     def elementwise_defier_budget(cls, support: MediatorSupport, dbar: float):
-        if not 0 <= dbar < np.inf:
-            raise StructuralError(f"defier budget must be finite and nonnegative, got {dbar}")
-        K = support.k
-        row = _indicator_row(_non_elementwise_cells(support), K)
-        return cls(
-            ELEMENTWISE_DEFIER_BUDGET, row[None, :], np.array([float(dbar)]), K, (float(dbar),)
-        )
+        return cls._budget(ELEMENTWISE_DEFIER_BUDGET, _non_elementwise_cells(support), support.k,
+                           dbar)
 
     @classmethod
     def partial_order_monotone(cls, support: MediatorSupport, leq):
@@ -129,9 +130,8 @@ class RestrictionSet:
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (K, K):
             raise StructuralError("comparison table must be K x K")
-        cells = [(l, k) for l in range(K) for k in range(K) if not leq[l, k] and l != k]
-        B = np.array([_indicator_row([c], K) for c in cells]).reshape(len(cells), K * K)
-        return cls(ELEMENTWISE, B, np.zeros(len(cells)), K)
+        return cls._pins(ELEMENTWISE, [(l, k) for l in range(K) for k in range(K)
+                                       if not leq[l, k] and l != k], K)
 
     @classmethod
     def bounded_effect(cls, support: MediatorSupport, kappa: float, dbar: float):
@@ -141,17 +141,8 @@ class RestrictionSet:
             raise StructuralError(
                 f"kappa and dbar must be finite and nonnegative, got {kappa} and {dbar}")
         K = support.k
-        cells = [
-            (l, k)
-            for l in range(K)
-            for k in range(K)
-            if support.distance(l, k) > kappa
-        ]
-        row = _indicator_row(cells, K)
-        return cls(
-            BOUNDED_EFFECT, row[None, :], np.array([float(dbar)]), K,
-            (float(kappa), float(dbar)),
-        )
+        cells = [(l, k) for l in range(K) for k in range(K) if support.distance(l, k) > kappa]
+        return cls._budget(BOUNDED_EFFECT, cells, K, dbar, float(kappa))
 
     @classmethod
     def unrestricted(cls, support: MediatorSupport):
@@ -167,9 +158,11 @@ class RestrictionSet:
 class IdentifiedSetSpec:
     """Linear description of the identified set for the type shares.
 
-    Equalities: row sums match the control-arm mediator marginal and column
-    sums match the treated-arm marginal.  Inequalities come from the
-    restriction set; theta >= 0 is handled through variable bounds.
+    ``eq_matrix`` / ``eq_rhs`` state, over all K^2 shares, that row sums
+    match the control-arm mediator marginal and column sums the treated-arm
+    marginal; ``restriction`` adds its rows.  The LPs of :meth:`lp` run over
+    :func:`share_polytope`'s free cells only, and :meth:`point` maps their
+    points back to the K^2 shares.
     """
 
     support: MediatorSupport
@@ -179,43 +172,70 @@ class IdentifiedSetSpec:
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     feasible: bool
-    farkas: np.ndarray = None
 
     @property
     def k(self):
         return self.support.k
 
+    def columns(self, n):
+        """Indices, among ``n`` = K^2 + extra columns, of the variables of
+        :meth:`lp`: the free cells, then the extra columns."""
+        free = share_polytope(self.support, self.restriction)[0]
+        return np.concatenate([free, np.arange(self.k**2, n)])
+
     def lp(self, objective, extra_ub=None, extra_ub_rhs=None, extra_bounds=()) -> LinearProgram:
         """LP over theta, then one trailing variable per ``extra_bounds``
-        pair, with the identified-set constraints baked in; ``extra_ub``
-        rows span all the variables."""
+        pair, with the identified-set constraints baked in.  ``objective``
+        and the ``extra_ub`` rows span all K^2 + len(extra_bounds) columns;
+        the program keeps those of :meth:`columns`, and :meth:`point` maps
+        its points back."""
+        _, eq, ub, rhs = share_polytope(self.support, self.restriction)
         pad = len(extra_bounds)
-        ub = np.hstack([self.restriction.matrix, np.zeros((self.restriction.matrix.shape[0], pad))])
-        rhs = self.restriction.rhs
+        cols = self.columns(self.k**2 + pad)
+        ub = np.hstack([ub, np.zeros((ub.shape[0], pad))])
         if extra_ub is not None:
-            ub = np.vstack([ub, extra_ub])
+            ub = np.vstack([ub, np.asarray(extra_ub, dtype=float)[:, cols]])
             rhs = np.concatenate([rhs, extra_ub_rhs])
         return LinearProgram(
-            objective=objective,
-            eq_matrix=np.hstack([self.eq_matrix, np.zeros((self.eq_matrix.shape[0], pad))]),
+            objective=np.asarray(objective, dtype=float)[cols],
+            eq_matrix=np.hstack([eq, np.zeros((eq.shape[0], pad))]),
             eq_rhs=self.eq_rhs,
             ub_matrix=ub,
             ub_rhs=rhs,
-            bounds=((0.0, np.inf),) * self.k**2 + tuple(extra_bounds),
+            bounds=((0.0, np.inf),) * (cols.size - pad) + tuple(extra_bounds),
         )
+
+    def point(self, x):
+        """A point of an :meth:`lp` program over all K^2 shares (pinned
+        cells at zero), followed by its extra variables."""
+        out = np.zeros(x.size + self.k**2 - self.columns(self.k**2).size)
+        out[self.columns(out.size)] = x
+        return out
 
 
 def marginal_equalities(support: MediatorSupport, p0, p1):
     K = support.k
+    cells = np.arange(K * K).reshape(K, K)
     A = np.zeros((2 * K, K * K))
-    b = np.empty(2 * K)
-    for k in range(K):
-        for l in range(K):
-            A[k, _flat(k, l, K)] = 1.0  # row sums: M(0) marginal
-            A[K + k, _flat(l, k, K)] = 1.0  # column sums: M(1) marginal
-        b[k] = p0[k]
-        b[K + k] = p1[k]
-    return A, b
+    A[np.arange(K)[:, None], cells] = 1.0  # row sums: M(0) marginal
+    A[np.arange(K, 2 * K)[:, None], cells.T] = 1.0  # column sums: M(1) marginal
+    return A, np.concatenate([p0, p1])
+
+
+def share_polytope(support: MediatorSupport, r: RestrictionSet):
+    """``(free, eq_matrix, ub_matrix, ub_rhs)``: the type-share polytope
+    ``{theta >= 0 : eq_matrix theta = (p0, p1), ub_matrix theta <= ub_rhs}``
+    over the flat cells ``free`` that ``r`` does not pin at zero.
+
+    A row with nonnegative coefficients and rhs 0 holds, as theta >= 0,
+    only with its positive cells at zero: it pins them and is dropped.
+    ``eq_matrix`` holds the control-arm row sums, then the column sums.
+    """
+    K = support.k
+    pins = (r.matrix >= 0).all(axis=1) & (r.rhs == 0)
+    free = np.flatnonzero(~(r.matrix[pins] > 0).any(axis=0))
+    eq, _ = marginal_equalities(support, np.zeros(K), np.zeros(K))
+    return free, eq[:, free], r.matrix[~pins][:, free], r.rhs[~pins]
 
 
 def build_identified_set(table: DistTable, r: RestrictionSet) -> IdentifiedSetSpec:
@@ -233,7 +253,7 @@ def build_identified_set(table: DistTable, r: RestrictionSet) -> IdentifiedSetSp
     A, b = marginal_equalities(support, p0, p1)
     spec = IdentifiedSetSpec(support, p0, p1, r, A, b, feasible=False)
     probe = solve_lp(spec.lp(np.zeros(support.k**2)))
-    return replace(spec, feasible=probe.status == OPTIMAL, farkas=probe.farkas)
+    return replace(spec, feasible=probe.status == OPTIMAL)
 
 
 def min_defier_budget(spec: IdentifiedSetSpec) -> float:

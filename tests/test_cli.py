@@ -398,6 +398,14 @@ def test_missing_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "test", "robustness", "ade", "diagnose"])
+def test_directory_input_is_an_input_error(command, tmp_path, capsys):
+    code, payload = run_cli([command, "--input", str(tmp_path), "--out", str(tmp_path / "o")],
+                            capsys)
+    assert code == 2
+    assert payload["error"] == "IsADirectoryError" and payload["exit_code"] == 2
+
+
 def test_lf_simulate_rejects_only_with_p_at_most_alpha(tmp_path, capsys):
     # with 20 clusters per arm the bootstrap draws tie with the statistic up
     # to rounding; replicate 4 of this run is such a tie

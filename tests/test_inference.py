@@ -54,29 +54,10 @@ def test_binary_monotone_special_case_shape():
     assert system.p_hat.size == 2 * 2 * 2 + 2 * 2
 
 
-def test_general_system_dimensions():
-    rng = np.random.default_rng(1)
-    n = 3000
-    rec = RecordSet(
-        y=rng.integers(0, 5, n).astype(float),
-        m=rng.integers(0, 3, n).astype(float),
-        d=rng.integers(0, 2, n),
-    )
-    r = RestrictionSet.monotone(support_from_values(rec.m))
-    system = build(rec, r)
-    K, Q = 3, 5
-    assert system.n_omega == K * K + K * Q  # 24 columns
-    n_restriction_rows = r.matrix.shape[0] + K * K  # order pins + share nonneg
-    assert system.n_rows == K * (1 + 2 * Q) + 4 * K + n_restriction_rows
-    kinds = {row.kind for row in system.rows}
-    assert {"budget", "gap", "delta_nonneg", "restriction", "theta_nonneg"} <= kinds
-    hard_kinds = {row.kind for row in system.rows if row.hard}
-    assert "match_m0_lo" in hard_kinds and "match_m1_hi" in hard_kinds
-
-
 def loop_rows(support, r, Q, nu_ub):
-    """Row-by-row construction of the general moment system, the
-    reference for the block builder: ``(c1, c2, rows)``."""
+    """Row-by-row construction of the general moment system in row form,
+    with sign rows, restriction rows and paired marginal matches over
+    omega = (all K^2 type shares, delta): ``(c1, c2, rows)``."""
     K = support.k
     n_theta, n_p = K * K, 2 * K * Q + 2 * K
     n_omega = n_theta + K * Q
@@ -123,27 +104,78 @@ def loop_rows(support, r, Q, nu_ub):
     return np.array(c1_rows), np.array(c2_rows), tuple(rows)
 
 
-def test_block_built_rows_equal_row_by_row_reference():
+def row_form(system, support, r, nu_ub):
+    """``system`` restated in row form: the reference for the compact one."""
+    c1, c2, rows = loop_rows(support, r, system.n_outcomes, nu_ub)
+    return dataclasses.replace(system, c1=c1, c2=c2, rows=rows, e1=np.zeros((0, c1.shape[1])),
+                               e2=np.zeros((0, c2.shape[1])))
+
+
+def restriction_kinds(support, rng):
+    K = support.k
+    custom = np.zeros((3, K * K))
+    off = rng.permutation([i for i in range(K * K) if i // K != i % K])
+    custom[0, off[0]] = 1.0  # a pin
+    custom[1, [off[-1], 0]] = 1.0, -1.0  # an order between two cells
+    custom[2, off[1:]] = 1.0  # a budget
+    kinds = [RestrictionSet.unrestricted(support),
+             RestrictionSet.custom(support, custom, [0.0, 0.0, 0.1])]
+    if support.totally_ordered:
+        return kinds + [RestrictionSet.monotone(support),
+                        RestrictionSet.defier_budget(support, 0.1),
+                        RestrictionSet.defier_budget(support, 0.0),
+                        RestrictionSet.bounded_effect(support, 1, 0.05),
+                        RestrictionSet.bounded_effect(support, 1, 0.0)]
+    leq = np.eye(K, dtype=bool) | (rng.random((K, K)) < 0.3)
+    return kinds + [RestrictionSet.elementwise_monotone(support),
+                    RestrictionSet.elementwise_defier_budget(support, 0.05),
+                    RestrictionSet.partial_order_monotone(support, leq)]
+
+
+def test_compact_system_matches_the_row_form_reference():
+    """Pinned cells, sign bounds and marginal equalities give the row-form
+    system's min-max value (HiGHS as referee), chi-squared statistic and df."""
     rng = np.random.default_rng(5)
-    for trial in range(40):
+    general = 0
+    for trial in range(48):
         K, Q, n = int(rng.integers(2, 6)), int(rng.integers(1, 5)), 400
         if trial % 4 == 3:  # 2-D mediator
             m = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 2, n)]).astype(float)
         else:
             m = rng.integers(0, K, n).astype(float)
-        rec = RecordSet(y=rng.integers(0, Q, n).astype(float), m=m, d=rng.integers(0, 2, n))
+        d = rng.integers(0, 2, n)
+        y = rng.integers(0, Q, n) + (d == 1) * (rng.random(n) < 0.3 * (trial % 2))
+        rec = RecordSet(y=y.astype(float), m=m, d=d)
         support = support_from_values(rec.m)
-        if support.totally_ordered:
-            r = (RestrictionSet.defier_budget(support, 0.1), RestrictionSet.unrestricted(support),
-                 RestrictionSet.bounded_effect(support, 1, 0.05))[trial % 3]
-        else:
-            r = RestrictionSet.elementwise_defier_budget(support, 0.05)
-        nu_ub = rng.uniform(0.0, 1.0, support.k) * (trial % 2)
+        kinds = restriction_kinds(support, rng)
+        r = kinds[trial % len(kinds)]
+        nu_ub = rng.uniform(0.0, 1.0, support.k) * (trial % 3 != 0)
         system = build(rec, r, nu_ub=nu_ub)
-        c1, c2, rows = loop_rows(support, r, system.n_outcomes, nu_ub)
-        assert system.rows == rows
-        assert system.c1.tobytes() == c1.tobytes() and system.c1.shape == c1.shape
-        assert system.c2.tobytes() == c2.tobytes() and system.c2.shape == c2.shape
+        if system.n_omega == 0:  # the nuisance-free binary system
+            continue
+        general += 1
+        K, Q = support.k, system.n_outcomes
+        reference = row_form(system, support, r, nu_ub)
+        assert {row.kind for row in system.rows} <= {"budget", "gap", "restriction"}
+        assert system.e1.shape == (2 * K, system.n_omega) and reference.n_omega == K * K + K * Q
+        assert system.n_rows == K * (1 + Q) + sum(row.kind == "restriction" for row in system.rows)
+        values = []
+        for sys_ in (system, reference):
+            sds, hard = sys_.moment_sds(), sys_.hard_mask()
+            zero = np.zeros(sys_.n_rows)
+            values.append(_minmax_statistic(sys_, sys_.p_hat, zero, sds, hard)[0])
+        sds, hard = reference.moment_sds(), reference.hard_mask()
+        ref = highs_minmax(reference, reference.p_hat, np.zeros(reference.n_rows), sds, hard)
+        assert_allclose(values, ref, rtol=1e-9, atol=1e-9)
+        compact = test_conditional_chisq(system, 0.05)
+        rows = test_conditional_chisq(reference, 0.05)
+        # the row form has no equality rows, so its QP walks back from a
+        # phase-1 vertex far out along the covariance ridge without being
+        # put back on its working rows: it meets the optimum of its binding
+        # face only to about 1e-8 (zero statistics to a few 1e-9)
+        assert compact.statistic == pytest.approx(rows.statistic, rel=1e-8, abs=1e-8)
+        assert compact.df == rows.df
+    assert general >= 40
 
 
 def test_h0_form_is_exact():
@@ -165,6 +197,7 @@ def test_h0_form_is_exact():
     omega = np.concatenate([theta, delta])
     vals = system.c1 @ omega - system.c2 @ system.p_hat
     assert vals.min() > -1e-12
+    assert_allclose(system.e1 @ omega, system.e2 @ system.p_hat, atol=1e-12)
 
 
 def test_nu_ub_one_trivially_satisfiable():
@@ -288,6 +321,8 @@ def synthetic_system(p_hat, sigma, n_eff):
     return MomentSystem(
         c1=np.zeros((1, 0)),
         c2=np.array([[1.0]]),
+        e1=np.zeros((0, 0)),
+        e2=np.zeros((0, 1)),
         p_hat=np.atleast_1d(p_hat).astype(float),
         sigma_hat=np.atleast_2d(sigma).astype(float),
         n_eff=n_eff,
@@ -428,8 +463,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def highs_minmax(system, p_vec, shift, sds, hard):
-    """``min t`` over free (omega, t) with hard rows ``C2 p - shift - C1 omega
-    <= 0`` and soft rows ``<= sd t``, solved by HiGHS."""
+    """``min t`` over omega >= 0 and free t with hard rows ``C2 p - shift -
+    C1 omega <= 0``, soft rows ``<= sd t`` and ``E1 omega = E2 p``, solved by
+    HiGHS."""
     mom = system.c2 @ p_vec - shift
     soft = ~hard
     a_ub = np.vstack([np.hstack([-system.c1[soft], -sds[soft, None]]),
@@ -438,9 +474,13 @@ def highs_minmax(system, p_vec, shift, sds, hard):
         np.r_[np.zeros(system.n_omega), 1.0],
         A_ub=a_ub,
         b_ub=np.r_[-mom[soft], -mom[hard]],
-        bounds=[(None, None)] * (system.n_omega + 1),
+        A_eq=np.hstack([system.e1, np.zeros((system.e1.shape[0], 1))]),
+        b_eq=system.e2 @ p_vec,
+        bounds=[(0, None)] * system.n_omega + [(None, None)],
         method="highs",
     )
+    if res.status == 2:
+        return np.inf
     assert res.status == 0
     return res.fun
 

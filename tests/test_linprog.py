@@ -257,6 +257,51 @@ def test_lfp_matches_grid_search():
         assert abs(ratio - sol.value) < 1e-8
 
 
+def test_lfp_zero_bounds_stay_bounds_and_match_highs():
+    """Charnes-Cooper keeps a zero bound as a bound of y = t x; the value
+    matches HiGHS on the textbook form, where every finite bound is a row."""
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n, me, mu = int(rng.integers(2, 6)), int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        a, b, zero = rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, n), np.zeros(n)
+        kinds = rng.integers(0, 4, n)  # (0, b), (-a, 0), (-a, b), (0, 0)
+        lo, hi = np.choose(kinds, [zero, -a, -a, zero]), np.choose(kinds, [b, zero, b, zero])
+        x0 = rng.uniform(lo, hi)
+        Ae, Au = rng.normal(size=(me, n)), rng.normal(size=(mu, n))
+        be, bu = Ae @ x0, Au @ x0 + rng.uniform(0.0, 1.0, mu)
+        num = rng.normal(size=n), float(rng.normal())
+        den = rng.normal(size=n), 0.0
+        den = den[0], 1.0 + np.abs(den[0]) @ np.maximum(np.abs(lo), np.abs(hi))
+        feas = LinearProgram(objective=np.zeros(n), eq_matrix=Ae, eq_rhs=be, ub_matrix=Au,
+                             ub_rhs=bu, bounds=list(zip(lo, hi)))
+        sol = solve_lfp(num, den, feas)
+        assert sol.status == OPTIMAL
+        finite = np.r_[hi[hi != 0.0], lo[lo != 0.0]]
+        fixed = np.count_nonzero((lo == 0.0) & (hi == 0.0))
+        assert sol.standard.matrix.shape[0] == me + 1 + mu + finite.size + fixed
+        # the textbook Charnes-Cooper LP over (y, t)
+        eye = np.eye(n)
+        g = np.vstack([Au, eye[hi != 0.0], -eye[lo != 0.0]])
+        h = np.r_[bu, finite * np.r_[np.ones((hi != 0.0).sum()), -np.ones((lo != 0.0).sum())]]
+        ref = scipy_linprog(
+            np.r_[num[0], num[1]],
+            A_ub=np.hstack([g, -h[:, None]]), b_ub=np.zeros(g.shape[0]),
+            A_eq=np.vstack([np.hstack([Ae, -be[:, None]]), np.r_[den[0], den[1]]]),
+            b_eq=np.r_[np.zeros(me), 1.0],
+            bounds=[(0.0 if l == 0.0 else None, 0.0 if u == 0.0 else None)
+                    for l, u in zip(lo, hi)] + [(0.0, None)],
+            method="highs",
+        )
+        assert ref.status == 0
+        assert abs(sol.value - ref.fun) < 1e-7
+        x = sol.point
+        assert (x >= lo - 1e-9).all() and (x <= hi + 1e-9).all()
+        assert abs((num[0] @ x + num[1]) / (den[0] @ x + den[1]) - sol.value) < 1e-8
+        sf = sol.standard
+        assert (sf.cost - sol.dual @ sf.matrix).min() > -1e-8
+        assert abs(sol.dual @ sf.rhs - (sol.value - sf.offset)) < 1e-8
+
+
 # -- quadratic programs ----------------------------------------------------
 
 

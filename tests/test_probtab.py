@@ -363,7 +363,7 @@ def _reference_read_csv(path):
     try:
         return RecordSet(
             y=np.array(rows_y),
-            m=np.array(rows_m),
+            m=np.array(rows_m).reshape(-1, len(m_cols)),
             d=np.array(rows_d),
             cluster=np.array(rows_c) if has_cluster else None,
             z=np.array(rows_z) if has_z else None,
@@ -484,6 +484,13 @@ def test_read_csv_matches_the_row_by_row_reference(block, tmp_path, monkeypatch)
         path = tmp_path / f"{name}.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path), name
+
+
+def test_read_csv_header_only_keeps_the_mediator_columns(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("y,d,m1,m2\n", encoding="utf-8")
+    rec = read_csv(path)
+    assert rec.m.shape == (0, 2) and rec.mediator_dim == 2
 
 
 @pytest.mark.parametrize("lines, where", [

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog as scipy_linprog
 
-from conftest import make_table
+from conftest import make_table, random_table
 from mechtest.errors import IdentificationError, StructuralError, UnsupportedCaseError
 from mechtest.probtab import support_from_values
 from mechtest.typeshares import (
@@ -12,9 +13,11 @@ from mechtest.typeshares import (
     joint_theta_min_exists,
     max_type_share,
     min_defier_budget,
+    share_polytope,
     theta_in_identified_set,
     theta_kk_min,
 )
+from mechtest.linprog import OPTIMAL, INFEASIBLE, solve_lp
 
 
 def table_from_marginals(p0, p1):
@@ -224,3 +227,82 @@ def test_restriction_support_size_mismatch():
     table = table_from_marginals([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
     with pytest.raises(StructuralError):
         build_identified_set(table, RestrictionSet.monotone(sup2))
+
+
+def pinned(support, r):
+    free = share_polytope(support, r)[0]
+    K = support.k
+    return {(int(i) // K, int(i) % K) for i in np.setdiff1d(np.arange(K * K), free)}
+
+
+def test_pins_are_the_cells_each_constructor_zeroes():
+    sup = support_from_values([0.0, 1.0, 2.0, 3.0])
+    defiers = {(l, k) for l in range(4) for k in range(4) if l > k}
+    far = {(l, k) for l in range(4) for k in range(4) if abs(l - k) > 1}
+    assert pinned(sup, RestrictionSet.monotone(sup)) == defiers
+    assert pinned(sup, RestrictionSet.defier_budget(sup, 0.0)) == defiers
+    assert pinned(sup, RestrictionSet.defier_budget(sup, 0.1)) == set()
+    assert pinned(sup, RestrictionSet.bounded_effect(sup, 1.0, 0.0)) == far
+    assert pinned(sup, RestrictionSet.bounded_effect(sup, 1.0, 0.1)) == set()
+    assert pinned(sup, RestrictionSet.unrestricted(sup)) == set()
+    vec = support_from_values(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]))
+    below = {(l, k) for l in range(4) for k in range(4) if not vec.elementwise_leq(l, k)}
+    assert pinned(vec, RestrictionSet.elementwise_monotone(vec)) == below
+    assert pinned(vec, RestrictionSet.elementwise_defier_budget(vec, 0.0)) == below
+    leq = np.eye(4, dtype=bool)
+    leq[0, 1] = leq[2, 3] = True
+    order = {(l, k) for l in range(4) for k in range(4) if not leq[l, k]}
+    assert pinned(vec, RestrictionSet.partial_order_monotone(vec, leq)) == order
+    # a custom theta_lk <= 0 row pins its cell; a row with a negative
+    # coefficient or a positive rhs pins nothing
+    rows = np.zeros((3, 16))
+    rows[0, 1 * 4 + 2] = 1.0
+    rows[1, [0, 5]] = 1.0, -1.0
+    rows[2, 7] = 1.0
+    r = RestrictionSet.custom(vec, rows, [0.0, 0.0, 0.2])
+    free, eq, ub, rhs = share_polytope(vec, r)
+    assert pinned(vec, r) == {(1, 2)}
+    assert ub.shape == (2, 15) and rhs.tolist() == [0.0, 0.2] and eq.shape == (8, 15)
+
+
+def test_identified_set_lps_match_highs_on_the_full_share_space():
+    """The LPs over the free cells, with a trailing variable and extra rows,
+    solve the K^2 programs HiGHS solves with every restriction row."""
+    rng = np.random.default_rng(17)
+    statuses = set()
+    for trial in range(80):
+        table = random_table(rng, monotone_theta=trial % 2 == 0)
+        K, sup = table.n_mediators, table.support
+        pins = np.zeros((2, K * K))
+        pins[0, rng.integers(K * K)] = 1.0
+        pins[1, rng.integers(K * K, size=2)] = 1.0
+        r = [RestrictionSet.monotone(sup), RestrictionSet.defier_budget(sup, 0.0),
+             RestrictionSet.bounded_effect(sup, 1.0, 0.05),
+             RestrictionSet.custom(sup, pins, [0.0, 0.1])][trial % 4]
+        spec = build_identified_set(table, r)
+        # min c'theta + s over s >= theta_kk - b_k for two cells (l, l)
+        ks = rng.integers(K, size=2)
+        extra = np.zeros((2, K * K + 1))
+        extra[[0, 1], ks * (K + 1)] = 1.0
+        extra[:, -1] = -1.0
+        b = rng.uniform(0.0, 0.3, 2)
+        c = np.r_[rng.normal(size=K * K), 1.0]
+        sol = solve_lp(spec.lp(c, extra, b, extra_bounds=((-np.inf, np.inf),)))
+        ref = scipy_linprog(c, A_ub=np.vstack([np.hstack([r.matrix, np.zeros((len(r.rhs), 1))]),
+                                               extra]),
+                            b_ub=np.r_[r.rhs, b], A_eq=np.hstack([spec.eq_matrix, np.zeros((2 * K, 1))]),
+                            b_eq=spec.eq_rhs, bounds=[(0, None)] * K * K + [(None, None)],
+                            method="highs")
+        statuses.add(ref.status)
+        assert spec.feasible == (ref.status == 0)
+        if ref.status == 2:
+            assert sol.status == INFEASIBLE
+            continue
+        assert sol.status == OPTIMAL and abs(sol.value - ref.fun) < 1e-9
+        point = spec.point(sol.point)
+        assert point.shape == (K * K + 1,) and abs(c @ point - sol.value) < 1e-9
+        assert theta_in_identified_set(spec, point[: K * K].reshape(K, K))
+        sf = sol.standard
+        assert (sf.cost - sol.dual @ sf.matrix).min() > -1e-8
+        assert abs(sol.dual @ sf.rhs - (sol.value - sf.offset)) < 1e-8
+    assert statuses == {0, 2}
