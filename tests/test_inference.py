@@ -54,6 +54,32 @@ def test_binary_monotone_special_case_shape():
     assert system.p_hat.size == 2 * 2 * 2 + 2 * 2
 
 
+def test_general_system_dimensions():
+    rng = np.random.default_rng(1)
+    n = 3000
+    rec = RecordSet(
+        y=rng.integers(0, 5, n).astype(float),
+        m=rng.integers(0, 3, n).astype(float),
+        d=rng.integers(0, 2, n),
+    )
+    support = support_from_values(rec.m)
+    K, Q = 3, 5
+    # monotone: every restriction row pins a below-diagonal share at zero
+    system = build(rec, RestrictionSet.monotone(support))
+    assert system.n_omega == K * (K + 1) // 2 + K * Q  # 21 columns
+    assert system.n_rows == K * (1 + Q)
+    assert system.e1.shape == (2 * K, system.n_omega) and system.e2.shape == (2 * K, system.p_hat.size)
+    assert {row.kind for row in system.rows} == {"budget", "gap"}
+    assert not system.hard_mask().any()
+    # a positive defier budget pins nothing: all K^2 shares, one hard budget row
+    system = build(rec, RestrictionSet.defier_budget(support, 0.1))
+    assert system.n_omega == K * K + K * Q  # 24 columns
+    assert system.n_rows == K * (1 + Q) + 1
+    assert system.e1.shape == (2 * K, system.n_omega)
+    hard_kinds = {row.kind for row in system.rows if row.hard}
+    assert hard_kinds == {"restriction"}
+
+
 def loop_rows(support, r, Q, nu_ub):
     """Row-by-row construction of the general moment system in row form,
     with sign rows, restriction rows and paired marginal matches over
@@ -130,6 +156,51 @@ def restriction_kinds(support, rng):
     return kinds + [RestrictionSet.elementwise_monotone(support),
                     RestrictionSet.elementwise_defier_budget(support, 0.05),
                     RestrictionSet.partial_order_monotone(support, leq)]
+
+
+def test_block_built_rows_equal_row_by_row_reference():
+    """The compact system is the row-by-row reference with its sign rows,
+    pin rows and upper marginal matches dropped and the pinned share
+    columns removed; its equalities are the lower marginal matches."""
+    rng = np.random.default_rng(5)
+    general, with_pins, with_restrictions = 0, 0, 0
+    for trial in range(40):
+        K, Q, n = int(rng.integers(2, 6)), int(rng.integers(1, 5)), 400
+        if trial % 4 == 3:  # 2-D mediator
+            m = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 2, n)]).astype(float)
+        else:
+            m = rng.integers(0, K, n).astype(float)
+        rec = RecordSet(y=rng.integers(0, Q, n).astype(float), m=m, d=rng.integers(0, 2, n))
+        support = support_from_values(rec.m)
+        kinds = restriction_kinds(support, rng)
+        r = kinds[trial % len(kinds)]
+        nu_ub = rng.uniform(0.0, 1.0, support.k) * (trial % 2)
+        system = build(rec, r, nu_ub=nu_ub)
+        if system.n_omega == 0:  # the nuisance-free binary system
+            continue
+        K, Q = support.k, system.n_outcomes
+        c1, c2, rows = loop_rows(support, r, Q, nu_ub)
+        pin = (r.matrix >= 0).all(axis=1) & (r.rhs == 0)
+        pinned = (r.matrix[pin] > 0).any(axis=0)
+        cols = np.concatenate([np.flatnonzero(~pinned), K * K + np.arange(K * Q)])
+        restr = iter(pin)
+        keep = [row.kind in ("budget", "gap") or (row.kind == "restriction" and not next(restr))
+                for row in rows]
+        kept = [row for row, k in zip(rows, keep) if k]
+        n_gen = K * (1 + Q)  # the kept restriction rows are numbered afresh
+        assert system.rows == tuple(kept[:n_gen]) + tuple(
+            dataclasses.replace(row, k=j) for j, row in enumerate(kept[n_gen:]))
+        assert system.c1.tobytes() == c1[keep][:, cols].tobytes()
+        assert system.c1.shape == (sum(keep), cols.size)
+        assert system.c2.tobytes() == c2[keep].tobytes() and system.c2.shape == c2[keep].shape
+        lo = np.flatnonzero([row.kind.endswith("_lo") for row in rows])  # (k, arm) order
+        lo = np.r_[lo[0::2], lo[1::2]]  # control-arm row sums first
+        assert system.e1.tobytes() == c1[lo][:, cols].tobytes()
+        assert system.e2.tobytes() == c2[lo].tobytes()
+        general += 1
+        with_pins += bool(pinned.any())
+        with_restrictions += len(kept) > n_gen
+    assert general == 40 and with_pins >= 20 and with_restrictions >= 15
 
 
 def test_compact_system_matches_the_row_form_reference():
