@@ -188,7 +188,7 @@ def _binary_rows(Q, n_p):
     c2[qs, 1, Q + qs] = -1.0
     rows = [MomentRow(kind, k=k, q=q) for q in range(Q)
             for k, kind in ((0, "gap_low"), (1, "gap_high"))]
-    return np.zeros((2 * Q, 0)), c2.reshape(2 * Q, n_p), rows
+    return np.zeros((2 * Q, 0)), c2.reshape(2 * Q, n_p), rows, np.zeros((0, 0)), np.zeros((0, n_p))
 
 
 def _general_rows(support, r: RestrictionSet, Q, nu_ub, n_p):
@@ -278,8 +278,8 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
     if nu_ub.min() < 0 or nu_ub.max() > 1:
         raise StructuralError("nu_ub must lie in [0, 1]")
     binary = K == 2 and r.kind == MONOTONE and not nu_ub.any()
-    c1, c2, rows, *eq = _binary_rows(Q, n_p) if binary else _general_rows(support, r, Q, nu_ub, n_p)
-    e1, e2 = eq or (np.zeros((0, 0)), np.zeros((0, n_p)))
+    c1, c2, rows, e1, e2 = (_binary_rows(Q, n_p) if binary
+                            else _general_rows(support, r, Q, nu_ub, n_p))
     return MomentSystem(
         c1=c1,
         c2=c2,

@@ -13,8 +13,8 @@ implementation favors robustness and verifiable certificates over speed:
 * ``solve_qp`` is a primal active-set method for convex (PSD) objectives,
   started at a phase-1 vertex.  Its working set stays linearly
   independent, and one QR factorisation of the working-set rows is
-  updated by one row per step instead of being recomputed; with equality
-  rows, each iterate is put back on the working rows through it.  The
+  updated by one row per step instead of being recomputed; each iterate
+  is put back on the working rows through it.  The
   optimum is returned only after its KKT residuals have been checked, with
   a set of binding rows and multipliers that certify it.
 
@@ -441,20 +441,12 @@ def solve_lfp(numerator, denominator, feasible: LinearProgram) -> LpSolution:
     zero = feasible.bounds == 0.0
     G, h = _feasible_set_rows(replace(feasible, bounds=np.where(zero, [-np.inf, np.inf],
                                                                  feasible.bounds)))
-    neq = feasible.eq_matrix.shape[0]
-    eq = np.zeros((neq + 1, n + 1))
-    eq[:neq, :n] = feasible.eq_matrix
-    eq[:neq, n] = -feasible.eq_rhs
-    eq[neq, :n] = dcoef
-    eq[neq, n] = dconst
-    eq_rhs = np.zeros(neq + 1)
-    eq_rhs[neq] = 1.0
-    ub = np.hstack([G, -h[:, None]])
+    # (y, t): A y = b t, d'y + d0 t = 1, G y <= h t
     cc = LinearProgram(
         objective=np.append(ncoef, nconst),
-        eq_matrix=eq,
-        eq_rhs=eq_rhs,
-        ub_matrix=ub,
+        eq_matrix=np.block([[feasible.eq_matrix, -feasible.eq_rhs[:, None]], [dcoef, dconst]]),
+        eq_rhs=np.append(np.zeros(feasible.eq_matrix.shape[0]), 1.0),
+        ub_matrix=np.hstack([G, -h[:, None]]),
         ub_rhs=np.zeros(G.shape[0]),
         bounds=np.vstack([np.where(zero, 0.0, [-np.inf, np.inf]), [0.0, np.inf]]),
     )
@@ -533,22 +525,21 @@ def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
     row_norm = np.linalg.norm(G, axis=1)
     x = start.point.copy()
     eq = _independent_rows(feasible.eq_matrix, np.eye(n))
-    Qf, R = qr(feasible.eq_matrix[eq].T)
+    A_eq, b_eq = feasible.eq_matrix[eq], feasible.eq_rhs[eq]
+    Qf, R = qr(A_eq.T)
     neq = len(eq)
     binding = np.nonzero(h - G @ x <= 1e-9)[0]
     # ``work`` lists the working inequality rows in the column order of R.
     work = [int(binding[i]) for i in _independent_rows(G[binding], Qf[:, neq:])]
-    Qf, R = qr(np.vstack([feasible.eq_matrix[eq], G[work]]).T)
+    Qf, R = qr(np.vstack([A_eq, G[work]]).T)
     scale = max(1.0, np.abs(Q).max(), np.abs(c).max())
     max_iter = 200 + 50 * (n + m)
     for _ in range(max_iter):
         k = neq + len(work)
-        if neq:
-            # a step keeps the working rows only up to rounding, which nearly
-            # dependent equalities magnify in x: put x back on them
-            resid = np.concatenate([feasible.eq_matrix[eq] @ x - feasible.eq_rhs[eq],
-                                    G[work] @ x - h[work]])
-            x = x - Qf[:, :k] @ solve_triangular(R[:k, :k], resid, trans="T")
+        # a step keeps the working rows only up to rounding, which nearly
+        # dependent rows magnify in x: put x back on them
+        resid = np.concatenate([A_eq @ x - b_eq, G[work] @ x - h[work]])
+        x = x - Qf[:, :k] @ solve_triangular(R[:k, :k], resid, trans="T", check_finite=False)
         g = Q @ x + c
         Z = Qf[:, k:]
         ray = False

@@ -160,9 +160,10 @@ class IdentifiedSetSpec:
 
     ``eq_matrix`` / ``eq_rhs`` state, over all K^2 shares, that row sums
     match the control-arm mediator marginal and column sums the treated-arm
-    marginal; ``restriction`` adds its rows.  The LPs of :meth:`lp` run over
-    :func:`share_polytope`'s free cells only, and :meth:`point` maps their
-    points back to the K^2 shares.
+    marginal; ``restriction`` adds its rows.  ``polytope`` is the
+    restriction's :func:`share_polytope`: the LPs of :meth:`lp` run over
+    its free cells only, and :meth:`point` maps their points back to the
+    K^2 shares.
     """
 
     support: MediatorSupport
@@ -171,6 +172,7 @@ class IdentifiedSetSpec:
     restriction: RestrictionSet
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
+    polytope: tuple
     feasible: bool
 
     @property
@@ -180,8 +182,7 @@ class IdentifiedSetSpec:
     def columns(self, n):
         """Indices, among ``n`` = K^2 + extra columns, of the variables of
         :meth:`lp`: the free cells, then the extra columns."""
-        free = share_polytope(self.support, self.restriction)[0]
-        return np.concatenate([free, np.arange(self.k**2, n)])
+        return np.r_[self.polytope[0], self.k**2:n]
 
     def lp(self, objective, extra_ub=None, extra_ub_rhs=None, extra_bounds=()) -> LinearProgram:
         """LP over theta, then one trailing variable per ``extra_bounds``
@@ -189,7 +190,7 @@ class IdentifiedSetSpec:
         and the ``extra_ub`` rows span all K^2 + len(extra_bounds) columns;
         the program keeps those of :meth:`columns`, and :meth:`point` maps
         its points back."""
-        _, eq, ub, rhs = share_polytope(self.support, self.restriction)
+        free, eq, ub, rhs = self.polytope
         pad = len(extra_bounds)
         cols = self.columns(self.k**2 + pad)
         ub = np.hstack([ub, np.zeros((ub.shape[0], pad))])
@@ -202,13 +203,13 @@ class IdentifiedSetSpec:
             eq_rhs=self.eq_rhs,
             ub_matrix=ub,
             ub_rhs=rhs,
-            bounds=((0.0, np.inf),) * (cols.size - pad) + tuple(extra_bounds),
+            bounds=((0.0, np.inf),) * free.size + tuple(extra_bounds),
         )
 
     def point(self, x):
         """A point of an :meth:`lp` program over all K^2 shares (pinned
         cells at zero), followed by its extra variables."""
-        out = np.zeros(x.size + self.k**2 - self.columns(self.k**2).size)
+        out = np.zeros(x.size + self.k**2 - self.polytope[0].size)
         out[self.columns(out.size)] = x
         return out
 
@@ -251,7 +252,7 @@ def build_identified_set(table: DistTable, r: RestrictionSet) -> IdentifiedSetSp
     p0 = table.marginal_m(0)
     p1 = table.marginal_m(1)
     A, b = marginal_equalities(support, p0, p1)
-    spec = IdentifiedSetSpec(support, p0, p1, r, A, b, feasible=False)
+    spec = IdentifiedSetSpec(support, p0, p1, r, A, b, share_polytope(support, r), feasible=False)
     probe = solve_lp(spec.lp(np.zeros(support.k**2)))
     return replace(spec, feasible=probe.status == OPTIMAL)
 
@@ -263,7 +264,8 @@ def min_defier_budget(spec: IdentifiedSetSpec) -> float:
     the identified set nonempty; it is the suggestion attached to
     infeasibility errors under monotonicity.
     """
-    marginals_only = replace(spec, restriction=RestrictionSet.unrestricted(spec.support))
+    u = RestrictionSet.unrestricted(spec.support)
+    marginals_only = replace(spec, restriction=u, polytope=share_polytope(spec.support, u))
     sol = solve_lp(marginals_only.lp(_indicator_row(_non_elementwise_cells(spec.support), spec.k)))
     if sol.status != OPTIMAL:  # pragma: no cover - marginals always couple
         raise SolverFailureError("defier-budget probe LP failed")

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import linprog as scipy_linprog
+from scipy.optimize import linprog as scipy_linprog, minimize
 from scipy.stats import chi2
 
 from conftest import make_table, random_table, records_from_table
@@ -236,7 +236,8 @@ def test_compact_system_matches_the_row_form_reference():
             zero = np.zeros(sys_.n_rows)
             values.append(_minmax_statistic(sys_, sys_.p_hat, zero, sds, hard)[0])
         sds, hard = reference.moment_sds(), reference.hard_mask()
-        ref = highs_minmax(reference, reference.p_hat, np.zeros(reference.n_rows), sds, hard)
+        ref = highs_minmax(reference, reference.p_hat, np.zeros(reference.n_rows), sds, hard,
+                           allow_infeasible=True)
         assert_allclose(values, ref, rtol=1e-9, atol=1e-9)
         compact = test_conditional_chisq(system, 0.05)
         rows = test_conditional_chisq(reference, 0.05)
@@ -450,6 +451,33 @@ def test_chisq_df_counts_binding_gradients():
     assert res.critical_value == pytest.approx(chi2.ppf(0.95, 1))
 
 
+def test_chisq_on_clustered_binary_samples_matches_slsqp():
+    """Clustered binary samples whose chi-squared QP, walked without being
+    put back on its working rows, drifts off them by 1e-7 to 1e-5 and fails
+    its KKT certificate; the statistic must match SLSQP on the same program."""
+    for seed in (65, 125, 537, 602, 1092):
+        rng = np.random.default_rng(seed)
+        d = np.repeat(rng.integers(0, 2, 40), 20)  # 40 arm-pure clusters of 20
+        shift = np.repeat(rng.normal(0.0, 0.3, 40), 20)
+        m = (rng.random(800) < 0.4).astype(int)
+        m = m + ((d == 1) & (m == 0) & (rng.random(800) < 0.25))
+        y = rng.binomial(5, 0.2 + 0.3 * m) + np.round(shift)
+        y = y + 2 * ((d == 1) & (m == 0) & (rng.random(800) < 0.6))
+        rec = RecordSet(y=np.clip(y, 0, 5), m=m.astype(float), d=d,
+                        cluster=np.repeat(np.arange(40), 20))
+        system = build(rec)
+        res = test_conditional_chisq(system, 0.05)
+        prec = np.linalg.inv(system.sigma_hat + inference.CHISQ_RIDGE * np.eye(system.p_hat.size))
+        ref = minimize(lambda mu: (mu - system.p_hat) @ prec @ (mu - system.p_hat),
+                       system.p_hat.copy(), jac=lambda mu: 2.0 * prec @ (mu - system.p_hat),
+                       constraints=[{"type": "ineq", "fun": lambda mu: -(system.c2 @ mu),
+                                     "jac": lambda mu: -system.c2}],
+                       method="SLSQP", options={"ftol": 1e-12, "maxiter": 1000})
+        assert ref.success and (system.c2 @ ref.x).max() <= 1e-12
+        assert res.statistic == pytest.approx(system.n_eff * ref.fun, rel=1e-6)
+        assert res.df >= 1 and res.reject
+
+
 def test_cell_count_warning_and_median():
     rng = np.random.default_rng(12)
     rec = binary_records(rng, 60)
@@ -533,10 +561,11 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def highs_minmax(system, p_vec, shift, sds, hard):
+def highs_minmax(system, p_vec, shift, sds, hard, allow_infeasible=False):
     """``min t`` over omega >= 0 and free t with hard rows ``C2 p - shift -
     C1 omega <= 0``, soft rows ``<= sd t`` and ``E1 omega = E2 p``, solved by
-    HiGHS."""
+    HiGHS.  An infeasible program fails the calling test unless
+    ``allow_infeasible`` is set; then its value is +inf."""
     mom = system.c2 @ p_vec - shift
     soft = ~hard
     a_ub = np.vstack([np.hstack([-system.c1[soft], -sds[soft, None]]),
@@ -550,7 +579,7 @@ def highs_minmax(system, p_vec, shift, sds, hard):
         bounds=[(0, None)] * system.n_omega + [(None, None)],
         method="highs",
     )
-    if res.status == 2:
+    if allow_infeasible and res.status == 2:
         return np.inf
     assert res.status == 0
     return res.fun
