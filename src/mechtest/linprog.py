@@ -6,7 +6,11 @@ implementation favors robustness and verifiable certificates over speed:
 * ``solve_lp`` is a two-phase tableau simplex with Bland's anti-cycling
   rule.  Optimal solutions carry a dual vector proving the value; infeasible
   ones carry a Farkas ray proving emptiness.  Both certificates are checked
-  before returning.
+  before returning.  Phase 1 reads only the constraints, so a
+  ``FeasibleSet`` runs it once and minimizes many objectives from the same
+  feasible basis; ``solve_lp`` is one ``FeasibleSet`` and one objective.
+  The type-share LPs of one identified set share its ``FeasibleSet``, so
+  phase 1 runs once per identified set, not once per objective.
 * ``solve_lfp`` minimizes a ratio of affine forms through the
   Charnes-Cooper change of variables, after an auxiliary LP has verified
   that the denominator is strictly positive on the feasible set.
@@ -142,6 +146,13 @@ class StandardForm:
         own = np.add.reduceat(self.T.sum(axis=0) * z[: self.T.shape[1]], nonzero.argmax(axis=1))
         return np.where(nonzero.sum(axis=1) == 2, own, self.shifts + own)
 
+    def with_cost(self, objective):
+        """The same system under ``objective`` of the original variables;
+        the slack columns cost nothing."""
+        n_slack = self.matrix.shape[1] - self.T.shape[1]
+        return replace(self, cost=np.concatenate([objective @ self.T, np.zeros(n_slack)]),
+                       offset=float(objective @ self.shifts))
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -196,9 +207,7 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     A[a_eq.shape[0]:, :nz] = a_ub
     A[a_eq.shape[0]:, nz:] = np.eye(n_ub)
     b = np.concatenate([b_eq, b_ub])
-    cost = np.concatenate([lp.objective @ T, np.zeros(n_ub)])
-    offset = float(lp.objective @ shifts)
-    return StandardForm(A, b, cost, offset, a_eq.shape[0], T, shifts)
+    return StandardForm(A, b, None, None, a_eq.shape[0], T, shifts).with_cost(lp.objective)
 
 
 def _pivot(tab, basis, row, col):
@@ -289,6 +298,143 @@ def _where(phase, n_pivots, n_vars, n_rows):
             f"{n_vars} variables and {n_rows} rows")
 
 
+class FeasibleSet:
+    """The feasible set of one LP, over which many objectives are minimized.
+
+    Phase 1 and the ejection of the artificial columns read only the
+    constraints, so they run once, here.  A feasible set keeps the
+    resulting tableau and basis read-only, and each :meth:`minimize` runs
+    phase 2 on a copy of them; an empty one keeps its verified Farkas ray.
+    The objective of ``lp`` plays no part.
+
+    Raises
+    ------
+    SolverFailureError
+        If the infeasibility certificate fails or phase 1 exceeds the pivot
+        budget.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        sf = standard_form(lp)
+        A = sf.matrix.copy()
+        b = sf.rhs.copy()
+        neg = b < 0
+        A[neg] *= -1.0
+        b[neg] *= -1.0
+        m, nz = A.shape
+        # Column equilibration: badly scaled columns (common after whitening)
+        # otherwise poison the pivot tolerances.  Scaling commutes with the
+        # duals and certificates, so only the primal point needs unscaling.  A
+        # column that is zero up to rounding against the whole matrix keeps its
+        # scale: blown up to unit size it could enter the basis at a level of
+        # the inverse rounding error.
+        col_scale = np.abs(A).max(axis=0) if m else np.ones(nz)
+        col_scale = np.where(col_scale > 1e-14 * col_scale.max(initial=0.0), col_scale, 1.0)
+        A = A / col_scale
+        tab = np.zeros((m + 1, nz + m + 1))
+        tab[:m, :nz] = A
+        tab[:m, nz: nz + m] = np.eye(m)
+        tab[:m, -1] = b
+        tab[-1, :nz] = -A.sum(axis=0)
+        tab[-1, -1] = -b.sum()
+        basis = list(range(nz, nz + m))
+        status, piv = _simplex_phase(tab, basis, nz, 0, stop_below=0.5 * FEAS_TOL)
+        if status != OPTIMAL:  # pragma: no cover - phase 1 cannot be unbounded
+            raise SolverFailureError("phase 1 terminated without an optimum")
+        self.n_vars, self._standard, self._phase1_pivots = lp.n_vars, sf, piv
+        self.farkas = None
+        if -tab[-1, -1] > FEAS_TOL:
+            cb = np.array([1.0 if j >= nz else 0.0 for j in basis])
+            y = cb @ tab[:m, nz: nz + m]
+            y[neg] *= -1.0
+            ray = (y @ sf.matrix).max(initial=-np.inf)
+            bound = y @ sf.rhs
+            if not (ray <= 1e-7 and bound > FEAS_TOL / 2):
+                raise SolverFailureError(
+                    f"failed to certify infeasibility {_where(1, piv, nz, m)}: Farkas values "
+                    f"max(y'A) {ray:.3g} (must be <= 1e-7) and y'b {bound:.3g} "
+                    f"(must be > {FEAS_TOL / 2:.3g})"
+                )
+            self.farkas = y
+            return
+        # Nothing below reads the artificial columns: they never enter again,
+        # and a pivot updates each column on its own.
+        tab = np.delete(tab, np.s_[nz: nz + m], axis=1)
+        # Pivot artificials out of the basis where a real column is available;
+        # those that remain sit at level zero in redundant rows and are ejected
+        # lazily by phase 2's force-out rule.
+        for i in range(m):
+            if basis[i] >= nz:
+                usable = np.abs(tab[i, :nz]) > 1e-7
+                if usable.any():
+                    _pivot(tab, basis, i, int(usable.argmax()))
+        for a in (tab, A, col_scale):
+            a.setflags(write=False)
+        self._tab, self._basis, self._scaled, self._neg, self._col_scale = (
+            tab, tuple(basis), A, neg, col_scale)
+
+    @property
+    def feasible(self):
+        return self.farkas is None
+
+    def minimize(self, objective) -> LpSolution:
+        """Minimize ``objective'x`` over the set; every status is backed by a
+        verified certificate, exactly as :func:`solve_lp` certifies it."""
+        c = _as_vector(np.asarray(objective, dtype=float), self.n_vars, "objective")
+        if not np.isfinite(c).all():
+            raise StructuralError("objective has a NaN or infinite entry")
+        sf = self._standard.with_cost(c)
+        if not self.feasible:
+            return LpSolution(INFEASIBLE, farkas=self.farkas.copy(), standard=sf)
+        A, neg, col_scale = self._scaled, self._neg, self._col_scale
+        m, nz = A.shape
+        tab, basis = self._tab.copy(), list(self._basis)
+        cost_scaled = sf.cost / col_scale
+        tab[-1, :] = 0.0
+        tab[-1, :nz] = cost_scaled
+        for i in range(m):
+            if basis[i] < nz and cost_scaled[basis[i]] != 0.0:
+                tab[-1] -= cost_scaled[basis[i]] * tab[i]
+        status, piv = _simplex_phase(tab, basis, nz, self._phase1_pivots, force_out_from=nz)
+        if status == UNBOUNDED:
+            return LpSolution(UNBOUNDED, value=-np.inf, standard=sf)
+        z = np.zeros(nz)
+        for i in range(m):
+            if basis[i] < nz:
+                z[basis[i]] = max(tab[i, -1], 0.0)
+        z /= col_scale
+        x = sf.point(z)
+        value = float(sf.cost @ z + sf.offset)
+        # Dual vector: solve B'y = c_B against the sign-corrected rows, undo the
+        # sign flips, then verify feasibility and the zero duality gap.
+        B = np.empty((m, m))
+        cb = np.empty(m)
+        for i, j in enumerate(basis):
+            if j < nz:
+                B[:, i] = A[:, j]
+                cb[i] = cost_scaled[j]
+            else:
+                B[:, i] = np.eye(m)[:, j - nz]
+                cb[i] = 0.0
+        try:
+            y = np.linalg.solve(B.T, cb)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(
+                f"singular basis at the optimum {_where(2, piv, nz, m)}") from exc
+        y[neg] *= -1.0
+        reduced = sf.cost - y @ sf.matrix
+        gap = abs(y @ sf.rhs - (value - sf.offset))
+        primal = np.abs(sf.matrix @ z - sf.rhs).max() if m else 0.0
+        if not (reduced.min() >= -1e-7 and gap <= 1e-7 * (1.0 + abs(value)) and primal <= 1e-7):
+            raise SolverFailureError(
+                f"failed to certify the LP optimum {_where(2, piv, nz, m)}: smallest reduced "
+                f"cost {reduced.min():.3g} (must be >= -1e-7), duality gap {gap:.3g} "
+                f"(must be <= {1e-7 * (1.0 + abs(value)):.3g}), primal residual "
+                f"{primal:.3g} (must be <= 1e-7)"
+            )
+        return LpSolution(OPTIMAL, value=value, point=x, dual=y, standard=sf)
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Globally solve ``lp``; every status is backed by a verified certificate.
 
@@ -305,99 +451,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     SolverFailureError
         If numerical degeneracy defeats the pivot tolerances.
     """
-    sf = standard_form(lp)
-    A = sf.matrix.copy()
-    b = sf.rhs.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    m, nz = A.shape
-    # Column equilibration: badly scaled columns (common after whitening)
-    # otherwise poison the pivot tolerances.  Scaling commutes with the
-    # duals and certificates, so only the primal point needs unscaling.  A
-    # column that is zero up to rounding against the whole matrix keeps its
-    # scale: blown up to unit size it could enter the basis at a level of
-    # the inverse rounding error.
-    col_scale = np.abs(A).max(axis=0) if m else np.ones(nz)
-    col_scale = np.where(col_scale > 1e-14 * col_scale.max(initial=0.0), col_scale, 1.0)
-    A = A / col_scale
-    cost_scaled = sf.cost / col_scale
-    tab = np.zeros((m + 1, nz + m + 1))
-    tab[:m, :nz] = A
-    tab[:m, nz: nz + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[-1, :nz] = -A.sum(axis=0)
-    tab[-1, -1] = -b.sum()
-    basis = list(range(nz, nz + m))
-    status, piv = _simplex_phase(tab, basis, nz, 0, stop_below=0.5 * FEAS_TOL)
-    if status != OPTIMAL:  # pragma: no cover - phase 1 cannot be unbounded
-        raise SolverFailureError("phase 1 terminated without an optimum")
-    if -tab[-1, -1] > FEAS_TOL:
-        cb = np.array([1.0 if j >= nz else 0.0 for j in basis])
-        y = cb @ tab[:m, nz: nz + m]
-        y[neg] *= -1.0
-        ray = (y @ sf.matrix).max(initial=-np.inf)
-        bound = y @ sf.rhs
-        if not (ray <= 1e-7 and bound > FEAS_TOL / 2):
-            raise SolverFailureError(
-                f"failed to certify infeasibility {_where(1, piv, nz, m)}: Farkas values "
-                f"max(y'A) {ray:.3g} (must be <= 1e-7) and y'b {bound:.3g} "
-                f"(must be > {FEAS_TOL / 2:.3g})"
-            )
-        return LpSolution(INFEASIBLE, farkas=y, standard=sf)
-    # Nothing below reads the artificial columns: they never enter again,
-    # and a pivot updates each column on its own.
-    tab = np.delete(tab, np.s_[nz: nz + m], axis=1)
-    # Pivot artificials out of the basis where a real column is available;
-    # those that remain sit at level zero in redundant rows and are ejected
-    # lazily by the force-out rule below.
-    for i in range(m):
-        if basis[i] >= nz:
-            usable = np.abs(tab[i, :nz]) > 1e-7
-            if usable.any():
-                _pivot(tab, basis, i, int(usable.argmax()))
-    tab[-1, :] = 0.0
-    tab[-1, :nz] = cost_scaled
-    for i in range(m):
-        if basis[i] < nz and cost_scaled[basis[i]] != 0.0:
-            tab[-1] -= cost_scaled[basis[i]] * tab[i]
-    status, piv = _simplex_phase(tab, basis, nz, piv, force_out_from=nz)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, value=-np.inf, standard=sf)
-    z = np.zeros(nz)
-    for i in range(m):
-        if basis[i] < nz:
-            z[basis[i]] = max(tab[i, -1], 0.0)
-    z /= col_scale
-    x = sf.point(z)
-    value = float(sf.cost @ z + sf.offset)
-    # Dual vector: solve B'y = c_B against the sign-corrected rows, undo the
-    # sign flips, then verify feasibility and the zero duality gap.
-    B = np.empty((m, m))
-    cb = np.empty(m)
-    for i, j in enumerate(basis):
-        if j < nz:
-            B[:, i] = A[:, j]
-            cb[i] = cost_scaled[j]
-        else:
-            B[:, i] = np.eye(m)[:, j - nz]
-            cb[i] = 0.0
-    try:
-        y = np.linalg.solve(B.T, cb)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailureError(f"singular basis at the optimum {_where(2, piv, nz, m)}") from exc
-    y[neg] *= -1.0
-    reduced = sf.cost - y @ sf.matrix
-    gap = abs(y @ sf.rhs - (value - sf.offset))
-    primal = np.abs(sf.matrix @ z - sf.rhs).max() if m else 0.0
-    if not (reduced.min() >= -1e-7 and gap <= 1e-7 * (1.0 + abs(value)) and primal <= 1e-7):
-        raise SolverFailureError(
-            f"failed to certify the LP optimum {_where(2, piv, nz, m)}: smallest reduced "
-            f"cost {reduced.min():.3g} (must be >= -1e-7), duality gap {gap:.3g} "
-            f"(must be <= {1e-7 * (1.0 + abs(value)):.3g}), primal residual "
-            f"{primal:.3g} (must be <= 1e-7)"
-        )
-    return LpSolution(OPTIMAL, value=value, point=x, dual=y, standard=sf)
+    return FeasibleSet(lp).minimize(lp.objective)
 
 
 def _feasible_set_rows(lp: LinearProgram):

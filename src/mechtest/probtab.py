@@ -13,7 +13,7 @@ builder.
 
 import csv
 from dataclasses import dataclass, replace
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
@@ -219,7 +219,8 @@ def read_csv(path) -> RecordSet:
             fields = {c: header.index(c) for c in ("y", "d", *m_cols, "z", "pscore") if c in header}
             parts = {c: [] for c in ("y", "d", "m", "cluster", "z", "pscore") if c in [*header, "m"]}
             parts["m"].append(np.empty((0, len(m_cols))))  # a header-only file keeps p columns
-            for ln in count(2, BLOCK_ROWS):
+            while True:
+                ln = reader.line_num + 1  # the physical line the block starts on
                 rows = []
                 try:
                     rows.extend(islice(reader, BLOCK_ROWS))
@@ -231,14 +232,16 @@ def read_csv(path) -> RecordSet:
                     block = {c: np.fromiter(map(float, cols[j]), float, len(rows))
                              for c, j in fields.items()}
                 except (csv.Error, ValueError):
-                    # the first bad row read, as a row-by-row parse meets it
-                    for ln, row in enumerate(rows, start=ln):
+                    # the first bad row read, as a row-by-row parse meets it, named
+                    # by its first line; a quoted field can hold line breaks
+                    for row in rows:
                         try:
                             if len(row) != len(header):
                                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                             [float(row[j]) for j in fields.values()]
                         except ValueError as exc:
                             raise StructuralError(f"{path}: line {ln}: {exc}")
+                        ln += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
                     raise
                 block["m"] = np.column_stack([block.pop(c) for c in m_cols])
                 if "cluster" in parts:

@@ -11,7 +11,7 @@ with a closed-form cross-check and an explicit cascade allocation in the
 totally-ordered monotone case.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     StructuralError,
     UnsupportedCaseError,
 )
-from .linprog import OPTIMAL, LinearProgram, solve_lp
+from .linprog import OPTIMAL, FeasibleSet, LinearProgram
 from .probtab import DistTable, MediatorSupport
 
 MONOTONE = "monotone"
@@ -163,7 +163,9 @@ class IdentifiedSetSpec:
     marginal; ``restriction`` adds its rows.  ``polytope`` is the
     restriction's :func:`share_polytope`: the LPs of :meth:`lp` run over
     its free cells only, and :meth:`point` maps their points back to the
-    K^2 shares.
+    K^2 shares.  ``feasible_set`` is the :class:`FeasibleSet` of those
+    constraints, built with the spec: phase 1 runs once per identified set,
+    and :meth:`minimize` solves every objective over it.
     """
 
     support: MediatorSupport
@@ -173,11 +175,18 @@ class IdentifiedSetSpec:
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     polytope: tuple
-    feasible: bool
+    feasible_set: FeasibleSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "feasible_set", FeasibleSet(self.lp(np.zeros(self.k**2))))
 
     @property
     def k(self):
         return self.support.k
+
+    @property
+    def feasible(self):
+        return self.feasible_set.feasible
 
     def columns(self, n):
         """Indices, among ``n`` = K^2 + extra columns, of the variables of
@@ -213,6 +222,12 @@ class IdentifiedSetSpec:
         out[self.columns(out.size)] = x
         return out
 
+    def minimize(self, objective):
+        """Minimize ``objective``, over all K^2 shares, on the identified
+        set; the solution's point is over the free cells (see :meth:`point`)."""
+        cols = self.columns(self.k**2)
+        return self.feasible_set.minimize(np.asarray(objective, dtype=float)[cols])
+
 
 def marginal_equalities(support: MediatorSupport, p0, p1):
     K = support.k
@@ -242,7 +257,8 @@ def share_polytope(support: MediatorSupport, r: RestrictionSet):
 def build_identified_set(table: DistTable, r: RestrictionSet) -> IdentifiedSetSpec:
     """Assemble the identified set for the type shares behind ``table``.
 
-    Emptiness is a cached status on the returned spec, not an exception.
+    Emptiness is a status on the returned spec (``feasible``), not an
+    exception.
     """
     support = table.support
     if r.n_support != support.k:
@@ -252,9 +268,7 @@ def build_identified_set(table: DistTable, r: RestrictionSet) -> IdentifiedSetSp
     p0 = table.marginal_m(0)
     p1 = table.marginal_m(1)
     A, b = marginal_equalities(support, p0, p1)
-    spec = IdentifiedSetSpec(support, p0, p1, r, A, b, share_polytope(support, r), feasible=False)
-    probe = solve_lp(spec.lp(np.zeros(support.k**2)))
-    return replace(spec, feasible=probe.status == OPTIMAL)
+    return IdentifiedSetSpec(support, p0, p1, r, A, b, share_polytope(support, r))
 
 
 def min_defier_budget(spec: IdentifiedSetSpec) -> float:
@@ -262,11 +276,14 @@ def min_defier_budget(spec: IdentifiedSetSpec) -> float:
 
     This is the minimal ``dbar`` for which ``defier_budget(dbar)`` makes
     the identified set nonempty; it is the suggestion attached to
-    infeasibility errors under monotonicity.
+    infeasibility errors under monotonicity.  An unrestricted ``spec`` is
+    already the marginals-only set, and its feasible set is reused.
     """
-    u = RestrictionSet.unrestricted(spec.support)
-    marginals_only = replace(spec, restriction=u, polytope=share_polytope(spec.support, u))
-    sol = solve_lp(marginals_only.lp(_indicator_row(_non_elementwise_cells(spec.support), spec.k)))
+    marginals_only = spec
+    if spec.restriction.kind != UNRESTRICTED:
+        u = RestrictionSet.unrestricted(spec.support)
+        marginals_only = replace(spec, restriction=u, polytope=share_polytope(spec.support, u))
+    sol = marginals_only.minimize(_indicator_row(_non_elementwise_cells(spec.support), spec.k))
     if sol.status != OPTIMAL:  # pragma: no cover - marginals always couple
         raise SolverFailureError("defier-budget probe LP failed")
     return max(float(sol.value), 0.0)
@@ -301,7 +318,7 @@ def theta_kk_min(spec: IdentifiedSetSpec, k: int) -> float:
     _require_feasible(spec)
     obj = np.zeros(spec.k**2)
     obj[_flat(k, k, spec.k)] = 1.0
-    sol = solve_lp(spec.lp(obj))
+    sol = spec.minimize(obj)
     if sol.status != OPTIMAL:
         raise SolverFailureError("theta_kk minimization did not solve")
     value = float(max(sol.value, 0.0))
@@ -318,7 +335,7 @@ def max_type_share(spec: IdentifiedSetSpec, cells) -> float:
     """``sup`` of the summed share over ``cells`` (pairs (l, k)) on the set."""
     _require_feasible(spec)
     obj = -_indicator_row(list(cells), spec.k)
-    sol = solve_lp(spec.lp(obj))
+    sol = spec.minimize(obj)
     if sol.status != OPTIMAL:
         raise SolverFailureError("type-share maximization did not solve")
     return float(min(max(-sol.value, 0.0), 1.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mechtest import linprog
 from mechtest.probtab import DistTable, MediatorSupport, RecordSet
 
 
@@ -36,6 +37,20 @@ def random_table(rng, K=None, Q=None, monotone_theta=False):
     mass[0] /= mass[0].sum()
     mass[1] /= mass[1].sum()
     return make_table(mass)
+
+
+@pytest.fixture
+def phase_one_runs(monkeypatch):
+    """A list that grows by one per phase 1 run, i.e. per ``FeasibleSet`` built."""
+    runs = []
+    original = linprog.FeasibleSet.__init__
+
+    def counting(self, lp):
+        runs.append(lp.n_vars)
+        original(self, lp)
+
+    monkeypatch.setattr(linprog.FeasibleSet, "__init__", counting)
+    return runs
 
 
 @pytest.fixture

@@ -309,26 +309,18 @@ def test_binary_outcome_ade_lower_equals_nu():
     assert hits > 20
 
 
-def test_report_solves_each_lp_once(monkeypatch):
-    from mechtest import bounds, linprog, typeshares
-
-    solved = []
-    original = linprog.solve_lp
-
-    def counting(lp):
-        solved.append(lp)
-        return original(lp)
-
-    for mod in (linprog, typeshares, bounds):
-        monkeypatch.setattr(mod, "solve_lp", counting)
+def test_report_solves_each_lp_once(phase_one_runs):
     table = random_table(np.random.default_rng(1), K=5, Q=3, monotone_theta=True)
     r = monotone(table)
     rep = bounds_report(table, r, with_ade=True)
     assert rep.nu_pooled_lb > 0.0 and not rep.pooled_degenerate
-    # identified set, K theta_kk minima, slack, pooled denominator, Charnes-Cooper
-    assert len(solved) == table.n_mediators + 4
+    # the identified set (whose feasible set serves the K theta_kk minima),
+    # the slack LP, the pooled denominator and the Charnes-Cooper LP
+    assert len(phase_one_runs) == 4
     spec = build_identified_set(table, r)
     assert rep.nu_lb == tuple(nu_lower_bounds(table, r))
+    assert rep.slack == sharp_null_slack(table, r)
+    assert rep.nu_pooled_lb == nu_pooled_lower_bound(table, r)
     for k in range(table.n_mediators):
         assert rep.ade[k] == ade_bounds(table, r, k)
         assert rep.ade_informative[k] == (theta_kk_min(spec, k) > 1e-9)

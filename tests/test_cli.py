@@ -356,6 +356,21 @@ def test_command_builds_the_identified_set_once(command, tmp_path, capsys, monke
     assert built == [typeshares.MONOTONE]
 
 
+def test_ade_runs_phase_one_once(tmp_path, capsys, phase_one_runs):
+    # K=4 ordered records whose treated mediator sits one step up: every
+    # theta_kk minimum is taken over the identified set's one feasible set
+    rng = np.random.default_rng(5)
+    m0, d = rng.integers(0, 4, 400), rng.integers(0, 2, 400)
+    path = tmp_path / "k4.csv"
+    np.savetxt(path, np.column_stack([rng.integers(0, 2, 400), d, np.minimum(m0 + d, 3)]),
+               fmt="%d", delimiter=",", header="y,d,m1", comments="")
+    code, _ = run_cli(["ade", "--input", str(path), "--out", str(tmp_path / "ade.json")], capsys)
+    assert code == 0
+    with open(tmp_path / "ade.json", encoding="utf-8") as fh:
+        assert len(json.load(fh)["ade"]) == 4
+    assert len(phase_one_runs) == 1
+
+
 def test_ade_subcommand(tmp_path, capsys):
     out = tmp_path / "ade.json"
     code, _ = run_cli(["ade", "--input", str(FIXTURE), "--out", str(out)], capsys)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from mechtest.linprog import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    FeasibleSet,
     LinearProgram,
     solve_lfp,
     solve_lp,
@@ -515,6 +518,51 @@ def test_qp_projection_onto_simplex_with_redundant_equalities():
         stationarity = 2.0 * (sol.point - a) + eq.T @ sol.dual[:eq.shape[0]] \
             + G[act].T @ sol.dual[eq.shape[0]:]
         assert np.abs(stationarity).max() <= 1e-12
+
+
+def _solution_bytes(sol):
+    """Status, value, point, dual, Farkas ray and the standard form's cost, as bytes."""
+    arrays = (sol.value, sol.point, sol.dual, sol.farkas, sol.standard.cost, sol.standard.offset)
+    return sol.status, [None if a is None else np.asarray(a).tobytes() for a in arrays]
+
+
+def test_feasible_set_answers_every_objective_as_a_cold_solve():
+    rng = np.random.default_rng(29)
+    statuses = set()
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        me, mu = int(rng.integers(0, 3)), int(rng.integers(0, 5))
+        Ae, Au = rng.normal(size=(me, n)), rng.normal(size=(mu, n))
+        x0 = rng.uniform(-1, 1, n)
+        be = Ae @ x0
+        # rows through x0 make degenerate vertices; a negative margin can empty the set
+        bu = Au @ x0 + np.where(rng.random(mu) < 0.4, 0.0, rng.uniform(-0.3, 1.0, mu))
+        if me and rng.random() < 0.1:
+            be = be + rng.normal(size=me)
+        lp = LinearProgram(objective=np.zeros(n), eq_matrix=Ae, eq_rhs=be, ub_matrix=Au,
+                           ub_rhs=bu, bounds=_random_bounds(rng, x0))
+        fs = FeasibleSet(lp)
+        if fs.feasible:
+            stored = (fs._tab.tobytes(), fs._basis)
+            assert not fs._tab.flags.writeable
+        objectives = [rng.normal(size=n), np.zeros(n), rng.integers(-1, 2, n) * 1.0,
+                      np.eye(n)[int(rng.integers(n))], -np.eye(n)[int(rng.integers(n))]]
+        for j in [*rng.permutation(5), *rng.permutation(5)]:
+            got = fs.minimize(objectives[j])
+            want = solve_lp(replace(lp, objective=objectives[j]))
+            assert _solution_bytes(got) == _solution_bytes(want)
+            statuses.add(got.status)
+        if fs.feasible:
+            assert (fs._tab.tobytes(), fs._basis) == stored
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_feasible_set_rejects_a_bad_objective():
+    fs = FeasibleSet(LinearProgram(objective=[0.0, 0.0], bounds=[(0.0, 1.0)] * 2))
+    with pytest.raises(StructuralError, match="objective has shape"):
+        fs.minimize([1.0])
+    with pytest.raises(StructuralError, match="objective has a NaN"):
+        fs.minimize([np.nan, 1.0])
 
 
 def test_budget_failures_name_the_problem_shape(monkeypatch):

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -345,7 +346,11 @@ def _reference_read_csv(path):
         has_cluster = "cluster" in header
         has_z = "z" in header
         has_p = "pscore" in header
-        for ln, row in enumerate(reader, start=2):
+        while True:
+            ln = reader.line_num + 1  # the physical line the record starts on
+            row = next(reader, None)
+            if row is None:
+                break
             if len(row) != len(header):
                 raise StructuralError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
             try:
@@ -441,6 +446,10 @@ _HAND_CORPUS = {
     "extra-columns": "id,y,note,d,m1\n7,1,hello,0,0\n8,0,,1,1\n",
     "multiline-label": 'y,d,m1,cluster\n1,0,0,"a\nb"\n0,1,1,c\n',
     "bad-row-after-multiline-label": 'y,d,m1,cluster\n1,0,0,"a\nb"\nx,1,1,c\n',
+    "bad-row-after-crlf-and-cr-labels": 'y,d,m1,cluster\r\n1,0,0,"a\r\nb"\r\n1,1,1,"c\rd\n\ne"\r\n'
+                                        '0,1,0,f\r\n\r\n1,1,1,g\r\n',
+    "short-row-after-multiline-labels": 'y,d,m1,cluster\n1,0,0,"a\nb"\n0,1,1,"\n\n"\n'
+                                        '1,1,1,c\n0,0,0,"d\ne"\n1,1\n',
     "parse-order-not-file-order": "pscore,z,m1,y,d\noops,q,x,0,0\n",
     "field-limit-after-bad-row": "y,d,m1,cluster\n1,0,0,a\nq,1,1,b\n1,0,0," + "c" * 131073 + "\n",
 }
@@ -484,6 +493,13 @@ def test_read_csv_matches_the_row_by_row_reference(block, tmp_path, monkeypatch)
         path = tmp_path / f"{name}.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path), name
+
+
+def test_read_csv_names_the_physical_line_a_bad_record_starts_on(tmp_path):
+    path = tmp_path / "multiline.csv"
+    path.write_text(_HAND_CORPUS["bad-row-after-multiline-label"], encoding="utf-8", newline="")
+    with pytest.raises(StructuralError, match="^" + re.escape(f"{path}: line 4: could not")):
+        read_csv(path)
 
 
 def test_read_csv_header_only_keeps_the_mediator_columns(tmp_path):

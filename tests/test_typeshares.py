@@ -306,3 +306,34 @@ def test_identified_set_lps_match_highs_on_the_full_share_space():
         assert (sf.cost - sol.dual @ sf.matrix).min() > -1e-8
         assert abs(sol.dual @ sf.rhs - (sol.value - sf.offset)) < 1e-8
     assert statuses == {0, 2}
+
+
+def _as_bytes(sol):
+    return sol.status, [None if a is None else np.asarray(a).tobytes()
+                        for a in (sol.value, sol.point, sol.dual, sol.farkas)]
+
+
+def test_spec_minimizes_over_its_one_feasible_set(phase_one_runs):
+    """Each objective minimized over a spec gives, byte for byte, the cold
+    solve of its own LP; the spec's phase 1 runs once, when it is built."""
+    rng = np.random.default_rng(31)
+    statuses = set()
+    for trial in range(40):
+        table = random_table(rng, monotone_theta=trial % 3 == 0)
+        sup = table.support
+        r = [RestrictionSet.monotone(sup), RestrictionSet.defier_budget(sup, 0.05),
+             RestrictionSet.unrestricted(sup)][trial % 3]
+        del phase_one_runs[:]
+        spec = build_identified_set(table, r)
+        objectives = [rng.normal(size=sup.k**2), np.eye(sup.k**2)[0], -np.ones(sup.k**2)]
+        sols = [spec.minimize(c) for c in objectives]
+        if spec.feasible:
+            theta_kk_min(spec, sup.k - 1)
+            max_type_share(spec, [(0, sup.k - 1)])
+        if r.kind == "unrestricted":
+            min_defier_budget(spec)
+        assert len(phase_one_runs) == 1
+        for c, sol in zip(objectives, sols):
+            statuses.add(sol.status)
+            assert _as_bytes(sol) == _as_bytes(solve_lp(spec.lp(c)))
+    assert statuses == {OPTIMAL, INFEASIBLE}
