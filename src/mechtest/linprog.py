@@ -368,7 +368,7 @@ class FeasibleSet:
                 usable = np.abs(tab[i, :nz]) > 1e-7
                 if usable.any():
                     _pivot(tab, basis, i, int(usable.argmax()))
-        for a in (tab, A, col_scale):
+        for a in (tab, A, neg, col_scale):
             a.setflags(write=False)
         self._tab, self._basis, self._scaled, self._neg, self._col_scale = (
             tab, tuple(basis), A, neg, col_scale)

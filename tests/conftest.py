@@ -39,6 +39,13 @@ def random_table(rng, K=None, Q=None, monotone_theta=False):
     return make_table(mass)
 
 
+def solution_bytes(sol):
+    """An LP solution's status, then its value, point, dual, Farkas ray and
+    standard-form cost and offset as bytes."""
+    arrays = (sol.value, sol.point, sol.dual, sol.farkas, sol.standard.cost, sol.standard.offset)
+    return sol.status, [None if a is None else np.asarray(a).tobytes() for a in arrays]
+
+
 @pytest.fixture
 def phase_one_runs(monkeypatch):
     """A list that grows by one per phase 1 run, i.e. per ``FeasibleSet`` built."""

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog as scipy_linprog, nnls
 
+from conftest import solution_bytes
 from mechtest import linprog
 from mechtest.errors import DomainError, SolverFailureError, StructuralError
 from mechtest.linprog import (
@@ -520,12 +521,6 @@ def test_qp_projection_onto_simplex_with_redundant_equalities():
         assert np.abs(stationarity).max() <= 1e-12
 
 
-def _solution_bytes(sol):
-    """Status, value, point, dual, Farkas ray and the standard form's cost, as bytes."""
-    arrays = (sol.value, sol.point, sol.dual, sol.farkas, sol.standard.cost, sol.standard.offset)
-    return sol.status, [None if a is None else np.asarray(a).tobytes() for a in arrays]
-
-
 def test_feasible_set_answers_every_objective_as_a_cold_solve():
     rng = np.random.default_rng(29)
     statuses = set()
@@ -550,7 +545,7 @@ def test_feasible_set_answers_every_objective_as_a_cold_solve():
         for j in [*rng.permutation(5), *rng.permutation(5)]:
             got = fs.minimize(objectives[j])
             want = solve_lp(replace(lp, objective=objectives[j]))
-            assert _solution_bytes(got) == _solution_bytes(want)
+            assert solution_bytes(got) == solution_bytes(want)
             statuses.add(got.status)
         if fs.feasible:
             assert (fs._tab.tobytes(), fs._basis) == stored

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog as scipy_linprog
 
-from conftest import make_table, random_table
+from conftest import make_table, random_table, solution_bytes
 from mechtest.errors import IdentificationError, StructuralError, UnsupportedCaseError
 from mechtest.probtab import support_from_values
 from mechtest.typeshares import (
@@ -308,11 +308,6 @@ def test_identified_set_lps_match_highs_on_the_full_share_space():
     assert statuses == {0, 2}
 
 
-def _as_bytes(sol):
-    return sol.status, [None if a is None else np.asarray(a).tobytes()
-                        for a in (sol.value, sol.point, sol.dual, sol.farkas)]
-
-
 def test_spec_minimizes_over_its_one_feasible_set(phase_one_runs):
     """Each objective minimized over a spec gives, byte for byte, the cold
     solve of its own LP; the spec's phase 1 runs once, when it is built."""
@@ -335,5 +330,5 @@ def test_spec_minimizes_over_its_one_feasible_set(phase_one_runs):
         assert len(phase_one_runs) == 1
         for c, sol in zip(objectives, sols):
             statuses.add(sol.status)
-            assert _as_bytes(sol) == _as_bytes(solve_lp(spec.lp(c)))
+            assert solution_bytes(sol) == solution_bytes(solve_lp(spec.lp(c)))
     assert statuses == {OPTIMAL, INFEASIBLE}
