@@ -10,8 +10,8 @@ are provided:
 * a least-favorable nonparametric bootstrap of the studentized max
   statistic (conservative but fully specified), and
 * a conditional chi-squared test whose statistic is a minimized quadratic
-  form and whose degrees of freedom come from the binding-constraint
-  gradients at the solution.
+  form and whose degrees of freedom come from the gradients of the rows
+  that bind on the whole optimal face.
 
 The type-share polytope comes from ``typeshares.share_polytope``: pinned
 shares are not coordinates, omega >= 0 is a bound, and the 2K marginal
@@ -450,20 +450,84 @@ def test_least_favorable_bootstrap(system: MomentSystem, alpha: float,
     )
 
 
+def _nearest_start(system: MomentSystem, U, lam):
+    """A feasible start ``(w, omega)`` of the chi-squared QP near its optimum.
+
+    One LP finds the deviation ``u = mu - p_hat`` of least l1 norm with
+    ``C2 (p_hat + u) <= C1 omega``, ``E2 (p_hat + u) = E1 omega`` and
+    omega >= 0, as ``u = u+ - u-`` over ``(u+, u-, omega) >= 0``; the start
+    is ``w = inv(sqrt(Lambda)) U' u``.  The LP is posed in u, not w: the
+    ridge directions scale w's columns by up to five orders of magnitude.
+    """
+    n_p = system.p_hat.size
+    sol = solve_lp(LinearProgram(
+        objective=np.concatenate([np.ones(2 * n_p), np.zeros(system.n_omega)]),
+        eq_matrix=np.hstack([system.e2, -system.e2, -system.e1]),
+        eq_rhs=-(system.e2 @ system.p_hat),
+        ub_matrix=np.hstack([system.c2, -system.c2, -system.c1]),
+        ub_rhs=-(system.c2 @ system.p_hat),
+    ))
+    if sol.status != OPTIMAL:
+        raise SolverFailureError(f"conditional chi-squared QP ended with status {sol.status}")
+    u = sol.point[:n_p] - sol.point[n_p: 2 * n_p]
+    return np.concatenate([(U.T @ u) / np.sqrt(lam), sol.point[2 * n_p:]])
+
+
+def _face_binding(system: MomentSystem, active, at_bound):
+    """The rows of ``active`` and the bounds of ``at_bound`` that bind on
+    the whole optimal face, i.e. its implicit equalities.
+
+    ``active`` and ``at_bound`` mark the inequality rows and bounds
+    omega_i >= 0 that bind at one optimal omega*.  Near omega* the face is
+    omega* + d over the cone ``C1_active d >= 0``, ``E1 d = 0``,
+    ``d_at_bound >= 0``, so a row binds on the whole face exactly when it
+    binds on the whole cone.  One LP over that cone maximises
+    ``sum t_j`` with ``0 <= t_j <= 1`` and each row's slack ``>= t_j``;
+    scaling d shows that every optimum has ``t_j = 1`` on the rows that
+    some point of the face leaves slack and ``t_j = 0`` on the rest.
+    """
+    rows, bounds = np.flatnonzero(active), np.flatnonzero(at_bound)
+    n_omega, n_t = system.n_omega, rows.size + bounds.size
+    if n_t == 0:
+        return active, at_bound
+    picks = np.eye(n_omega)[bounds]
+    sol = solve_lp(LinearProgram(
+        objective=np.concatenate([np.zeros(n_omega), -np.ones(n_t)]),
+        eq_matrix=np.hstack([system.e1, np.zeros((system.e1.shape[0], n_t))]),
+        eq_rhs=np.zeros(system.e1.shape[0]),
+        ub_matrix=np.hstack([-np.vstack([system.c1[rows], picks]), np.eye(n_t)]),
+        ub_rhs=np.zeros(n_t),
+        bounds=np.vstack([np.where(at_bound[:, None], [0.0, np.inf], [-np.inf, np.inf]),
+                          np.tile([0.0, 1.0], (n_t, 1))]),
+    ))
+    if sol.status != OPTIMAL:
+        raise SolverFailureError(f"optimal-face LP ended with status {sol.status}")
+    slack = sol.point[n_omega:] > 0.5
+    active, at_bound = active.copy(), at_bound.copy()
+    active[rows[slack[: rows.size]]] = False
+    at_bound[bounds[slack[rows.size:]]] = False
+    return active, at_bound
+
+
 def _chisq_solution(system: MomentSystem):
     """Minimized quadratic form and the binding-row df for the CS-style test.
 
     Whitens the deviation ``u = mu - p_hat`` with the ridge-regularized
-    covariance so the QP is perfectly conditioned, then reads the active
-    rows off the solution: the binding inequality rows and every equality.
-    df is the rank of their gradients in (p, omega) less that of their
-    omega part, where a binding bound omega_i >= 0 counts as the row e_i,
-    i.e. removes column i from both.
+    covariance so the QP is perfectly conditioned, and starts the QP at
+    the deviation of least l1 norm (``_nearest_start``).  The
+    whitened optimum w* is unique but omega* need not be, so df is read
+    off the whole optimal face rather than the omega* the QP returns: the
+    binding rows are the inequality rows and bounds omega_i >= 0 that bind
+    at every optimal omega (``_face_binding``), plus every equality.  df is
+    the rank of their gradients in (p, omega) less that of their omega
+    part, where a binding bound counts as the row e_i, i.e. removes column
+    i from both.  It does not depend on the order of the rows or of the
+    omega coordinates, nor on the QP's start.
     """
     sigma = system.sigma_hat + CHISQ_RIDGE * np.eye(system.p_hat.size)
     lam, U = np.linalg.eigh(sigma)
     lam = np.clip(lam, CHISQ_RIDGE, None)
-    half = U @ np.diag(np.sqrt(lam))  # u = half @ w  =>  u'inv(sigma)u = w'w
+    half = U * np.sqrt(lam)  # u = half @ w  =>  u'inv(sigma)u = w'w
     n_w = system.p_hat.size
     n = n_w + system.n_omega
     # C2 (p_hat + half w) - C1 omega <= 0 and E2 (p_hat + half w) - E1 omega = 0
@@ -479,13 +543,15 @@ def _chisq_solution(system: MomentSystem):
     )
     Q = np.zeros((n, n))
     Q[:n_w, :n_w] = 2.0 * np.eye(n_w)
-    sol = solve_qp(Q, np.zeros(n), feas)
+    sol = solve_qp(Q, np.zeros(n), feas, _nearest_start(system, U, lam))
     if sol.status != OPTIMAL:
         raise SolverFailureError(f"conditional chi-squared QP ended with status {sol.status}")
     statistic = system.n_eff * float(sol.value)
-    resid = rhs - ub @ sol.point
-    active = resid <= 1e-7 * (1.0 + np.abs(rhs))
-    off_bound = n_w + np.flatnonzero(sol.point[n_w:] > 1e-7)
+    active = rhs - ub @ sol.point <= 1e-7 * (1.0 + np.abs(rhs))
+    at_bound = sol.point[n_w:] <= 1e-7
+    if system.n_omega:
+        active, at_bound = _face_binding(system, active, at_bound)
+    off_bound = n_w + np.flatnonzero(~at_bound)
     grad = np.vstack([np.hstack([-system.c2[active], system.c1[active]]),
                       np.hstack([-system.e2, system.e1])])[:, np.r_[:n_w, off_bound]]
     df = int(np.linalg.matrix_rank(grad) - np.linalg.matrix_rank(grad[:, n_w:]))
@@ -495,9 +561,10 @@ def _chisq_solution(system: MomentSystem):
 def test_conditional_chisq(system: MomentSystem, alpha: float) -> TestResult:
     """Conditional chi-squared test: minimized quadratic distance from
     ``p_hat`` to the null set, compared to a chi-squared quantile whose
-    degrees of freedom equal the rank of the binding-row gradient system
-    (after profiling out the nuisance directions).  Zero binding rows means
-    never reject."""
+    degrees of freedom equal the rank of the gradient system of the rows
+    that bind on the whole optimal face (after profiling out the nuisance
+    directions), so df does not depend on which optimal omega the solver
+    returns.  Zero binding rows means never reject."""
     if not 0 < alpha < 1:
         raise StructuralError("alpha must be in (0, 1)")
     statistic, df = _chisq_solution(system)

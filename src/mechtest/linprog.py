@@ -15,12 +15,13 @@ implementation favors robustness and verifiable certificates over speed:
   Charnes-Cooper change of variables, after an auxiliary LP has verified
   that the denominator is strictly positive on the feasible set.
 * ``solve_qp`` is a primal active-set method for convex (PSD) objectives,
-  started at a phase-1 vertex.  Its working set stays linearly
-  independent, and one QR factorisation of the working-set rows is
-  updated by one row per step instead of being recomputed; each iterate
-  is put back on the working rows through it.  The
-  optimum is returned only after its KKT residuals have been checked, with
-  a set of binding rows and multipliers that certify it.
+  started at a feasible point the caller supplies or, by default, at a
+  phase-1 vertex.  Its working set stays linearly independent, and one QR
+  factorisation of the working-set rows is updated by one row per step
+  instead of being recomputed; each iterate is put back on the working
+  rows through it.  The optimum is returned only after its KKT residuals
+  have been checked, with a set of binding rows and multipliers that
+  certify it.
 
 Inputs must be finite: a NaN or infinite entry in an objective, a matrix
 or a right-hand side raises ``StructuralError``; only bounds may be
@@ -37,6 +38,7 @@ from .errors import DomainError, SolverFailureError, StructuralError
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+QP_PRIMAL_TOL = 1e-7  # relative row violation a QP start or optimum may have
 DEP_TOL = 1e-9
 _MAX_PIVOTS = 20000
 
@@ -535,20 +537,25 @@ def _independent_rows(rows, null):
     return sorted(int(i) for i in piv[:rank])
 
 
-def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
+def solve_qp(quadratic, linear, feasible: LinearProgram, start=None) -> LpSolution:
     """Minimize ``0.5 x'Qx + c'x`` over the polyhedron described by ``feasible``.
 
     ``quadratic`` must be symmetric positive semidefinite (zero curvature
     directions are handled by ray steps).  A primal active-set method is
-    started at a phase-1 simplex vertex.  Its working set holds the
-    equality rows and a linearly independent set of inequality rows: the
-    start keeps a maximal independent subset of the rows binding at the
-    vertex, and a blocking row enters only if it is independent of the
-    working set.  One full QR factorisation of the transposed working-set
-    rows is updated by one row per step; the trailing columns of its Q
-    span the null space the step is taken in, and one triangular solve
-    with its R gives the multipliers.  Ties between blocking rows, and between rows with
-    negative multipliers, go to the smallest row index.
+    started at ``start`` or, when it is None, at a phase-1 simplex vertex.
+    A supplied start must be finite and feasible to ``QP_PRIMAL_TOL``, the
+    tolerance the optimum is certified to; one that is not raises
+    ``StructuralError`` or ``DomainError``.  A start near the optimum saves
+    iterations: each one moves or changes the working set by one row.  The
+    working set holds the equality rows and a linearly independent set of
+    inequality rows: the start keeps a maximal independent subset of the
+    rows binding there, and a blocking row enters only if it is
+    independent of the working set.  One full QR factorisation of the
+    transposed working-set rows is updated by one row per step; the
+    trailing columns of its Q span the null space the step is taken in,
+    and one triangular solve with its R gives the multipliers.  Ties
+    between blocking rows, and between rows with negative multipliers, go
+    to the smallest row index.
 
     Before an optimum is returned, its primal feasibility, dual
     feasibility, stationarity and complementarity residuals are checked;
@@ -571,13 +578,22 @@ def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
     eigs = np.linalg.eigvalsh(Q)
     if eigs.size and eigs.min() < -1e-8 * max(1.0, abs(eigs).max()):
         raise DomainError("quadratic matrix must be positive semidefinite")
-    start = solve_lp(replace(feasible, objective=np.zeros(n)))
-    if start.status != OPTIMAL:
-        return start
     G, h = _feasible_set_rows(feasible)
+    if start is None:
+        vertex = solve_lp(replace(feasible, objective=np.zeros(n)))
+        if vertex.status != OPTIMAL:
+            return vertex
+        x = vertex.point.copy()
+    else:
+        x = _as_vector(np.asarray(start, dtype=float), n, "start").copy()
+        if not np.isfinite(x).all():
+            raise StructuralError("QP start has a NaN or infinite entry")
+        violation = _violation(feasible, G, h, x)
+        if violation > QP_PRIMAL_TOL:
+            raise DomainError(f"QP start violates the feasible set by {violation:.3g} "
+                              f"(relative; must be <= {QP_PRIMAL_TOL:.3g})")
     m = G.shape[0]
     row_norm = np.linalg.norm(G, axis=1)
-    x = start.point.copy()
     eq = _independent_rows(feasible.eq_matrix, np.eye(n))
     A_eq, b_eq = feasible.eq_matrix[eq], feasible.eq_rhs[eq]
     Qf, R = qr(A_eq.T)
@@ -648,6 +664,20 @@ def solve_qp(quadratic, linear, feasible: LinearProgram) -> LpSolution:
     )
 
 
+def _relative_slack(G, h, x):
+    """Slacks of ``G x <= h`` relative to the size of the terms they are
+    the difference of."""
+    return (h - G @ x) / (1.0 + np.abs(G) @ np.abs(x) + np.abs(h))
+
+
+def _violation(feasible, G, h, x):
+    """Largest relative violation of ``G x <= h`` and of the equality rows
+    of ``feasible`` at ``x``."""
+    A_eq, b_eq = feasible.eq_matrix, feasible.eq_rhs
+    eq_gap = (A_eq @ x - b_eq) / (1.0 + np.abs(A_eq) @ np.abs(x) + np.abs(b_eq))
+    return max(-_relative_slack(G, h, x).min(initial=0.0), np.abs(eq_gap).max(initial=0.0))
+
+
 def _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale):
     """Check the KKT residuals of ``x`` and return it as the QP optimum.
 
@@ -656,20 +686,16 @@ def _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale):
     a stationary Lagrangian and zero slack on every working row.
     """
     neq = len(eq)
-    A_eq = feasible.eq_matrix
-    A_w = np.vstack([A_eq[eq], G[work]])
-    # slacks relative to the size of the terms they are the difference of
-    slack = (h - G @ x) / (1.0 + np.abs(G) @ np.abs(x) + np.abs(h))
-    eq_gap = (A_eq @ x - feasible.eq_rhs) / (
-        1.0 + np.abs(A_eq) @ np.abs(x) + np.abs(feasible.eq_rhs))
-    primal = max(-slack.min(initial=0.0), np.abs(eq_gap).max(initial=0.0))
+    A_w = np.vstack([feasible.eq_matrix[eq], G[work]])
+    slack = _relative_slack(G, h, x)
+    primal = _violation(feasible, G, h, x)
     dual = mult[neq:].min(initial=0.0)
     stationarity = np.abs(Q @ x + c + A_w.T @ mult).max(initial=0.0)
     # multipliers vanish off the working set, so complementarity asks that
     # every working row binds
     complementarity = np.abs(slack[work]).max(initial=0.0)
     tol = 1e-7 * scale * (1.0 + np.abs(x).max(initial=0.0))
-    if not (primal <= 1e-7 and dual >= -1e-8 * scale and stationarity <= tol
+    if not (primal <= QP_PRIMAL_TOL and dual >= -1e-8 * scale and stationarity <= tol
             and complementarity <= 1e-7):
         raise SolverFailureError(
             "failed to certify the QP optimum: "

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import sqrtm
 from scipy.optimize import linprog as scipy_linprog, minimize
 from scipy.stats import chi2
 
@@ -241,11 +242,10 @@ def test_compact_system_matches_the_row_form_reference():
         assert_allclose(values, ref, rtol=1e-9, atol=1e-9)
         compact = test_conditional_chisq(system, 0.05)
         rows = test_conditional_chisq(reference, 0.05)
-        # the row form has no equality rows, so its QP walks back from a
-        # phase-1 vertex far out along the covariance ridge without being
-        # put back on its working rows: it meets the optimum of its binding
-        # face only to about 1e-8 (zero statistics to a few 1e-9)
-        assert compact.statistic == pytest.approx(rows.statistic, rel=1e-8, abs=1e-8)
+        # both QPs start at their l1-nearest points, not far out along the
+        # covariance ridge, so they meet to about 1e-14 (zero statistics to
+        # 1e-19)
+        assert compact.statistic == pytest.approx(rows.statistic, rel=1e-11, abs=1e-12)
         assert compact.df == rows.df
     assert general >= 40
 
@@ -476,6 +476,97 @@ def test_chisq_on_clustered_binary_samples_matches_slsqp():
         assert ref.success and (system.c2 @ ref.x).max() <= 1e-12
         assert res.statistic == pytest.approx(system.n_eff * ref.fun, rel=1e-6)
         assert res.df >= 1 and res.reject
+
+
+def chisq_restrictions(support):
+    """The monotone, defier-budget and unrestricted sets of an ordered support."""
+    return (RestrictionSet.monotone(support), RestrictionSet.defier_budget(support, 0.05),
+            RestrictionSet.unrestricted(support))
+
+
+def test_chisq_with_nuisance_coordinates_matches_slsqp():
+    """The statistic equals SLSQP's minimum over (mu, omega), with mu
+    written as p_hat + S w for the symmetric square root S of the
+    ridge-regularized covariance: over mu itself, whose precision has a
+    condition number near 1e10, SLSQP does not converge on every system."""
+    rng = np.random.default_rng(43)
+    for K in (3, 4, 5):
+        rec = ordered_violation_records(rng, n=3000, K=K)
+        for r in chisq_restrictions(support_from_values(rec.m)):
+            system = build(rec, r)
+            n_p, n_o = system.p_hat.size, system.n_omega
+            assert n_o > 0
+            root = np.real(sqrtm(system.sigma_hat + inference.CHISQ_RIDGE * np.eye(n_p)))
+            # rows C1 omega - C2 mu >= 0 and E1 omega - E2 mu = 0 over x = (w, omega)
+            ub = np.hstack([-system.c2 @ root, system.c1])
+            eq = np.hstack([-system.e2 @ root, system.e1])
+            ub_rhs, eq_rhs = system.c2 @ system.p_hat, system.e2 @ system.p_hat
+            ref = minimize(lambda x: x[:n_p] @ x[:n_p], np.r_[np.zeros(n_p), np.full(n_o, 0.1)],
+                           jac=lambda x: np.r_[2.0 * x[:n_p], np.zeros(n_o)],
+                           constraints=[{"type": "ineq", "fun": lambda x: ub @ x - ub_rhs,
+                                         "jac": lambda x: ub},
+                                        {"type": "eq", "fun": lambda x: eq @ x - eq_rhs,
+                                         "jac": lambda x: eq}],
+                           bounds=[(None, None)] * n_p + [(0.0, None)] * n_o,
+                           method="SLSQP", options={"ftol": 1e-14, "maxiter": 1000})
+            assert ref.success
+            assert (ub @ ref.x - ub_rhs).min() >= -1e-12
+            assert np.abs(eq @ ref.x - eq_rhs).max() <= 1e-12
+            res = test_conditional_chisq(system, 0.05)
+            assert res.statistic == pytest.approx(system.n_eff * ref.fun, rel=1e-8, abs=1e-8)
+
+
+def permuted(system, rng):
+    """``system`` with its inequality rows, equality rows and omega
+    coordinates each in a random order."""
+    rows, eqs = rng.permutation(system.n_rows), rng.permutation(system.e1.shape[0])
+    cols = rng.permutation(system.n_omega)
+    return dataclasses.replace(
+        system, c1=system.c1[rows][:, cols], c2=system.c2[rows],
+        rows=tuple(system.rows[i] for i in rows), e1=system.e1[eqs][:, cols], e2=system.e2[eqs])
+
+
+def test_chisq_df_does_not_depend_on_the_start_or_the_order(monkeypatch):
+    """With the rows and omega coordinates shuffled, and from its
+    l1-nearest start or from its phase-1 vertex, the QP ends at the same
+    statistic, and df, read off the whole optimal face, is the same; on
+    most of these systems more rows bind at the returned omega than on the
+    whole face."""
+    narrowed = []
+    face_binding = inference._face_binding
+
+    def recording(system, active, at_bound):
+        out = face_binding(system, active, at_bound)
+        narrowed.append(out[0].sum() + out[1].sum() < active.sum() + at_bound.sum())
+        return out
+
+    def solve(system, start):
+        with monkeypatch.context() as patch:
+            if start == "phase 1":  # solve_qp's default start, its phase-1 vertex
+                patch.setattr(inference, "_nearest_start", lambda *args: None)
+            return inference._chisq_solution(system)
+
+    monkeypatch.setattr(inference, "_face_binding", recording)
+    rng = np.random.default_rng(47)
+    for trial in range(100):
+        kind = trial % 3
+        K = int(rng.integers(3 if kind == 0 else 2, 7))  # K = 2 monotone has no omega
+        n, Q = int(rng.integers(300, 1500)), int(rng.integers(2, 4))
+        d = rng.integers(0, 2, n)
+        m = rng.integers(0, K, n)
+        moved = (d == 1) & (m < K - 1) & (rng.random(n) < rng.uniform(0.0, 0.5))
+        m = m + moved
+        lift = rng.uniform(0.0, 0.4) * (trial % 2)
+        y = np.minimum(rng.integers(0, Q, n) + ((d == 1) & ~moved & (rng.random(n) < lift)), Q - 1)
+        rec = RecordSet(y=y.astype(float), m=m.astype(float), d=d)
+        system = build(rec, chisq_restrictions(support_from_values(rec.m))[kind])
+        assert system.n_omega > 0
+        shuffled = permuted(system, rng)
+        stats, dfs = zip(*(solve(s, start) for s, start in (
+            (system, "l1"), (shuffled, "l1"), (shuffled, "phase 1"))))
+        assert stats == pytest.approx([stats[0]] * 3, rel=1e-9, abs=1e-12)
+        assert len(set(dfs)) == 1
+    assert sum(narrowed) >= 150  # of 300 solves
 
 
 def test_cell_count_warning_and_median():

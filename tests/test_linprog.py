@@ -497,6 +497,49 @@ def test_qp_lagrangian_bound_on_degenerate_chisq_shaped_problems():
     assert degenerate >= 40  # most phase-1 vertices bind more rows than variables
 
 
+@pytest.mark.parametrize("start, error, message", [
+    ([0.6, 0.6, 0.4], DomainError, "violates the feasible set"),  # x1 + x2 <= 1 by 0.2
+    ([0.0, -1e-3, -0.2], DomainError, "violates the feasible set"),  # x2 >= 0
+    ([0.2, 0.5, 0.1], DomainError, "violates the feasible set"),  # x1 - x3 = 0.2
+    ([0.2, np.nan, 0.0], StructuralError, "NaN or infinite"),
+    ([0.2, 0.3], StructuralError, "shape"),
+])
+def test_qp_rejects_an_infeasible_start(start, error, message):
+    lp = LinearProgram(objective=np.zeros(3), eq_matrix=[[1.0, 0.0, -1.0]], eq_rhs=[0.2],
+                       ub_matrix=[[1.0, 1.0, 0.0]], ub_rhs=[1.0],
+                       bounds=[(-np.inf, np.inf), (0.0, np.inf), (-np.inf, np.inf)])
+    with pytest.raises(error, match=message):
+        solve_qp(2.0 * np.eye(3), np.zeros(3), lp, start)
+    # a start off by rounding only is accepted
+    sol = solve_qp(2.0 * np.eye(3), np.zeros(3), lp, [0.2 + 1e-15, 0.0, 1e-15])
+    assert sol.status == OPTIMAL
+    assert_allclose(sol.point, [0.1, 0.0, -0.1], atol=1e-12)
+
+
+def test_qp_from_a_degenerate_vertex_start_returns_the_certified_optimum():
+    """Started at the origin, where more rows bind than there are
+    variables, the QP reaches the optimum it reaches from its phase-1
+    vertex, with a certificate that checks."""
+    rng = np.random.default_rng(29)
+    degenerate = 0
+    for _ in range(80):
+        Q, c, G, h, n_w, lp = _chisq_shaped_qp(rng)  # h >= 0: the origin is feasible
+        n = G.shape[1]
+        binding = G[h == 0.0]
+        degenerate += binding.shape[0] > n and np.linalg.matrix_rank(binding) == n
+        sol = solve_qp(Q, c, lp, np.zeros(n))
+        assert sol.status == OPTIMAL
+        primal, dual, stationarity, complementarity = _qp_residuals(sol, Q, c, G, h)
+        size = 1.0 + np.abs(sol.point).max()
+        assert primal <= 1e-9 * size and dual >= -1e-8
+        assert stationarity <= 1e-9 * size
+        assert complementarity <= 1e-9 * size * (1.0 + np.abs(sol.dual).max(initial=0.0))
+        cold = solve_qp(Q, c, lp)
+        assert sol.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
+        assert_allclose(sol.point[:n_w], cold.point[:n_w], rtol=0.0, atol=1e-9 * size)
+    assert degenerate >= 40
+
+
 def test_qp_projection_onto_simplex_with_redundant_equalities():
     rng = np.random.default_rng(31)
     for t in range(60):
