@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, gammaincinv
 
-from .errors import EstimationError, SolverFailureError, StructuralError
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp, solve_qp
+from .errors import EstimationError, IdentificationError, SolverFailureError, StructuralError
+from .linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, FeasibleSet, LinearProgram, solve_lp,
+                      solve_qp)
 from .probtab import RecordSet, encode
 from .rng import substreams
-from .typeshares import MONOTONE, RestrictionSet, share_polytope
+from .typeshares import CUSTOM, MONOTONE, RestrictionSet, share_polytope
 
 HARD_SD_FLOOR = 1e-12
 CHISQ_RIDGE = 1e-10  # added to the covariance before whitening
@@ -240,7 +241,9 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
 
     A median independent-unit count per occupied cell below ``min_cell``
     triggers :class:`CellCountWarning`; more stacked cell probabilities
-    than independent units raise :class:`EstimationError`.
+    than independent units raise :class:`EstimationError`.  A custom
+    restriction that no type shares satisfy raises
+    :class:`IdentificationError`.
     """
     enc = encode(records, bins)
     support, levels = enc.support, enc.outcome_levels
@@ -249,6 +252,11 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
             f"restriction built for K={r.n_support} but records have K={support.k}"
         )
     K, Q = support.k, len(levels)
+    # the built-in kinds all admit the diagonal allocation
+    if r.kind == CUSTOM and not FeasibleSet(LinearProgram(
+            objective=np.zeros(K * K), eq_matrix=np.ones((1, K * K)), eq_rhs=[1.0],
+            ub_matrix=r.matrix, ub_rhs=r.rhs)).feasible:
+        raise IdentificationError("no type shares satisfy the custom restriction")
     n_p = 2 * K * Q + 2 * K
     n_units = int(enc.cluster_of.max(initial=-1)) + 1
     if n_p > n_units:
@@ -541,11 +549,7 @@ def _chisq_solution(system: MomentSystem):
         ub_rhs=rhs,
         bounds=((-np.inf, np.inf),) * n_w + ((0.0, np.inf),) * system.n_omega,
     )
-    Q = np.zeros((n, n))
-    Q[:n_w, :n_w] = 2.0 * np.eye(n_w)
-    sol = solve_qp(Q, np.zeros(n), feas, _nearest_start(system, U, lam))
-    if sol.status != OPTIMAL:
-        raise SolverFailureError(f"conditional chi-squared QP ended with status {sol.status}")
+    sol = solve_qp(n_w, feas, _nearest_start(system, U, lam))
     statistic = system.n_eff * float(sol.value)
     active = rhs - ub @ sol.point <= 1e-7 * (1.0 + np.abs(rhs))
     at_bound = sol.point[n_w:] <= 1e-7

@@ -1,4 +1,4 @@
-"""Small dense solvers for LPs, linear-fractional programs, and convex QPs.
+"""Small dense solvers for LPs, linear-fractional programs, and least-distance QPs.
 
 All problems here are tiny (at most a few hundred variables), so the
 implementation favors robustness and verifiable certificates over speed:
@@ -14,14 +14,16 @@ implementation favors robustness and verifiable certificates over speed:
 * ``solve_lfp`` minimizes a ratio of affine forms through the
   Charnes-Cooper change of variables, after an auxiliary LP has verified
   that the denominator is strictly positive on the feasible set.
-* ``solve_qp`` is a primal active-set method for convex (PSD) objectives,
-  started at a feasible point the caller supplies or, by default, at a
-  phase-1 vertex.  Its working set stays linearly independent, and one QR
-  factorisation of the working-set rows is updated by one row per step
-  instead of being recomputed; each iterate is put back on the working
-  rows through it.  The optimum is returned only after its KKT residuals
-  have been checked, with a set of binding rows and multipliers that
-  certify it.
+* ``solve_qp`` minimizes the squared norm of the leading coordinates of
+  x over a polyhedron, the remaining ones being nuisance coordinates: the
+  least-distance program of the conditional chi-squared test.  A primal
+  active-set method runs from a feasible start the caller supplies.  Each
+  step is one minimum-norm least-squares solve in the null space of the
+  working set, whose linearly independent rows keep one QR factorisation
+  that is updated by one row per step instead of being recomputed; each
+  iterate is put back on the working rows through it.  The optimum is
+  returned only after its KKT residuals have been checked, with a set of
+  binding rows and multipliers that certify it.
 
 Inputs must be finite: a NaN or infinite entry in an objective, a matrix
 or a right-hand side raises ``StructuralError``; only bounds may be
@@ -41,6 +43,8 @@ FEAS_TOL = 1e-9
 QP_PRIMAL_TOL = 1e-7  # relative row violation a QP start or optimum may have
 DEP_TOL = 1e-9
 _MAX_PIVOTS = 20000
+_QP_SCALE = 2.0  # largest curvature of |x[:n_dist]|^2: scales the QP's multiplier tolerances
+_LSQ_RCOND = np.sqrt(1e-11)  # relative singular-value cutoff of the QP step
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -537,25 +541,24 @@ def _independent_rows(rows, null):
     return sorted(int(i) for i in piv[:rank])
 
 
-def solve_qp(quadratic, linear, feasible: LinearProgram, start=None) -> LpSolution:
-    """Minimize ``0.5 x'Qx + c'x`` over the polyhedron described by ``feasible``.
+def solve_qp(n_dist, feasible: LinearProgram, start) -> LpSolution:
+    """Minimize ``|x[:n_dist]|^2`` over the polyhedron of ``feasible``; the
+    other coordinates of x are nuisance (a least-distance program).
 
-    ``quadratic`` must be symmetric positive semidefinite (zero curvature
-    directions are handled by ray steps).  A primal active-set method is
-    started at ``start`` or, when it is None, at a phase-1 simplex vertex.
-    A supplied start must be finite and feasible to ``QP_PRIMAL_TOL``, the
-    tolerance the optimum is certified to; one that is not raises
-    ``StructuralError`` or ``DomainError``.  A start near the optimum saves
-    iterations: each one moves or changes the working set by one row.  The
-    working set holds the equality rows and a linearly independent set of
-    inequality rows: the start keeps a maximal independent subset of the
-    rows binding there, and a blocking row enters only if it is
-    independent of the working set.  One full QR factorisation of the
-    transposed working-set rows is updated by one row per step; the
-    trailing columns of its Q span the null space the step is taken in,
-    and one triangular solve with its R gives the multipliers.  Ties
-    between blocking rows, and between rows with negative multipliers, go
-    to the smallest row index.
+    A primal active-set method runs from ``start``, which must be finite
+    and feasible to ``QP_PRIMAL_TOL``, the tolerance the optimum is
+    certified to; one that is not raises ``StructuralError`` or
+    ``DomainError``.  A start near the optimum saves iterations: each one
+    moves or changes the working set by one row.  The working set holds
+    the equality rows and a linearly independent set of inequality rows:
+    at first a maximal one among the rows binding at the start, and a
+    blocking row enters only if it is independent of the working set.  One
+    full QR factorisation of the transposed working-set rows is updated by
+    one row per step.  The trailing columns Z of its Q span the null space;
+    the step is ``Z y``, y the minimum-norm least-squares solution of
+    ``Z[:n_dist] y = -x[:n_dist]``, and one triangular solve with its R
+    gives the multipliers.  Ties between blocking rows, and between rows
+    with negative multipliers, go to the smallest row index.
 
     Before an optimum is returned, its primal feasibility, dual
     feasibility, stationarity and complementarity residuals are checked;
@@ -566,32 +569,16 @@ def solve_qp(quadratic, linear, feasible: LinearProgram, start=None) -> LpSoluti
     ``active`` row, in that order.
     """
     n = feasible.n_vars
-    Q = np.asarray(quadratic, dtype=float)
-    c = _as_vector(np.asarray(linear, dtype=float), n, "linear")
-    if Q.shape != (n, n):
-        raise StructuralError("quadratic matrix does not match variable count")
-    if not (np.isfinite(Q).all() and np.isfinite(c).all()):
-        raise StructuralError("quadratic or linear term has a NaN or infinite entry")
-    if not np.allclose(Q, Q.T, atol=1e-8 * max(1.0, np.abs(Q).max())):
-        raise DomainError("quadratic matrix must be symmetric")
-    Q = 0.5 * (Q + Q.T)
-    eigs = np.linalg.eigvalsh(Q)
-    if eigs.size and eigs.min() < -1e-8 * max(1.0, abs(eigs).max()):
-        raise DomainError("quadratic matrix must be positive semidefinite")
+    if not 0 < n_dist <= n:
+        raise StructuralError(f"n_dist is {n_dist}, expected 1 to {n}")
     G, h = _feasible_set_rows(feasible)
-    if start is None:
-        vertex = solve_lp(replace(feasible, objective=np.zeros(n)))
-        if vertex.status != OPTIMAL:
-            return vertex
-        x = vertex.point.copy()
-    else:
-        x = _as_vector(np.asarray(start, dtype=float), n, "start").copy()
-        if not np.isfinite(x).all():
-            raise StructuralError("QP start has a NaN or infinite entry")
-        violation = _violation(feasible, G, h, x)
-        if violation > QP_PRIMAL_TOL:
-            raise DomainError(f"QP start violates the feasible set by {violation:.3g} "
-                              f"(relative; must be <= {QP_PRIMAL_TOL:.3g})")
+    x = _as_vector(np.asarray(start, dtype=float), n, "start").copy()
+    if not np.isfinite(x).all():
+        raise StructuralError("QP start has a NaN or infinite entry")
+    violation = _violation(feasible, G, h, x)
+    if violation > QP_PRIMAL_TOL:
+        raise DomainError(f"QP start violates the feasible set by {violation:.3g} "
+                          f"(relative; must be <= {QP_PRIMAL_TOL:.3g})")
     m = G.shape[0]
     row_norm = np.linalg.norm(G, axis=1)
     eq = _independent_rows(feasible.eq_matrix, np.eye(n))
@@ -602,7 +589,6 @@ def solve_qp(quadratic, linear, feasible: LinearProgram, start=None) -> LpSoluti
     # ``work`` lists the working inequality rows in the column order of R.
     work = [int(binding[i]) for i in _independent_rows(G[binding], Qf[:, neq:])]
     Qf, R = qr(np.vstack([A_eq, G[work]]).T)
-    scale = max(1.0, np.abs(Q).max(), np.abs(c).max())
     max_iter = 200 + 50 * (n + m)
     for _ in range(max_iter):
         k = neq + len(work)
@@ -610,37 +596,21 @@ def solve_qp(quadratic, linear, feasible: LinearProgram, start=None) -> LpSoluti
         # dependent rows magnify in x: put x back on them
         resid = np.concatenate([A_eq @ x - b_eq, G[work] @ x - h[work]])
         x = x - Qf[:, :k] @ solve_triangular(R[:k, :k], resid, trans="T", check_finite=False)
-        g = Q @ x + c
         Z = Qf[:, k:]
-        ray = False
-        if Z.shape[1] == 0:
-            p = np.zeros(n)
-        else:
-            H = Z.T @ Q @ Z
-            lam, V = np.linalg.eigh(H)
-            dd = V.T @ (Z.T @ g)
-            curv = lam > 1e-11 * max(1.0, lam.max())
-            flat_slope = (~curv) & (np.abs(dd) > 1e-9 * scale)
-            if flat_slope.any():
-                i = int(np.argmax(flat_slope))
-                p = Z @ (-np.sign(dd[i]) * V[:, i])
-                ray = True
-            else:
-                v = np.zeros_like(dd)
-                v[curv] = -dd[curv] / lam[curv]
-                p = Z @ (V @ v)
+        p = np.zeros(n)
+        if Z.shape[1]:
+            p = Z @ np.linalg.lstsq(Z[:n_dist], -x[:n_dist], rcond=_LSQ_RCOND)[0]
         p_norm = np.linalg.norm(p)
-        if not ray and p_norm <= 1e-10 * max(1.0, np.linalg.norm(x)):
-            mult = solve_triangular(R[:k, :k], -(Qf[:, :k].T @ g))
-            bad = np.nonzero(mult[neq:] < -1e-8 * scale)[0]
+        if p_norm <= 1e-10 * max(1.0, np.linalg.norm(x)):
+            mult = solve_triangular(R[:k, :k], -(Qf[:n_dist, :k].T @ (2.0 * x[:n_dist])))
+            bad = np.nonzero(mult[neq:] < -1e-8 * _QP_SCALE)[0]
             if bad.size == 0:
-                return _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale)
+                return _certified_qp_optimum(n_dist, feasible, G, h, x, eq, work, mult)
             drop = min(bad, key=lambda i: work[i])
             Qf, R = qr_delete(Qf, R, neq + drop, which="col")
             work.pop(drop)
             continue
-        cap = np.inf if ray else 1.0
-        alpha, block = cap, -1
+        alpha, block = 1.0, -1
         gp = G @ p
         moving = gp > DEP_TOL * row_norm * p_norm
         moving[work] = False
@@ -648,11 +618,9 @@ def solve_qp(quadratic, linear, feasible: LinearProgram, start=None) -> LpSoluti
         if cand.size:
             ratios = np.maximum(h[cand] - G[cand] @ x, 0.0) / gp[cand]
             best = ratios.min()
-            alpha = min(best, cap)
-            if best < cap - 1e-12:
+            alpha = min(best, 1.0)
+            if best < 1.0 - 1e-12:
                 block = int(cand[np.argmax(ratios <= best + 1e-12)])
-        if ray and block < 0:
-            return LpSolution(UNBOUNDED, value=-np.inf)
         x = x + alpha * p
         if block >= 0:
             Qf, R = qr_insert(Qf, R, G[block], k, which="col")
@@ -678,8 +646,9 @@ def _violation(feasible, G, h, x):
     return max(-_relative_slack(G, h, x).min(initial=0.0), np.abs(eq_gap).max(initial=0.0))
 
 
-def _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale):
-    """Check the KKT residuals of ``x`` and return it as the QP optimum.
+def _certified_qp_optimum(n_dist, feasible, G, h, x, eq, work, mult):
+    """Check the KKT residuals of ``x`` and return it as the optimum of
+    ``|x[:n_dist]|^2``.
 
     The working set ``eq`` / ``work`` and its multipliers ``mult`` must
     certify ``x``: primal feasibility, nonnegative inequality multipliers,
@@ -687,15 +656,17 @@ def _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale):
     """
     neq = len(eq)
     A_w = np.vstack([feasible.eq_matrix[eq], G[work]])
+    grad = np.zeros(x.size)
+    grad[:n_dist] = 2.0 * x[:n_dist]
     slack = _relative_slack(G, h, x)
     primal = _violation(feasible, G, h, x)
     dual = mult[neq:].min(initial=0.0)
-    stationarity = np.abs(Q @ x + c + A_w.T @ mult).max(initial=0.0)
+    stationarity = np.abs(grad + A_w.T @ mult).max(initial=0.0)
     # multipliers vanish off the working set, so complementarity asks that
     # every working row binds
     complementarity = np.abs(slack[work]).max(initial=0.0)
-    tol = 1e-7 * scale * (1.0 + np.abs(x).max(initial=0.0))
-    if not (primal <= QP_PRIMAL_TOL and dual >= -1e-8 * scale and stationarity <= tol
+    tol = 1e-7 * _QP_SCALE * (1.0 + np.abs(x).max(initial=0.0))
+    if not (primal <= QP_PRIMAL_TOL and dual >= -1e-8 * _QP_SCALE and stationarity <= tol
             and complementarity <= 1e-7):
         raise SolverFailureError(
             "failed to certify the QP optimum: "
@@ -707,7 +678,7 @@ def _certified_qp_optimum(Q, c, feasible, G, h, x, eq, work, mult, scale):
     dual_eq = np.zeros(feasible.eq_matrix.shape[0])
     dual_eq[eq] = mult[:neq]
     return LpSolution(
-        OPTIMAL, value=float(0.5 * x @ Q @ x + c @ x), point=x,
+        OPTIMAL, value=float(x[:n_dist] @ x[:n_dist]), point=x,
         dual=np.concatenate([dual_eq, mult[neq:][order]]),
         active=tuple(work[i] for i in order),
     )

@@ -85,6 +85,10 @@ class RestrictionSet:
         c = np.atleast_1d(np.asarray(self.rhs, dtype=float))
         if c.shape[0] != B.shape[0]:
             raise StructuralError("restriction matrix and rhs disagree on row count")
+        bad = ~(np.isfinite(B).all(axis=1) & np.isfinite(c))
+        if bad.any():
+            raise StructuralError(f"restriction {self.kind} has a NaN or infinite entry "
+                                  f"in row {bad.argmax() + 1} of {c.size}")
         object.__setattr__(self, "matrix", B)
         object.__setattr__(self, "rhs", c)
 
@@ -243,13 +247,23 @@ def share_polytope(support: MediatorSupport, r: RestrictionSet):
     ``{theta >= 0 : eq_matrix theta = (p0, p1), ub_matrix theta <= ub_rhs}``
     over the flat cells ``free`` that ``r`` does not pin at zero.
 
-    A row with nonnegative coefficients and rhs 0 holds, as theta >= 0,
-    only with its positive cells at zero: it pins them and is dropped.
-    ``eq_matrix`` holds the control-arm row sums, then the column sums.
+    A row with nonnegative coefficients on the free cells and rhs 0 holds,
+    as theta >= 0, only with its positive cells at zero: it pins them and
+    is dropped.  Pinning a cell can make another row such a row (theta_02
+    - theta_01 <= 0 once theta_01 is pinned), so pins are found until no
+    row pins a free cell.  ``eq_matrix`` holds the control-arm row sums,
+    then the column sums.
     """
     K = support.k
-    pins = (r.matrix >= 0).all(axis=1) & (r.rhs == 0)
-    free = np.flatnonzero(~(r.matrix[pins] > 0).any(axis=0))
+    free = np.ones(K * K, dtype=bool)
+    while True:
+        on_free = np.where(free, r.matrix, 0.0)
+        pins = (on_free >= 0).all(axis=1) & (r.rhs == 0)
+        pinned = (on_free[pins] > 0).any(axis=0)
+        if not pinned.any():
+            break
+        free &= ~pinned
+    free = np.flatnonzero(free)
     eq, _ = marginal_equalities(support, np.zeros(K), np.zeros(K))
     return free, eq[:, free], r.matrix[~pins][:, free], r.rhs[~pins]
 

@@ -197,6 +197,28 @@ def test_non_finite_parameter_is_an_input_error(command, option, value, tmp_path
     assert not any(tmp_path.glob("o*"))
 
 
+@pytest.mark.parametrize("command", [["test", "--method", "cond-chisq"],
+                                     ["test", "--method", "lf-boot"], ["bounds"]])
+def test_custom_restriction_no_shares_satisfy_exits_3(command, tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_text("1,1,1,1,-1\n", encoding="utf-8")  # sum of theta <= -1
+    code, payload = run_cli([*command, "--input", str(FIXTURE), "--restriction", f"custom:{path}",
+                             "--out", str(tmp_path / "o.json")], capsys)
+    assert code == 3
+    assert payload["error"] == "IdentificationError"
+    assert not any(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("row", ["1,1,nan,1,0", "0,0,0,1,inf"])
+def test_non_finite_custom_restriction_is_named(row, tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_text(f"1,0,0,0,0.5\n{row}\n", encoding="utf-8")
+    code, payload = run_cli(["bounds", "--input", str(FIXTURE), "--restriction", f"custom:{path}",
+                             "--out", str(tmp_path / "b.json")], capsys)
+    assert code == 2
+    assert payload["message"] == "restriction custom has a NaN or infinite entry in row 2 of 2"
+
+
 def test_measurement_error_matrix_with_text_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "L.csv"
     path.write_text("a,b\n1,x\n", encoding="utf-8")

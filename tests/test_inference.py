@@ -11,9 +11,9 @@ from scipy.optimize import linprog as scipy_linprog, minimize
 from scipy.stats import chi2
 
 from conftest import make_table, random_table, records_from_table
-from mechtest.bounds import sharp_null_slack
+from mechtest.bounds import bounds_report, sharp_null_slack
 from mechtest.errors import EstimationError, StructuralError
-from mechtest import inference, mc
+from mechtest import inference, linprog, mc
 from mechtest.inference import (
     CellCountWarning,
     MomentRow,
@@ -24,9 +24,9 @@ from mechtest.inference import (
     test_conditional_chisq,
     test_least_favorable_bootstrap,
 )
-from mechtest.probtab import RecordSet, support_from_values
+from mechtest.probtab import RecordSet, from_records, support_from_values
 from mechtest.rng import substream
-from mechtest.typeshares import RestrictionSet, marginal_equalities
+from mechtest.typeshares import RestrictionSet, marginal_equalities, share_polytope
 
 
 def build(records, r=None, **kw):
@@ -540,10 +540,14 @@ def test_chisq_df_does_not_depend_on_the_start_or_the_order(monkeypatch):
         narrowed.append(out[0].sum() + out[1].sum() < active.sum() + at_bound.sum())
         return out
 
+    def from_vertex(n_dist, feasible, start):
+        zero = dataclasses.replace(feasible, objective=np.zeros(feasible.n_vars))
+        return linprog.solve_qp(n_dist, feasible, linprog.solve_lp(zero).point)
+
     def solve(system, start):
         with monkeypatch.context() as patch:
-            if start == "phase 1":  # solve_qp's default start, its phase-1 vertex
-                patch.setattr(inference, "_nearest_start", lambda *args: None)
+            if start == "phase 1":  # the zero-objective LP vertex of the QP's feasible set
+                patch.setattr(inference, "solve_qp", from_vertex)
             return inference._chisq_solution(system)
 
     monkeypatch.setattr(inference, "_face_binding", recording)
@@ -609,6 +613,30 @@ def test_lf_bootstrap_rejects_with_nuisance_coordinates():
     res = test_least_favorable_bootstrap(system, 0.05, b_draws=200, seed=4)
     assert np.isfinite(res.critical_value)
     assert res.reject and res.p_value <= 0.05
+
+
+def test_chained_pins_give_the_direct_pins_polytope_bounds_and_tests():
+    """theta_20 - theta_10 <= 0 with theta_10 pinned pins theta_20, and
+    then theta_21 - theta_20 <= 0 pins theta_21: the restriction is the
+    direct pins of the three defier cells in every output."""
+    rec = ordered_violation_records(np.random.default_rng(37), n=1500)
+    support = support_from_values(rec.m)
+    chained, direct = np.zeros((3, 9)), np.eye(9)[[3, 6, 7]]
+    chained[0, 3] = 1.0
+    chained[1, [6, 3]] = 1.0, -1.0
+    chained[2, [7, 6]] = 1.0, -1.0
+    rs = [RestrictionSet.custom(support, rows, np.zeros(3)) for rows in (chained, direct)]
+    polytopes = [share_polytope(support, r) for r in rs]
+    assert polytopes[0][0].tolist() == [0, 1, 2, 4, 5, 8]
+    for got, want in zip(*polytopes):
+        assert np.array_equal(got, want)
+    table = from_records(rec)
+    reports = [bounds_report(table, r, with_ade=True).to_json_dict() for r in rs]
+    assert reports[0] == reports[1]
+    systems = [build(rec, r) for r in rs]
+    assert test_conditional_chisq(systems[0], 0.05) == test_conditional_chisq(systems[1], 0.05)
+    assert (test_least_favorable_bootstrap(systems[0], 0.05, b_draws=200, seed=3)
+            == test_least_favorable_bootstrap(systems[1], 0.05, b_draws=200, seed=3))
 
 
 def test_chisq_solves_the_32000_row_k10_ordered_design():

@@ -306,12 +306,32 @@ def test_lfp_zero_bounds_stay_bounds_and_match_highs():
         assert abs(sol.dual @ sf.rhs - (sol.value - sf.offset)) < 1e-8
 
 
-# -- quadratic programs ----------------------------------------------------
+# -- least-distance quadratic programs --------------------------------------
+
+
+def _vertex(lp):
+    """The zero-objective LP vertex of ``lp``: a feasible QP start."""
+    return solve_lp(replace(lp, objective=np.zeros(lp.n_vars))).point
+
+
+def _least_distance(L, a, lp):
+    """``lp`` over (w, x) with the equality rows ``w = L'x + a``: min |w|^2
+    there is ``2 min (0.5 x'Qx + c'x) + |a|^2`` over ``lp``, where
+    ``Q = LL'`` and ``c = La``."""
+    r, eq = L.shape[1], lp.eq_matrix
+    return LinearProgram(
+        objective=np.zeros(r + lp.n_vars),
+        eq_matrix=np.block([[np.eye(r), -L.T], [np.zeros((eq.shape[0], r)), eq]]),
+        eq_rhs=np.r_[a, lp.eq_rhs],
+        ub_matrix=np.hstack([np.zeros((lp.ub_matrix.shape[0], r)), lp.ub_matrix]),
+        ub_rhs=lp.ub_rhs,
+        bounds=np.vstack([np.tile([-np.inf, np.inf], (r, 1)), lp.bounds]),
+    )
 
 
 def test_qp_scalar_active_bound():
-    sol = solve_qp([[2.0]], [0.0],
-                   LinearProgram(objective=[0.0], bounds=[(2.0, np.inf)]))
+    lp = LinearProgram(objective=[0.0], bounds=[(2.0, np.inf)])
+    sol = solve_qp(1, lp, _vertex(lp))
     assert sol.status == OPTIMAL
     assert_allclose(sol.value, 4.0, atol=1e-10)
     assert_allclose(sol.point, [2.0], atol=1e-10)
@@ -319,38 +339,29 @@ def test_qp_scalar_active_bound():
 
 
 def test_qp_projection_onto_halfspace():
-    sol = solve_qp(
-        2.0 * np.eye(2), [-2.0, -2.0],
-        LinearProgram(objective=[0.0, 0.0], ub_matrix=[[1.0, 1.0]], ub_rhs=[1.0],
-                      bounds=[(-np.inf, np.inf)] * 2),
-    )
+    # |x - (1, 1)|^2 over x1 + x2 <= 1, in y = x - (1, 1)
+    lp = LinearProgram(objective=[0.0, 0.0], ub_matrix=[[1.0, 1.0]], ub_rhs=[-1.0],
+                       bounds=[(-np.inf, np.inf)] * 2)
+    sol = solve_qp(2, lp, _vertex(lp))
     assert sol.status == OPTIMAL
-    assert_allclose(sol.value + 2.0, 0.5, atol=1e-10)  # +2 restores the constant
-    assert_allclose(sol.point, [0.5, 0.5], atol=1e-9)
+    assert_allclose(sol.value, 0.5, atol=1e-10)
+    assert_allclose(sol.point + 1.0, [0.5, 0.5], atol=1e-9)
     assert sol.active == (0,)
 
 
-@pytest.mark.parametrize("quadratic, linear", [
-    (np.eye(2), [np.nan, 0.0]), (np.eye(2), [np.inf, 0.0]), ([[1.0, 0.0], [0.0, np.inf]], [0.0, 0.0]),
-])
-def test_qp_rejects_non_finite_objective(quadratic, linear):
-    feasible = LinearProgram(np.zeros(2), ub_matrix=[[1.0, 1.0]], ub_rhs=[1.0],
-                             bounds=[(-np.inf, np.inf)] * 2)
-    with pytest.raises(StructuralError, match="NaN or infinite"):
-        solve_qp(quadratic, linear, feasible)
-
-
-def test_qp_rejects_non_psd():
-    lp = LinearProgram(objective=[0.0, 0.0], bounds=[(0, 1)] * 2)
-    with pytest.raises(DomainError):
-        solve_qp(np.array([[1.0, 0.0], [0.0, -1.0]]), [0.0, 0.0], lp)
-    with pytest.raises(DomainError):
-        solve_qp(np.array([[1.0, 0.5], [-0.5, 1.0]]), [0.0, 0.0], lp)
-
-
 def test_qp_infeasible():
+    """An empty feasible set has no start to give: every start is refused."""
     lp = LinearProgram(objective=[0.0], ub_matrix=[[1.0]], ub_rhs=[-1.0])
-    assert solve_qp([[2.0]], [0.0], lp).status == INFEASIBLE
+    assert solve_lp(lp).status == INFEASIBLE
+    with pytest.raises(DomainError, match="violates the feasible set"):
+        solve_qp(1, lp, [0.0])
+
+
+@pytest.mark.parametrize("n_dist", [0, 3])
+def test_qp_rejects_a_distance_block_that_does_not_fit(n_dist):
+    lp = LinearProgram(objective=[0.0, 0.0], bounds=[(0.0, 1.0)] * 2)
+    with pytest.raises(StructuralError, match="n_dist"):
+        solve_qp(n_dist, lp, [0.5, 0.5])
 
 
 def test_qp_matches_projected_gradient_on_boxes():
@@ -359,10 +370,12 @@ def test_qp_matches_projected_gradient_on_boxes():
         n = 5
         M = rng.normal(size=(n, n))
         Q = M @ M.T
-        c = rng.normal(size=n)
+        a = rng.normal(size=n)
+        c = M @ a
         lo = rng.uniform(-2, -1, n)
         hi = rng.uniform(1, 2, n)
-        sol = solve_qp(Q, c, LinearProgram(objective=np.zeros(n), bounds=list(zip(lo, hi))))
+        lp = _least_distance(M, a, LinearProgram(objective=np.zeros(n), bounds=list(zip(lo, hi))))
+        sol = solve_qp(n, lp, _vertex(lp))
         assert sol.status == OPTIMAL
         step = 1.0 / np.linalg.eigvalsh(Q).max()
         x = np.zeros(n)
@@ -373,30 +386,38 @@ def test_qp_matches_projected_gradient_on_boxes():
                 break
             x = x_new
         f_pg = 0.5 * x @ Q @ x + c @ x
-        assert abs(sol.value - f_pg) < 1e-6
+        assert abs(0.5 * (sol.value - a @ a) - f_pg) < 1e-6
+
+
+def _singular_psd_qp(rng):
+    """A polytope with a box, and ``Q = LL'`` with some zero curvatures,
+    ``c = La``, as the least-distance program of :func:`_least_distance`."""
+    n = int(rng.integers(2, 6))
+    A = rng.normal(size=(n + 2, n))
+    M = rng.normal(size=(n, n))
+    w, V = np.linalg.eigh(M @ M.T)
+    w[rng.random(n) < 0.3] = 0.0  # singular directions allowed
+    L = V * np.sqrt(w)
+    a = rng.normal(size=n)
+    b = A @ rng.normal(size=n) + rng.uniform(0.1, 1.0, n + 2)
+    lp = _least_distance(L, a, LinearProgram(
+        objective=np.zeros(n), ub_matrix=A, ub_rhs=b, bounds=[(-3, 3)] * n,
+    ))
+    return n, A, b, L, a, lp
 
 
 def test_qp_kkt_certificates_on_polytopes():
     rng = np.random.default_rng(17)
     for _ in range(60):
-        n = int(rng.integers(2, 6))
-        A = rng.normal(size=(n + 2, n))
-        M = rng.normal(size=(n, n))
-        w, V = np.linalg.eigh(M @ M.T)
-        w[rng.random(n) < 0.3] = 0.0  # singular directions allowed
-        Q = V @ np.diag(w) @ V.T
-        c = rng.normal(size=n)
-        b = A @ rng.normal(size=n) + rng.uniform(0.1, 1.0, n + 2)
-        sol = solve_qp(Q, c, LinearProgram(
-            objective=np.zeros(n), ub_matrix=A, ub_rhs=b, bounds=[(-3, 3)] * n,
-        ))
+        n, A, b, L, a, lp = _singular_psd_qp(rng)
+        sol = solve_qp(n, lp, _vertex(lp))
         assert sol.status == OPTIMAL
-        x = sol.point
+        x = sol.point[n:]
         G = np.vstack([A, np.eye(n), -np.eye(n)])
         h = np.concatenate([b, np.full(n, 3.0), np.full(n, 3.0)])
         assert (G @ x - h).max() <= 1e-8
         act = np.nonzero(G @ x - h >= -1e-7)[0]
-        g = Q @ x + c
+        g = L @ (L.T @ x + a)
         if act.size:
             lam, _ = nnls(G[act].T, -g)
             stationarity = np.linalg.norm(G[act].T @ lam + g)
@@ -405,18 +426,21 @@ def test_qp_kkt_certificates_on_polytopes():
         assert stationarity < 1e-6
 
 
-def _qp_residuals(sol, Q, c, G, h):
-    """Primal, dual, stationarity and complementarity residuals of a QP
-    optimum without equality rows, recomputed from ``point``, ``active``
-    and ``dual``."""
-    x, act, lam = sol.point, np.array(sol.active, dtype=int), sol.dual
+def _qp_residuals(sol, n_dist, G, h, E=np.zeros((0, 0)), e=np.zeros(0)):
+    """Primal, dual, stationarity and complementarity residuals of an
+    optimum of ``|x[:n_dist]|^2`` over ``E x = e, G x <= h``, recomputed
+    from ``point``, ``active`` and ``dual``."""
+    x, act = sol.point, np.array(sol.active, dtype=int)
+    E = E.reshape(-1, x.size)
+    mu, lam = sol.dual[:E.shape[0]], sol.dual[E.shape[0]:]
     assert lam.shape == act.shape
     assert np.linalg.matrix_rank(G[act]) == act.size  # linearly independent
     slack = h - G @ x
+    grad = np.r_[2.0 * x[:n_dist], np.zeros(x.size - n_dist)]
     return (
-        max(-slack.min(), 0.0),
+        max(-slack.min(), np.abs(E @ x - e).max(initial=0.0), 0.0),
         lam.min(initial=0.0),
-        np.abs(Q @ x + c + G[act].T @ lam).max(),
+        np.abs(grad + E.T @ mu + G[act].T @ lam).max(),
         np.abs(lam * slack[act]).max(initial=0.0),
     )
 
@@ -424,31 +448,26 @@ def _qp_residuals(sol, Q, c, G, h):
 def test_qp_certificate_residuals_on_polytopes():
     rng = np.random.default_rng(17)  # the polytopes of the KKT test above
     for _ in range(60):
-        n = int(rng.integers(2, 6))
-        A = rng.normal(size=(n + 2, n))
-        M = rng.normal(size=(n, n))
-        w, V = np.linalg.eigh(M @ M.T)
-        w[rng.random(n) < 0.3] = 0.0
-        Q = V @ np.diag(w) @ V.T
-        c = rng.normal(size=n)
-        b = A @ rng.normal(size=n) + rng.uniform(0.1, 1.0, n + 2)
-        sol = solve_qp(Q, c, LinearProgram(
-            objective=np.zeros(n), ub_matrix=A, ub_rhs=b, bounds=[(-3, 3)] * n,
-        ))
+        n, A, b, L, a, lp = _singular_psd_qp(rng)
+        sol = solve_qp(n, lp, _vertex(lp))
         assert sol.status == OPTIMAL
         # solver row order: ub rows, then per variable its upper and lower bound
-        G = np.vstack([A, np.kron(np.eye(n), [[1.0], [-1.0]])])
+        G = np.hstack([np.zeros((A.shape[0] + 2 * n, n)),
+                       np.vstack([A, np.kron(np.eye(n), [[1.0], [-1.0]])])])
         h = np.concatenate([b, np.full(2 * n, 3.0)])
-        primal, dual, stationarity, complementarity = _qp_residuals(sol, Q, c, G, h)
+        primal, dual, stationarity, complementarity = _qp_residuals(
+            sol, n, G, h, lp.eq_matrix, lp.eq_rhs)
         assert primal <= 1e-9 and dual >= -1e-8
         assert stationarity <= 1e-9 and complementarity <= 1e-9
 
 
 def _chisq_shaped_qp(rng):
     """More rows than variables, most through the origin and three exact
-    sums of others, and the chi-squared objective: ``Q = diag(2I, 0)``
-    over ``(w, omega)`` with omega free.  As after whitening with a ridge,
-    some w columns are five orders of magnitude smaller than the rest."""
+    sums of others, and the chi-squared objective, ``|w + s|^2`` over
+    ``(w, omega)`` with omega free.  As after whitening with a ridge, some
+    w columns are five orders of magnitude smaller than the rest.  Returns
+    ``lp`` in ``(w, omega)`` (the origin is feasible) and ``shifted``, the
+    least-distance program in ``(w + s, omega)``."""
     n_w = int(rng.integers(2, 6))
     n_o = int(rng.integers(1, 5))
     n = n_w + n_o
@@ -457,44 +476,42 @@ def _chisq_shaped_qp(rng):
     G = np.vstack([G, G[pairs[:, 0]] + G[pairs[:, 1]]])
     G[:, :n_w] *= np.where(rng.random(n_w) < 0.3, 1e-5, 1.0)
     h = np.where(rng.random(G.shape[0]) < 0.25, rng.uniform(0.1, 1.0, G.shape[0]), 0.0)
-    Q = np.zeros((n, n))
-    Q[:n_w, :n_w] = 2.0 * np.eye(n_w)
-    c = np.concatenate([rng.normal(size=n_w), np.zeros(n_o)])
+    shift = np.r_[0.5 * rng.normal(size=n_w), np.zeros(n_o)]
     lp = LinearProgram(objective=np.zeros(n), ub_matrix=G, ub_rhs=h,
                        bounds=[(-np.inf, np.inf)] * n)
-    return Q, c, G, h, n_w, lp
+    return G, n_w, shift, lp, replace(lp, ub_rhs=h + G @ shift)
 
 
 def test_qp_lagrangian_bound_on_degenerate_chisq_shaped_problems():
     rng = np.random.default_rng(29)
     degenerate = 0
     for _ in range(80):
-        Q, c, G, h, n_w, lp = _chisq_shaped_qp(rng)
-        start = solve_lp(LinearProgram(objective=np.zeros(G.shape[1]), ub_matrix=G,
-                                       ub_rhs=h, bounds=lp.bounds))
-        degenerate += np.sum(h - G @ start.point <= 1e-9) > G.shape[1]
-        sol = solve_qp(Q, c, lp)
+        G, n_w, shift, lp, shifted = _chisq_shaped_qp(rng)
+        h = shifted.ub_rhs
+        vertex = _vertex(lp)
+        degenerate += np.sum(lp.ub_rhs - G @ vertex <= 1e-9) > G.shape[1]
+        sol = solve_qp(n_w, shifted, vertex + shift)
         assert sol.status == OPTIMAL
         x = sol.point
-        assert abs(sol.value - (0.5 * x @ Q @ x + c @ x)) <= 1e-12 * (1 + abs(sol.value))
-        primal, dual, stationarity, complementarity = _qp_residuals(sol, Q, c, G, h)
+        assert abs(sol.value - x[:n_w] @ x[:n_w]) <= 1e-12 * (1 + abs(sol.value))
+        primal, dual, stationarity, complementarity = _qp_residuals(sol, n_w, G, h)
         size = 1.0 + np.abs(x).max()
         assert primal <= 1e-9 * size and dual >= -1e-8
         assert stationarity <= 1e-9 * size
         assert complementarity <= 1e-9 * size * (1.0 + np.abs(sol.dual).max(initial=0.0))
         # Lagrangian dual bound from the returned multipliers: for lam >= 0
         # with a stationary omega block, min_x of the Lagrangian is
-        # -|v_w|^2 / 4 - lam'h_A, where v = c + G_A' lam.
+        # -|v_w|^2 / 4 - lam'h_A, where v = G_A' lam.
         act = np.array(sol.active, dtype=int)
         lam = np.clip(sol.dual, 0.0, None)
-        v = c + G[act].T @ lam
+        v = G[act].T @ lam
         assert np.abs(v[n_w:]).max() <= 1e-9
         bound = -0.25 * v[:n_w] @ v[:n_w] - lam @ h[act]
         assert sol.value - bound <= 1e-9 * (1 + abs(sol.value))
-        again = solve_qp(Q, c, lp)
+        again = solve_qp(n_w, shifted, vertex + shift)
         assert again.active == sol.active
         assert (again.point == sol.point).all() and (again.dual == sol.dual).all()
-    assert degenerate >= 40  # most phase-1 vertices bind more rows than variables
+    assert degenerate >= 40  # most LP vertices bind more rows than variables
 
 
 @pytest.mark.parametrize("start, error, message", [
@@ -509,32 +526,33 @@ def test_qp_rejects_an_infeasible_start(start, error, message):
                        ub_matrix=[[1.0, 1.0, 0.0]], ub_rhs=[1.0],
                        bounds=[(-np.inf, np.inf), (0.0, np.inf), (-np.inf, np.inf)])
     with pytest.raises(error, match=message):
-        solve_qp(2.0 * np.eye(3), np.zeros(3), lp, start)
+        solve_qp(3, lp, start)
     # a start off by rounding only is accepted
-    sol = solve_qp(2.0 * np.eye(3), np.zeros(3), lp, [0.2 + 1e-15, 0.0, 1e-15])
+    sol = solve_qp(3, lp, [0.2 + 1e-15, 0.0, 1e-15])
     assert sol.status == OPTIMAL
     assert_allclose(sol.point, [0.1, 0.0, -0.1], atol=1e-12)
 
 
 def test_qp_from_a_degenerate_vertex_start_returns_the_certified_optimum():
     """Started at the origin, where more rows bind than there are
-    variables, the QP reaches the optimum it reaches from its phase-1
-    vertex, with a certificate that checks."""
+    variables, the QP reaches the optimum it reaches from the LP vertex,
+    with a certificate that checks."""
     rng = np.random.default_rng(29)
     degenerate = 0
     for _ in range(80):
-        Q, c, G, h, n_w, lp = _chisq_shaped_qp(rng)  # h >= 0: the origin is feasible
+        G, n_w, shift, lp, shifted = _chisq_shaped_qp(rng)
         n = G.shape[1]
-        binding = G[h == 0.0]
+        binding = G[lp.ub_rhs == 0.0]
         degenerate += binding.shape[0] > n and np.linalg.matrix_rank(binding) == n
-        sol = solve_qp(Q, c, lp, np.zeros(n))
+        sol = solve_qp(n_w, shifted, shift)  # the origin of lp
         assert sol.status == OPTIMAL
-        primal, dual, stationarity, complementarity = _qp_residuals(sol, Q, c, G, h)
+        primal, dual, stationarity, complementarity = _qp_residuals(
+            sol, n_w, G, shifted.ub_rhs)
         size = 1.0 + np.abs(sol.point).max()
         assert primal <= 1e-9 * size and dual >= -1e-8
         assert stationarity <= 1e-9 * size
         assert complementarity <= 1e-9 * size * (1.0 + np.abs(sol.dual).max(initial=0.0))
-        cold = solve_qp(Q, c, lp)
+        cold = solve_qp(n_w, shifted, _vertex(lp) + shift)
         assert sol.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
         assert_allclose(sol.point[:n_w], cold.point[:n_w], rtol=0.0, atol=1e-9 * size)
     assert degenerate >= 40
@@ -545,21 +563,23 @@ def test_qp_projection_onto_simplex_with_redundant_equalities():
     for t in range(60):
         n = int(rng.integers(2, 8))
         a = rng.normal(size=n)
-        eq, eq_rhs = np.ones((1, n)), [1.0]
+        eq, eq_rhs = np.ones((1, n)), [1.0 - a.sum()]
         if t % 2:  # a second, linearly dependent copy of the equality row
-            eq, eq_rhs = np.vstack([eq, 2.0 * eq]), [1.0, 2.0]
-        sol = solve_qp(2.0 * np.eye(n), -2.0 * a, LinearProgram(
-            objective=np.zeros(n), eq_matrix=eq, eq_rhs=eq_rhs, bounds=[(0.0, np.inf)] * n,
-        ))
+            eq, eq_rhs = np.vstack([eq, 2.0 * eq]), [1.0 - a.sum(), 2.0 - 2.0 * a.sum()]
+        # |x - a|^2 over the simplex, in y = x - a
+        lp = LinearProgram(objective=np.zeros(n), eq_matrix=eq, eq_rhs=eq_rhs,
+                           bounds=[(-ai, np.inf) for ai in a])
+        sol = solve_qp(n, lp, _vertex(lp))
         # Euclidean projection of a onto the simplex by sorting
         u = np.sort(a)[::-1]
         css = np.cumsum(u)
         rho = np.nonzero(u * np.arange(1, n + 1) > css - 1.0)[0][-1]
-        assert_allclose(sol.point, np.maximum(a - (css[rho] - 1.0) / (rho + 1), 0.0), atol=1e-12)
+        assert_allclose(sol.point + a, np.maximum(a - (css[rho] - 1.0) / (rho + 1), 0.0),
+                        atol=1e-12)
         assert sol.dual.size == eq.shape[0] + len(sol.active)
         act = list(sol.active)
         G = -np.eye(n)
-        stationarity = 2.0 * (sol.point - a) + eq.T @ sol.dual[:eq.shape[0]] \
+        stationarity = 2.0 * sol.point + eq.T @ sol.dual[:eq.shape[0]] \
             + G[act].T @ sol.dual[eq.shape[0]:]
         assert np.abs(stationarity).max() <= 1e-12
 
