@@ -199,26 +199,115 @@ def read_csv(path) -> RecordSet:
     ``m1..mp``, optional ``cluster``, ``z``, ``pscore``; rows are split by the
     ``csv`` module's default dialect, numbers parsed by ``float()``.  Any malformed
     row, CSV-level error or non-UTF-8 byte is a hard error naming its line.
+
+    A plain file is split at C level instead: one that is ASCII, holds no ``"``
+    or NUL and no ``\\r`` outside ``\\r\\n``, has the header's field count on
+    every line and no field of ``csv.field_size_limit()`` characters or more.
+    The dialect splits such a file the same way.  Any other file, or a plain
+    one with a field that ``float()`` rejects, is read whole by the ``csv``
+    module, which alone reports parse errors; both give the same records.
     """
+    parts = _read_plain(path)
+    if parts is None:
+        parts = _read_dialect(path)
+    try:
+        return RecordSet(**{c: np.concatenate(p) if p else np.array([]) for c, p in parts.items()})
+    except StructuralError as exc:
+        raise StructuralError(f"{path}: {exc}")
+
+
+def _layout(header, path):
+    """Positions of the numeric columns and of ``cluster`` (None if absent) in
+    a header row, and empty per-column block lists; raises on a bad header."""
+    header = [h.strip() for h in header]
+    for col in ("y", "d"):
+        if col not in header:
+            raise StructuralError(f"{path}: missing required column '{col}'")
+    m_cols = sorted((h for h in header if h.startswith("m") and h[1:].isdigit()),
+                    key=lambda h: int(h[1:]))
+    if not m_cols:
+        raise StructuralError(f"{path}: no mediator columns m1..mp found")
+    if m_cols != [f"m{i + 1}" for i in range(len(m_cols))]:
+        raise StructuralError(f"{path}: mediator columns must be contiguous m1..mp, got {m_cols}")
+    fields = {c: header.index(c) for c in ("y", "d", *m_cols, "z", "pscore") if c in header}
+    cluster = header.index("cluster") if "cluster" in header else None
+    parts = {c: [] for c in ("y", "d", "m", "cluster", "z", "pscore") if c in [*header, "m"]}
+    parts["m"].append(np.empty((0, len(m_cols))))  # a header-only file keeps p columns
+    return fields, cluster, parts
+
+
+def _map_distinct(convert, tokens):
+    """``convert`` of every token, as an array: called once per distinct token."""
+    distinct = list(set(tokens))
+    code = dict(zip(distinct, range(len(distinct))))
+    return np.array(list(map(convert, distinct)))[
+        np.fromiter(map(code.__getitem__, tokens), np.intp, len(tokens))]
+
+
+def _add_block(parts, column, fields, cluster):
+    """Append one block's arrays to ``parts``; ``column(j)`` gives the block's
+    field strings at position j."""
+    block = {c: _map_distinct(float, column(j)) for c, j in fields.items()}
+    block["m"] = np.column_stack([block.pop(c) for c in fields if c[0] == "m"])
+    if cluster is not None:
+        block["cluster"] = _map_distinct(str.strip, column(cluster))
+    for c, values in block.items():
+        parts[c].append(values)
+
+
+def _plain_fields(chunk, width, limit):
+    """The fields of ``chunk`` (whole lines) as strings, or None unless it is
+    plain: ASCII, no quote or NUL, ``\\r`` only in ``\\r\\n``, ``width`` fields on
+    every line and each field shorter than ``limit``."""
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"  # the last line of a file may lack its line end
+    # the csv module of Python 3.10 rejects a NUL, later ones read it as text
+    if not chunk.isascii() or b'"' in chunk or b"\0" in chunk:
+        return None
+    if b"\r" in chunk:
+        if chunk.count(b"\r") != chunk.count(b"\r\n"):
+            return None
+        chunk = chunk.replace(b"\r\n", b"\n")
+    code = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero((code == ord(",")) | (code == ord("\n")))
+    line_ends = np.flatnonzero(code[ends] == ord("\n"))
+    if ends.size % width or not np.array_equal(line_ends, np.arange(width - 1, ends.size, width)):
+        return None
+    if np.diff(ends, prepend=-1).max() > limit:  # a field's length is its gap less one
+        return None
+    return chunk[:-1].replace(b"\n", b",").decode("ascii").split(",")
+
+
+def _read_plain(path):
+    """Per-column block lists of a plain file (see :func:`read_csv`), or None
+    when any part of it is not plain or holds a field ``float()`` rejects."""
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        header = _plain_fields(line, line.count(b",") + 1, limit) if line else None
+        if header is None:
+            return None
+        try:
+            fields, cluster, parts = _layout(header, path)
+            while chunk := b"".join(islice(fh, BLOCK_ROWS)):
+                tokens = _plain_fields(chunk, len(header), limit)
+                if tokens is None:
+                    return None
+                _add_block(parts, lambda j: tokens[j::len(header)], fields, cluster)
+        except (StructuralError, ValueError):
+            return None
+    return parts
+
+
+def _read_dialect(path):
+    """Per-column block lists of any file, split by the ``csv`` module."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise StructuralError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            for col in ("y", "d"):
-                if col not in header:
-                    raise StructuralError(f"{path}: missing required column '{col}'")
-            m_cols = sorted((h for h in header if h.startswith("m") and h[1:].isdigit()),
-                            key=lambda h: int(h[1:]))
-            if not m_cols:
-                raise StructuralError(f"{path}: no mediator columns m1..mp found")
-            if m_cols != [f"m{i + 1}" for i in range(len(m_cols))]:
-                raise StructuralError(f"{path}: mediator columns must be contiguous m1..mp, got {m_cols}")
-            fields = {c: header.index(c) for c in ("y", "d", *m_cols, "z", "pscore") if c in header}
-            parts = {c: [] for c in ("y", "d", "m", "cluster", "z", "pscore") if c in [*header, "m"]}
-            parts["m"].append(np.empty((0, len(m_cols))))  # a header-only file keeps p columns
+            fields, cluster, parts = _layout(header, path)
             while True:
                 ln = reader.line_num + 1  # the physical line the block starts on
                 rows = []
@@ -228,9 +317,7 @@ def read_csv(path) -> RecordSet:
                         break
                     if set(map(len, rows)) != {len(header)}:
                         raise ValueError("field count")
-                    cols = list(zip(*rows))
-                    block = {c: np.fromiter(map(float, cols[j]), float, len(rows))
-                             for c, j in fields.items()}
+                    _add_block(parts, list(zip(*rows)).__getitem__, fields, cluster)
                 except (csv.Error, ValueError):
                     # the first bad row read, as a row-by-row parse meets it, named
                     # by its first line; a quoted field can hold line breaks
@@ -243,11 +330,6 @@ def read_csv(path) -> RecordSet:
                             raise StructuralError(f"{path}: line {ln}: {exc}")
                         ln += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
                     raise
-                block["m"] = np.column_stack([block.pop(c) for c in m_cols])
-                if "cluster" in parts:
-                    block["cluster"] = np.array(list(map(str.strip, cols[header.index("cluster")])))
-                for c, values in block.items():
-                    parts[c].append(values)
     except csv.Error as exc:
         raise StructuralError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -255,10 +337,7 @@ def read_csv(path) -> RecordSet:
             ln = next(ln for ln, line in enumerate(fh, start=1)
                       if line.decode("utf-8", "ignore").encode() != line)
         raise StructuralError(f"{path}: line {ln}: not UTF-8 ({exc.reason})") from None
-    try:
-        return RecordSet(**{c: np.concatenate(p) if p else np.array([]) for c, p in parts.items()})
-    except StructuralError as exc:
-        raise StructuralError(f"{path}: {exc}")
+    return parts
 
 
 def _mediator_codes(m, totally_ordered=None):
