@@ -361,7 +361,10 @@ def cmd_diagnose(cfg: RunConfig):
             counts[str(nb)] = None
     requested = parse_bins(cfg.bins)
     if requested is not None:
-        counts["requested"] = mc.median_cell_count(records, bins=requested)
+        count = counts.get(str(requested))  # None where the loop failed: recompute to raise
+        if count is None:
+            count = mc.median_cell_count(records, bins=requested)
+        counts["requested"] = count
     marg = {d: table.marginal_m(d) for d in (0, 1)}
     payload = {
         "median_cell_counts": counts,

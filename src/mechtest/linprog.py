@@ -11,9 +11,9 @@ implementation favors robustness and verifiable certificates over speed:
   feasible basis; ``solve_lp`` is one ``FeasibleSet`` and one objective.
   The type-share LPs of one identified set share its ``FeasibleSet``, so
   phase 1 runs once per identified set, not once per objective.
-* ``solve_lfp`` minimizes a ratio of affine forms through the
-  Charnes-Cooper change of variables, after an auxiliary LP has verified
-  that the denominator is strictly positive on the feasible set.
+* ``solve_lfp`` minimizes a ratio of affine forms by Dinkelbach's steps,
+  LPs over one ``FeasibleSet`` whose last dual certifies the ratio, after
+  an LP has verified that the denominator is positive on the set.
 * ``solve_qp`` minimizes the squared norm of the leading coordinates of
   x over a polyhedron, the remaining ones being nuisance coordinates: the
   least-distance program of the conditional chi-squared test.  A primal
@@ -43,6 +43,7 @@ FEAS_TOL = 1e-9
 QP_PRIMAL_TOL = 1e-7  # relative row violation a QP start or optimum may have
 DEP_TOL = 1e-9
 _MAX_PIVOTS = 20000
+_MAX_DINKELBACH_STEPS = 100
 _QP_SCALE = 2.0  # largest curvature of |x[:n_dist]|^2: scales the QP's multiplier tolerances
 _LSQ_RCOND = np.sqrt(1e-11)  # relative singular-value cutoff of the QP step
 
@@ -473,55 +474,44 @@ def _feasible_set_rows(lp: LinearProgram):
 
 
 def solve_lfp(numerator, denominator, feasible: LinearProgram) -> LpSolution:
-    """Minimize ``(n'x + n0) / (d'x + d0)`` over the feasible set of ``feasible``.
+    """Minimize ``(n'x + n0) / (d'x + d0)`` over the feasible set of
+    ``feasible``, whose objective is ignored; ``numerator`` and
+    ``denominator`` are ``(coefficients, constant)``.
 
-    Parameters
-    ----------
-    numerator, denominator : tuple
-        Affine forms ``(coefficients, constant)``.
-    feasible : LinearProgram
-        Only the constraint part is used; the objective is ignored.  With
-        ``y = t x``, a zero bound of x is the same bound of y; every other
-        finite bound b becomes a row ``+-(y - b t) <= 0``.
-
-    The denominator must be strictly positive everywhere on the feasible
-    set (checked with an auxiliary LP; violations raise ``DomainError``).
-    The Charnes-Cooper homogenizing variable is internal: the returned
-    ``point`` is in original coordinates.
+    Every LP runs over one ``FeasibleSet``, so phase 1 runs once.  The first
+    checks that the denominator exceeds ``FEAS_TOL`` on the set (else
+    ``DomainError``); its minimizer starts Dinkelbach's iteration.  With
+    ``lam`` the ratio at the current point, a step minimizes ``N - lam D``
+    and moves to its minimizer, until that minimum is at least ``-tol``,
+    ``tol = 1e-12 (1 + |lam|)``, or the ratio stops decreasing.  ``value``
+    is ``lam``, the ratio at the returned ``point``; ``dual`` and
+    ``standard`` are the last step's and certify ``min (n - lam d)'x >= lam
+    d0 - n0 - tol`` (the certified minimum in place of ``-tol`` where the
+    ratio stopped decreasing first).  An unbounded step, whose infimum lies
+    along a ray, and an exceeded step budget raise ``SolverFailureError``.
     """
     n = feasible.n_vars
     ncoef = _as_vector(np.asarray(numerator[0], dtype=float), n, "numerator")
     dcoef = _as_vector(np.asarray(denominator[0], dtype=float), n, "denominator")
     nconst, dconst = float(numerator[1]), float(denominator[1])
-    denom_min = solve_lp(replace(feasible, objective=dcoef))
-    if denom_min.status == INFEASIBLE:
-        return denom_min
-    if denom_min.status == UNBOUNDED or denom_min.value + dconst <= FEAS_TOL:
-        raise DomainError("denominator is not strictly positive on the feasible set")
-    zero = feasible.bounds == 0.0
-    G, h = _feasible_set_rows(replace(feasible, bounds=np.where(zero, [-np.inf, np.inf],
-                                                                 feasible.bounds)))
-    # (y, t): A y = b t, d'y + d0 t = 1, G y <= h t
-    cc = LinearProgram(
-        objective=np.append(ncoef, nconst),
-        eq_matrix=np.block([[feasible.eq_matrix, -feasible.eq_rhs[:, None]], [dcoef, dconst]]),
-        eq_rhs=np.append(np.zeros(feasible.eq_matrix.shape[0]), 1.0),
-        ub_matrix=np.hstack([G, -h[:, None]]),
-        ub_rhs=np.zeros(G.shape[0]),
-        bounds=np.vstack([np.where(zero, 0.0, [-np.inf, np.inf]), [0.0, np.inf]]),
-    )
-    sol = solve_lp(cc)
-    if sol.status != OPTIMAL:
+    polytope = FeasibleSet(feasible)
+    sol = polytope.minimize(dcoef)
+    if sol.status == INFEASIBLE:
         return sol
-    t = sol.point[n]
-    if t <= 1e-12:
-        raise SolverFailureError(
-            "Charnes-Cooper scale collapsed to zero (recession direction)"
-        )
-    return LpSolution(
-        OPTIMAL, value=sol.value, point=sol.point[:n] / t,
-        dual=sol.dual, standard=sol.standard,
-    )
+    if sol.status == UNBOUNDED or sol.value + dconst <= FEAS_TOL:
+        raise DomainError("denominator is not strictly positive on the feasible set")
+    point = sol.point
+    lam = (ncoef @ point + nconst) / (dcoef @ point + dconst)
+    for _ in range(_MAX_DINKELBACH_STEPS):
+        sub = polytope.minimize(ncoef - lam * dcoef)
+        if sub.status == UNBOUNDED:
+            raise SolverFailureError("the ratio's infimum lies along a ray of the feasible set")
+        nxt = (ncoef @ sub.point + nconst) / (dcoef @ sub.point + dconst)
+        if sub.value + nconst - lam * dconst >= -1e-12 * (1.0 + abs(lam)) or nxt >= lam:
+            return LpSolution(OPTIMAL, value=float(lam), point=point, dual=sub.dual,
+                              standard=sub.standard)
+        point, lam = sub.point, nxt
+    raise SolverFailureError(f"Dinkelbach steps exceeded the budget of {_MAX_DINKELBACH_STEPS}")
 
 
 def _independent_rows(rows, null):

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -315,8 +318,9 @@ def test_report_solves_each_lp_once(phase_one_runs):
     rep = bounds_report(table, r, with_ade=True)
     assert rep.nu_pooled_lb > 0.0 and not rep.pooled_degenerate
     # the identified set (whose feasible set serves the K theta_kk minima),
-    # the slack LP, the pooled denominator and the Charnes-Cooper LP
-    assert len(phase_one_runs) == 4
+    # the slack LP, and the pooled program (whose feasible set serves its
+    # denominator minimum and every Dinkelbach step)
+    assert len(phase_one_runs) == 3
     spec = build_identified_set(table, r)
     assert rep.nu_lb == tuple(nu_lower_bounds(table, r))
     assert rep.slack == sharp_null_slack(table, r)
@@ -404,6 +408,104 @@ def _highs_breakdown(table):
         return 1.0
     assert res.status == 0 and floor.status == 0
     return 0.0 if res.fun <= floor.fun + 1e-9 else res.fun
+
+
+def _highs_pooled(table, r):
+    """``(least always-taker mass, pooled bound)`` over the identified set
+    of ``r`` (HiGHS, tight tolerances), the bound by the textbook
+    Charnes-Cooper LP over ``(theta, t, s)``; ``(None, None)`` when the set
+    is empty."""
+    K = table.n_mediators
+    n = K * K + K
+    eq = np.zeros((2 * K, n))
+    for k in range(K):
+        eq[k, k * K:(k + 1) * K] = 1.0
+        eq[K + k, k:K * K:K] = 1.0
+    eq_rhs = np.concatenate([table.marginal_m(0), table.marginal_m(1)])
+    gaps = np.clip(table.mass[1] - table.mass[0], 0.0, None).sum(axis=1)
+    diag = np.zeros(n)
+    diag[np.arange(K) * (K + 1)] = 1.0
+    ub = [np.hstack([r.matrix, np.zeros((r.matrix.shape[0], K))])]
+    ub_rhs = [r.rhs]
+    for k in range(K):
+        covered = np.zeros((2, n))  # t_k >= gap_k - sum_{l != k} theta_lk, t_k <= theta_kk
+        covered[0, [l * K + k for l in range(K) if l != k]] = -1.0
+        covered[0, K * K + k] = -1.0
+        covered[1, K * K + k] = 1.0
+        covered[1, k * (K + 1)] = -1.0
+        ub.append(covered)
+        ub_rhs.append([-gaps[k], 0.0])
+    ub, ub_rhs = np.vstack(ub), np.concatenate(ub_rhs)
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    den = scipy_linprog(diag, A_ub=ub, b_ub=ub_rhs, A_eq=eq, b_eq=eq_rhs, method="highs",
+                        options=tight)
+    if den.status == 2:
+        return None, None
+    cc = scipy_linprog(
+        np.r_[np.zeros(K * K), np.ones(K), 0.0],
+        A_ub=np.hstack([ub, -ub_rhs[:, None]]), b_ub=np.zeros(ub.shape[0]),
+        A_eq=np.vstack([np.hstack([eq, -eq_rhs[:, None]]), np.r_[diag, 0.0]]),
+        b_eq=np.r_[np.zeros(2 * K), 1.0], method="highs", options=tight)
+    assert den.status == 0 and cc.status == 0
+    return den.fun, cc.fun
+
+
+def _survey_table():
+    """The cell masses of perfbench's ``survey_records(default_rng((2005,
+    0)), 200_000, 2000)``: 4 ordered mediator values, outcome levels 0-19."""
+    with open(Path(__file__).parent / "data" / "survey_table.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    mass = np.array([float(row["mass"]) for row in rows]).reshape(2, 4, 20)
+    return make_table(mass, levels=tuple(float(row["y"]) for row in rows[:20]))
+
+
+def test_pooled_bound_on_the_survey_table_matches_highs():
+    # its Charnes-Cooper LP once failed phase 1's Farkas certificate
+    table = _survey_table()
+    r = monotone(table)
+    rep = bounds_report(table, r)
+    assert not rep.pooled_degenerate
+    assert rep.nu_pooled_lb == pytest.approx(_highs_pooled(table, r)[1], abs=1e-9)
+    for dbar in (0.0, 0.075, 0.15):
+        r = RestrictionSet.defier_budget(table.support, dbar)
+        den, want = _highs_pooled(table, r)
+        want = 0.0 if den <= 1e-9 else max(want, 0.0)
+        assert nu_pooled_lower_bound(table, r) == pytest.approx(want, abs=1e-9), dbar
+
+
+def _near_null_tables(count):
+    """Sparse tables close to the null, each with three restriction sets:
+    Dirichlet(0.05) cell masses over K in 2-10 and Q in 2-20; treated is
+    control mixed with another draw at weight U(0, 0.3); a defier budget
+    U(0, 0.2), no restriction, and at most 0.05 moving the mediator by
+    more than 2."""
+    rng = np.random.default_rng(2)
+    for _ in range(count):
+        K, Q = int(rng.integers(2, 11)), int(rng.integers(2, 21))
+        control = rng.dirichlet(np.full(K * Q, 0.05))
+        w = rng.uniform(0.0, 0.3)
+        treated = (1.0 - w) * control + w * rng.dirichlet(np.full(K * Q, 0.05))
+        table = make_table(np.stack([control, treated]).reshape(2, K, Q))
+        s = table.support
+        yield table, (RestrictionSet.defier_budget(s, rng.uniform(0.0, 0.2)),
+                      RestrictionSet.unrestricted(s), RestrictionSet.bounded_effect(s, 2.0, 0.05))
+
+
+def test_pooled_bound_matches_highs_on_near_null_tables():
+    solved = 0
+    for i, (table, restrictions) in enumerate(_near_null_tables(40)):
+        for r in restrictions:
+            den, want = _highs_pooled(table, r)
+            if den is None:
+                with pytest.raises(IdentificationError):
+                    bounds_report(table, r)
+                continue
+            rep = bounds_report(table, r)
+            assert rep.pooled_degenerate == (den <= 1e-9), (i, r.kind)
+            want = 0.0 if rep.pooled_degenerate else max(want, 0.0)
+            assert rep.nu_pooled_lb == pytest.approx(want, abs=1e-9), (i, r.kind)
+            solved += 1
+    assert solved > 80
 
 
 def test_breakdown_matches_highs_on_fuzz_tables():

@@ -430,6 +430,28 @@ def test_diagnose_subcommand(tmp_path, capsys):
     assert "2" in payload["median_cell_counts"]
 
 
+@pytest.mark.parametrize("bins, calls", [("5", 3), ("3", 4)])
+def test_diagnose_takes_each_median_cell_count_once(bins, calls, tmp_path, capsys, monkeypatch):
+    records = _load_table(resolve_config(build_parser().parse_args(
+        ["diagnose", "--input", str(FIXTURE)])))[0]
+    want = {str(nb): mc.median_cell_count(records, bins=nb) for nb in (2, 5, 10)}
+    want["requested"] = mc.median_cell_count(records, bins=int(bins))
+    seen = []
+    original = mc.median_cell_count
+
+    def counting(recs, bins=None):
+        seen.append(bins)
+        return original(recs, bins=bins)
+
+    monkeypatch.setattr(mc, "median_cell_count", counting)
+    out = tmp_path / "diag.json"
+    code, _ = run_cli(["diagnose", "--input", str(FIXTURE), "--bins", bins, "--out", str(out)],
+                      capsys)
+    assert code == 0
+    assert len(seen) == calls
+    assert json.loads(out.read_text())["median_cell_counts"] == want
+
+
 def test_missing_input_error(capsys):
     code, payload = run_cli(["bounds"], capsys)
     assert code == 2

@@ -261,9 +261,10 @@ def test_lfp_matches_grid_search():
         assert abs(ratio - sol.value) < 1e-8
 
 
-def test_lfp_zero_bounds_stay_bounds_and_match_highs():
-    """Charnes-Cooper keeps a zero bound as a bound of y = t x; the value
-    matches HiGHS on the textbook form, where every finite bound is a row."""
+def test_lfp_with_zero_and_finite_bounds_matches_highs():
+    """The value matches HiGHS on the textbook Charnes-Cooper form, where
+    every finite bound is a row, and the last Dinkelbach step's dual
+    certifies it: ``min (n - lam d)'x >= lam d0 - n0`` over the set."""
     rng = np.random.default_rng(23)
     for _ in range(60):
         n, me, mu = int(rng.integers(2, 6)), int(rng.integers(0, 3)), int(rng.integers(0, 3))
@@ -281,8 +282,6 @@ def test_lfp_zero_bounds_stay_bounds_and_match_highs():
         sol = solve_lfp(num, den, feas)
         assert sol.status == OPTIMAL
         finite = np.r_[hi[hi != 0.0], lo[lo != 0.0]]
-        fixed = np.count_nonzero((lo == 0.0) & (hi == 0.0))
-        assert sol.standard.matrix.shape[0] == me + 1 + mu + finite.size + fixed
         # the textbook Charnes-Cooper LP over (y, t)
         eye = np.eye(n)
         g = np.vstack([Au, eye[hi != 0.0], -eye[lo != 0.0]])
@@ -298,12 +297,20 @@ def test_lfp_zero_bounds_stay_bounds_and_match_highs():
         )
         assert ref.status == 0
         assert abs(sol.value - ref.fun) < 1e-7
-        x = sol.point
+        x, lam = sol.point, sol.value
         assert (x >= lo - 1e-9).all() and (x <= hi + 1e-9).all()
-        assert abs((num[0] @ x + num[1]) / (den[0] @ x + den[1]) - sol.value) < 1e-8
+        assert abs((num[0] @ x + num[1]) / (den[0] @ x + den[1]) - lam) < 1e-8
+        # dual feasibility for the cost n - lam d bounds its minimum below by y'b
         sf = sol.standard
+        assert_allclose(sf.cost, sf.with_cost(num[0] - lam * den[0]).cost, rtol=0, atol=1e-12)
         assert (sf.cost - sol.dual @ sf.matrix).min() > -1e-8
-        assert abs(sol.dual @ sf.rhs - (sol.value - sf.offset)) < 1e-8
+        assert sol.dual @ sf.rhs + sf.offset >= lam * den[1] - num[1] - 1e-9
+
+
+def test_lfp_infimum_at_infinity_raises():
+    # 1 / (x + 1) over x >= 0 falls towards 0 as x grows and never attains it
+    with pytest.raises(SolverFailureError, match="ray"):
+        solve_lfp(([0.0], 1.0), ([1.0], 1.0), LinearProgram(objective=[0.0]))
 
 
 # -- least-distance quadratic programs --------------------------------------
