@@ -297,15 +297,14 @@ def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
     tmins = [theta_kk_min(spec, k) for k in range(spec.k)]
     nu_lb = _nu_lower_bounds(table, spec, tmins)
     slack, theta_slack = _slack_lp(table, spec, 0.0)
-    pooled, theta_pooled, _, degenerate = _pooled_lfp(table, spec)
-    # The reported allocation is the pooled-program minimizer, so the pooled
-    # bound equals sum(eta)/sum(diag) at it and dominates the diagonal-
-    # weighted per-k bounds there.
-    theta = theta_slack if degenerate else theta_pooled
-    eta = np.empty(spec.k)
-    for k in range(spec.k):
-        compliers_in = theta[:, k].sum() - theta[k, k]
-        eta[k] = max(delta_sup(table, k) - compliers_in, 0.0)
+    # The reported (theta, eta) is the pooled program's minimizer (theta, t),
+    # so the pooled bound equals sum(eta)/sum(diag) at it and dominates the
+    # diagonal-weighted per-k bounds there.
+    pooled, theta, eta, degenerate = _pooled_lfp(table, spec)
+    if degenerate:  # no minimizer: the slack program's allocation, eta read off it
+        theta = theta_slack
+        eta = [max(delta_sup(table, k) - (theta[:, k].sum() - theta[k, k]), 0.0)
+               for k in range(spec.k)]
     ade = None
     ade_informative = None
     if with_ade:

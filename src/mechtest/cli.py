@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, bounds as bounds_mod, ident, inference, mc
 from .errors import MechtestError, StructuralError, UnsupportedCaseError
-from .probtab import DistTable, bin_records, from_records, read_csv, support_from_values
+from .probtab import DistTable, from_records, read_csv, support_from_values
 from .typeshares import RestrictionSet, build_identified_set, min_defier_budget, theta_kk_min
 
 
@@ -175,11 +175,11 @@ def _write_manifest(cfg: RunConfig, outputs):
 
 
 def _load_table(cfg: RunConfig):
-    """Raw records and the table the strategy identifies from their binned
-    outcomes."""
+    """Raw records and the table the strategy identifies from them over the
+    outcome bins."""
     records = read_csv(cfg.input)
-    binned = bin_records(records, parse_bins(cfg.bins))
-    return records, ident.apply_strategy(binned, parse_strategy(cfg.strategy))
+    bins = parse_bins(cfg.bins)
+    return records, ident.apply_strategy(records, parse_strategy(cfg.strategy), bins)
 
 
 def _cells_csv(path, table: DistTable):
@@ -312,10 +312,9 @@ def cmd_simulate(cfg: RunConfig):
         r = parse_restriction(cfg.restriction, support_from_values(records.m))
         system = inference.build_moment_system(records, r, bins=bins, min_cell=0)
         result = _run_test(cfg, system, seed)
-        table = from_records(bin_records(records, bins))
-        pooled = bounds_mod.nu_pooled_lower_bound(table, r, auto_relax=True)
+        pooled = bounds_mod.nu_pooled_lower_bound(from_records(records, bins), r, auto_relax=True)
         return _Replicate(result.reject, result.statistic, result.p_value, pooled,
-                          mc.median_cell_count(records, bins=bins))
+                          inference.median_cluster_cell_count(records, bins=bins))
 
     summary = mc.rejection_rate(dgp, replicate, cfg.nsims, cfg.seed)
     if summary.n_errors == summary.n_sims:
@@ -356,14 +355,14 @@ def cmd_diagnose(cfg: RunConfig):
     counts = {}
     for nb in (2, 5, 10):
         try:
-            counts[str(nb)] = mc.median_cell_count(records, bins=nb)
+            counts[str(nb)] = inference.median_cluster_cell_count(records, bins=nb)
         except MechtestError:
             counts[str(nb)] = None
     requested = parse_bins(cfg.bins)
     if requested is not None:
         count = counts.get(str(requested))  # None where the loop failed: recompute to raise
         if count is None:
-            count = mc.median_cell_count(records, bins=requested)
+            count = inference.median_cluster_cell_count(records, bins=requested)
         counts["requested"] = count
     marg = {d: table.marginal_m(d) for d in (0, 1)}
     payload = {

@@ -5,8 +5,9 @@ identified marginal laws of the mediated outcome pair under treatment and
 control: from raw randomization, from a binary instrument (complier laws
 via Wald ratios on compound outcomes), from inverse propensity weighting
 under conditional unconfoundedness, or by inverting a known mediator
-misclassification matrix.  Downstream bounds and tests consume the result
-unchanged.
+misclassification matrix.  Each reads its records through one
+:func:`~mechtest.probtab.encode` call, which bins the outcome when given
+``bins``.  Downstream bounds and tests consume the result unchanged.
 
 Estimated cell masses can fall slightly below zero in finite samples; they
 are clipped at zero and renormalized, with the clipped mass logged and a
@@ -88,8 +89,9 @@ def _clip_and_normalize(raw, label):
     return pos / total
 
 
-def iv_complier_marginals(records: RecordSet) -> DistTable:
-    """Instrument-complier laws of (outcome, mediator) under each arm.
+def iv_complier_marginals(records: RecordSet, bins=None) -> DistTable:
+    """Instrument-complier laws of (outcome, mediator) under each arm, over
+    the outcome ``bins`` of :func:`~mechtest.probtab.encode`.
 
     Wald ratios with compound outcomes: the treated-arm cell mass uses
     ``D * 1{cell}``, the control-arm cell mass uses ``-(1-D) * 1{cell}``,
@@ -107,7 +109,7 @@ def iv_complier_marginals(records: RecordSet) -> DistTable:
         raise WeakInstrumentError(
             f"first stage {alpha_c:.3g} is zero or too weak to scale by"
         )
-    enc = encode(records)
+    enc = encode(records, bins)
     # wald[d]: E[1{D=d, cell} | Z=1] - E[1{D=d, cell} | Z=0]
     by_z = enc.cell_sums(z)
     wald = by_z[1] / (z == 1).sum() - by_z[0] / (z == 0).sum()
@@ -120,8 +122,9 @@ def iv_complier_marginals(records: RecordSet) -> DistTable:
     return DistTable(support=enc.support, outcome_levels=enc.outcome_levels, mass=mass)
 
 
-def ipw_marginals(records: RecordSet, eta: float = 0.01) -> DistTable:
-    """Arm-wise laws by inverse propensity weighting.
+def ipw_marginals(records: RecordSet, eta: float = 0.01, bins=None) -> DistTable:
+    """Arm-wise laws by inverse propensity weighting, over the outcome
+    ``bins`` of :func:`~mechtest.probtab.encode`.
 
     Requires the ``pscore`` column with values inside ``(eta, 1 - eta)``;
     rows outside that band raise ``OverlapError`` listing them.
@@ -136,7 +139,7 @@ def ipw_marginals(records: RecordSet, eta: float = 0.01) -> DistTable:
             f"first offenders: {bad[:10].tolist()}",
             rows=bad.tolist(),
         )
-    enc = encode(records)
+    enc = encode(records, bins)
     # each row is weighted by the inverse probability of its own arm
     weights = np.where(records.d == 1, 1.0 / ps, 1.0 / (1.0 - ps))
     raw = enc.cell_sums(weights=weights) / records.n
@@ -205,15 +208,17 @@ def correct_measurement_error(table: DistTable, L) -> DistTable:
     )
 
 
-def apply_strategy(records: RecordSet, tag: StrategyTag) -> DistTable:
-    """Dispatch records to the adapter selected by ``tag``."""
+def apply_strategy(records: RecordSet, tag: StrategyTag, bins=None) -> DistTable:
+    """Dispatch records to the adapter selected by ``tag``; ``bins`` goes to
+    the adapter's one :func:`~mechtest.probtab.encode`, so the outcome is
+    binned before the arm-wise laws are identified."""
     if tag.kind == RANDOMIZED:
-        return from_records(records)
+        return from_records(records, bins)
     if tag.kind == IV:
-        return iv_complier_marginals(records)
+        return iv_complier_marginals(records, bins)
     if tag.kind == IPW:
-        return ipw_marginals(records)
-    return correct_measurement_error(from_records(records), tag.l_matrix)
+        return ipw_marginals(records, bins=bins)
+    return correct_measurement_error(from_records(records, bins), tag.l_matrix)
 
 
 @dataclass(frozen=True)

@@ -132,43 +132,36 @@ def _json_float(x):
     return float(x)
 
 
+def _stacked(cells):
+    """The components of p from (..., 2, K, Q) count arrays, unnormalised,
+    and the arm of each: the arm-1 joint cells at ``k Q + q``, the arm-0
+    ones at ``K Q + k Q + q``, then the arm-1 and arm-0 mediator marginals
+    at ``2 K Q + k`` and ``2 K Q + K + k``."""
+    lead, (K, Q) = cells.shape[:-3], cells.shape[-2:]
+    comps = np.concatenate([cells[..., 1, :, :].reshape(lead + (-1,)),
+                            cells[..., 0, :, :].reshape(lead + (-1,)),
+                            cells[..., 1, :, :].sum(axis=-1),
+                            cells[..., 0, :, :].sum(axis=-1)], axis=-1)
+    return comps, np.repeat([1, 0, 1, 0], [K * Q, K * Q, K, K])
+
+
 def p_from_cells(cells):
-    """Stacked probability vectors from aggregated (..., 2, K, Q) count
-    arrays: the arm-1 joint cells at ``k Q + q``, the arm-0 ones at
-    ``K Q + k Q + q``, then the arm-1 and arm-0 mediator marginals at
-    ``2 K Q + k`` and ``2 K Q + K + k``."""
-    totals = cells.sum(axis=(-2, -1))[..., None]  # (..., 2, 1)
+    """Stacked probability vectors (see :func:`_stacked`) from aggregated
+    (..., 2, K, Q) count arrays: each component over its arm's total."""
+    totals = cells.sum(axis=(-2, -1))  # (..., 2)
     if totals.min() <= 0:
         raise EstimationError("a treatment arm is empty")
-    lead = cells.shape[:-3]
-    joint1 = cells[..., 1, :, :].reshape(lead + (-1,)) / totals[..., 1, :]
-    joint0 = cells[..., 0, :, :].reshape(lead + (-1,)) / totals[..., 0, :]
-    marg1 = cells[..., 1, :, :].sum(axis=-1) / totals[..., 1, :]
-    marg0 = cells[..., 0, :, :].sum(axis=-1) / totals[..., 0, :]
-    return np.concatenate([joint1, joint0, marg1, marg0], axis=-1)
+    comps, arm = _stacked(cells)
+    return comps / totals[..., arm]
 
 
 def _influence_covariance(cluster_cells):
     """Covariance of sqrt(G) (p_hat - p) from cluster-level linearization."""
     G = cluster_cells.shape[0]
     totals = cluster_cells.sum(axis=(2, 3))  # (G, 2)
-    arm_totals = totals.sum(axis=0)
     p_hat = p_from_cells(cluster_cells.sum(axis=0))
-    K, Q = cluster_cells.shape[2], cluster_cells.shape[3]
-    a = np.concatenate(
-        [
-            cluster_cells[:, 1].reshape(G, -1),
-            cluster_cells[:, 0].reshape(G, -1),
-            cluster_cells[:, 1].sum(axis=2),
-            cluster_cells[:, 0].sum(axis=2),
-        ],
-        axis=1,
-    ).astype(float)
-    arm_of_comp = np.concatenate(
-        [np.ones(K * Q), np.zeros(K * Q), np.ones(K), np.zeros(K)]
-    ).astype(int)
-    b = totals[:, arm_of_comp]  # (G, n_p)
-    psi = G * (a - p_hat[None, :] * b) / arm_totals[arm_of_comp][None, :]
+    a, arm = _stacked(cluster_cells)
+    psi = G * (a.astype(float) - p_hat[None, :] * totals[:, arm]) / totals.sum(axis=0)[arm]
     return (psi.T @ psi) / G, p_hat
 
 

@@ -3,16 +3,17 @@
 The central object is :class:`DistTable`, the conditional pmf of ``(Y, M)``
 given each arm over a finite mediator support and a discrete outcome grid.
 Outcome values are compared exactly, so continuous outcomes must be binned
-(``bins`` in :func:`encode`, or :func:`discretize_outcome` on a table)
-before anything downstream touches them.  :func:`encode` is the one map
-from records to cells; every table, moment system and cell count is a
-``bincount`` over its codes.  Cells that receive no data carry mass zero
+before anything downstream touches them: records by the ``bins`` argument
+that every function reading them passes on to :func:`encode`, a table
+without records by :func:`discretize_outcome`.  :func:`encode` is the one
+map from records to cells and the only place records are binned; every
+table, moment system and cell count is a ``bincount`` over its codes.  Cells that receive no data carry mass zero
 rather than being dropped, which keeps indices stable for the moment-system
 builder.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -432,18 +433,9 @@ def encode(records: RecordSet, bins=None) -> Encoding:
     return Encoding(support, tuple(levels.tolist()), cell_of, cluster_of)
 
 
-def bin_records(records: RecordSet, bins) -> RecordSet:
-    """``records`` with every outcome replaced by the label of its bin (see
-    :func:`encode`); unchanged when ``bins`` is None."""
-    if bins is None:
-        return records
-    enc = encode(records, bins)
-    q_of = enc.cell_of % len(enc.outcome_levels)
-    return replace(records, y=np.asarray(enc.outcome_levels)[q_of])
-
-
-def from_records(records: RecordSet) -> DistTable:
-    """Empirical DistTable: cell frequencies within each arm.
+def from_records(records: RecordSet, bins=None) -> DistTable:
+    """Empirical DistTable: cell frequencies within each arm, over the
+    outcome ``bins`` of :func:`encode`.
 
     Raises ``EstimationError`` if either arm has no rows.
     """
@@ -451,7 +443,7 @@ def from_records(records: RecordSet) -> DistTable:
     n0 = records.n - n1
     if n0 == 0 or n1 == 0:
         raise EstimationError(f"need rows in both arms (n0={n0}, n1={n1})")
-    enc = encode(records)
+    enc = encode(records, bins)
     n_clusters = None
     if records.cluster is not None:
         n_clusters = tuple(int(np.unique(enc.cluster_of[records.d == d]).size) for d in (0, 1))

@@ -504,6 +504,10 @@ def test_pooled_bound_matches_highs_on_near_null_tables():
             assert rep.pooled_degenerate == (den <= 1e-9), (i, r.kind)
             want = 0.0 if rep.pooled_degenerate else max(want, 0.0)
             assert rep.nu_pooled_lb == pytest.approx(want, abs=1e-9), (i, r.kind)
+            if not rep.pooled_degenerate:  # eta is the program's t at its minimizer
+                ratio = sum(rep.eta) / np.trace(rep.theta)
+                assert ratio == pytest.approx(rep.nu_pooled_lb, abs=1e-15), (i, r.kind)
+                assert rep.nu_pooled_lb > 0.0 or not any(rep.eta), (i, r.kind)
             solved += 1
     assert solved > 80
 

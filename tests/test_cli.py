@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mechtest import mc
+from mechtest import inference, mc
 from mechtest.cli import (
     OPTIONS, _load_table, _simulate_design, build_parser, main, resolve_config,
 )
@@ -434,16 +434,16 @@ def test_diagnose_subcommand(tmp_path, capsys):
 def test_diagnose_takes_each_median_cell_count_once(bins, calls, tmp_path, capsys, monkeypatch):
     records = _load_table(resolve_config(build_parser().parse_args(
         ["diagnose", "--input", str(FIXTURE)])))[0]
-    want = {str(nb): mc.median_cell_count(records, bins=nb) for nb in (2, 5, 10)}
-    want["requested"] = mc.median_cell_count(records, bins=int(bins))
+    want = {str(nb): inference.median_cluster_cell_count(records, bins=nb) for nb in (2, 5, 10)}
+    want["requested"] = inference.median_cluster_cell_count(records, bins=int(bins))
     seen = []
-    original = mc.median_cell_count
+    original = inference.median_cluster_cell_count
 
     def counting(recs, bins=None):
         seen.append(bins)
         return original(recs, bins=bins)
 
-    monkeypatch.setattr(mc, "median_cell_count", counting)
+    monkeypatch.setattr(inference, "median_cluster_cell_count", counting)
     out = tmp_path / "diag.json"
     code, _ = run_cli(["diagnose", "--input", str(FIXTURE), "--bins", bins, "--out", str(out)],
                       capsys)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mechtest.errors import StructuralError
+from mechtest.inference import median_cluster_cell_count
 from mechtest.mc import (
     MixtureDgp,
     SimulationSummary,
@@ -123,6 +124,10 @@ def test_rejection_rate_counts_errors_separately():
     out = rejection_rate(dgp, flaky, n_sims=10, seed=0)
     assert out.n_errors == 5
     assert out.rate == 1.0  # errors excluded from the denominator
+
+
+def test_median_cell_count_is_the_inference_function():
+    assert median_cell_count is median_cluster_cell_count
 
 
 def test_median_cell_count_uniform_grid():

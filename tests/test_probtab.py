@@ -1,6 +1,7 @@
 import csv
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import make_table, random_table
-from mechtest import probtab
+from mechtest import ident, probtab
 from mechtest.errors import EstimationError, StructuralError
 from mechtest.probtab import (
     RecordSet,
     bin_mediator,
-    bin_records,
     delta_sup,
     discretize_outcome,
     encode,
@@ -310,13 +310,46 @@ def test_encode_bins_label_each_bin_by_its_smallest_value(bins):
     cuts = quantile_cutpoints(y, bins) if isinstance(bins, int) else bins
     b = np.searchsorted(cuts, y, side="left")
     assert enc.outcome_levels == tuple(y[b == j].min() for j in np.unique(b))
-    binned = bin_records(rec, bins)
+    binned = _reference_bin_records(rec, bins)
     assert encode(binned).outcome_levels == enc.outcome_levels
     assert np.array_equal(encode(binned).cell_of, enc.cell_of)
     table = discretize_outcome(from_records(rec), cuts)
     assert table.outcome_levels == enc.outcome_levels
     with pytest.raises(StructuralError):
         encode(rec, (1.0, 0.0))
+
+
+def _reference_bin_records(records, bins):
+    """The binned record set that tables were once identified from, kept as
+    the reference for passing ``bins`` to :func:`encode`."""
+    if bins is None:
+        return records
+    enc = encode(records, bins)
+    q_of = enc.cell_of % len(enc.outcome_levels)
+    return replace(records, y=np.asarray(enc.outcome_levels)[q_of])
+
+
+@pytest.mark.parametrize("bins", [None, 4, (-0.5, 0.25, 1.0)])
+def test_binned_tables_match_tables_of_binned_records(bins):
+    rng = np.random.default_rng(23)
+    n = 3000
+    z = rng.integers(0, 2, n)
+    d = np.where(rng.random(n) < 0.9, z, 1 - z)
+    rec = RecordSet(y=rng.integers(0, 12, n) * 0.25 - 1.5, m=rng.integers(0, 3, n), d=d,
+                    cluster=rng.integers(0, 400, n).astype(str), z=z,
+                    pscore=rng.uniform(0.2, 0.8, n))
+    L = np.full((3, 3), 0.02) + 0.94 * np.eye(3)
+    tables = {"from_records": (from_records(rec, bins),
+                               from_records(_reference_bin_records(rec, bins)))}
+    for kind in (ident.RANDOMIZED, ident.IV, ident.IPW, ident.MEASUREMENT_ERROR):
+        tag = ident.StrategyTag(kind, L if kind == ident.MEASUREMENT_ERROR else None)
+        tables[kind] = (ident.apply_strategy(rec, tag, bins),
+                        ident.apply_strategy(_reference_bin_records(rec, bins), tag))
+    for name, (got, want) in tables.items():
+        assert got.mass.tobytes() == want.mass.tobytes(), name
+        assert got.outcome_levels == want.outcome_levels, name
+        assert (got.n_units, got.n_clusters) == (want.n_units, want.n_clusters), name
+    assert len(tables["iv"][0].outcome_levels) == (12 if bins is None else 4)
 
 
 def _reference_read_csv(path):
