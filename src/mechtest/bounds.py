@@ -6,6 +6,8 @@ For each mediator value k, ``nu_k`` is the fraction of k-always-takers
 responds to treatment.  The full-mediation null forces every ``nu_k`` to
 zero, so a positive lower bound quantifies how much work other channels
 must be doing.  All bounds are sharp given the declared restriction set.
+
+To test a coarser mediator, recode the ``m`` column of the records.
 """
 
 from dataclasses import dataclass
@@ -42,8 +44,6 @@ class BoundsReport:
     ade_informative: dict = None
     auto_relaxed_dbar: float = None
     pooled_degenerate: bool = False
-    nu_max: float = 0.0
-    within_bin_consistent: bool = None
 
     def to_json_dict(self):
         out = {
@@ -60,9 +60,6 @@ class BoundsReport:
         }
         if self.ade_informative is not None:
             out["ade_informative"] = {str(k): bool(v) for k, v in self.ade_informative.items()}
-        if self.nu_max > 0.0:
-            out["nu_max"] = self.nu_max
-            out["within_bin_consistent"] = self.within_bin_consistent
         if self.pooled_degenerate:
             out["pooled_degenerate"] = True
         return out
@@ -118,13 +115,12 @@ def _nu_lower_bounds(table: DistTable, spec: IdentifiedSetSpec, tmins) -> np.nda
     return out
 
 
-def _slack_lp(table: DistTable, spec: IdentifiedSetSpec, nu_ub):
-    """LP ``min s`` s.t. gap_k <= P(M=m_k|1) - (1 - nu_ub_k) theta_kk + s``."""
+def _slack_lp(table: DistTable, spec: IdentifiedSetSpec):
+    """LP ``min s`` s.t. gap_k <= P(M=m_k|1) - theta_kk + s``."""
     K = spec.k
-    nu_ub = np.broadcast_to(np.asarray(nu_ub, dtype=float), (K,))
     ks = np.arange(K)
     rows = np.zeros((K, K * K + 1))
-    rows[ks, ks * (K + 1)] = 1.0 - nu_ub
+    rows[ks, ks * (K + 1)] = 1.0
     rows[:, -1] = -1.0
     gaps = np.array([delta_sup(table, k) for k in range(K)])
     lp = spec.lp(np.concatenate([np.zeros(K * K), [1.0]]), rows, spec.p1 - gaps,
@@ -143,16 +139,7 @@ def sharp_null_slack(table: DistTable, r: RestrictionSet, auto_relax=False) -> f
     the restriction set.
     """
     spec, _ = resolve_identified_set(table, r, auto_relax)
-    value, _ = _slack_lp(table, spec, 0.0)
-    return value
-
-
-def within_bin_slack(table: DistTable, r: RestrictionSet, nu_max: float,
-                     auto_relax=False) -> float:
-    """Slack of the coarsened-mediator test allowing within-bin response
-    shares up to ``nu_max``; nonpositive means consistent."""
-    spec, _ = resolve_identified_set(table, r, auto_relax)
-    value, _ = _slack_lp(table, spec, nu_max)
+    value, _ = _slack_lp(table, spec)
     return value
 
 
@@ -291,12 +278,12 @@ def breakdown_defier_budget(table: DistTable) -> float:
 
 
 def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
-                  with_ade=False, nu_max=0.0) -> BoundsReport:
+                  with_ade=False) -> BoundsReport:
     """Full identification report for one table and restriction set."""
     spec, relaxed = resolve_identified_set(table, r, auto_relax)
     tmins = [theta_kk_min(spec, k) for k in range(spec.k)]
     nu_lb = _nu_lower_bounds(table, spec, tmins)
-    slack, theta_slack = _slack_lp(table, spec, 0.0)
+    slack, theta_slack = _slack_lp(table, spec)
     # The reported (theta, eta) is the pooled program's minimizer (theta, t),
     # so the pooled bound equals sum(eta)/sum(diag) at it and dominates the
     # diagonal-weighted per-k bounds there.
@@ -313,9 +300,6 @@ def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
     label = spec.restriction.kind
     if spec.restriction.params:
         label += ":" + ",".join(f"{p:g}" for p in spec.restriction.params)
-    consistent = None
-    if nu_max > 0.0:
-        consistent = _slack_lp(table, spec, nu_max)[0] <= 0.0
     return BoundsReport(
         nu_lb=tuple(float(v) for v in nu_lb),
         nu_pooled_lb=float(pooled),
@@ -327,6 +311,4 @@ def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
         ade_informative=ade_informative,
         auto_relaxed_dbar=relaxed,
         pooled_degenerate=degenerate,
-        nu_max=float(nu_max),
-        within_bin_consistent=consistent,
     )

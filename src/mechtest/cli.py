@@ -314,7 +314,7 @@ def cmd_simulate(cfg: RunConfig):
         result = _run_test(cfg, system, seed)
         pooled = bounds_mod.nu_pooled_lower_bound(from_records(records, bins), r, auto_relax=True)
         return _Replicate(result.reject, result.statistic, result.p_value, pooled,
-                          inference.median_cluster_cell_count(records, bins=bins))
+                          system.median_cell_count)
 
     summary = mc.rejection_rate(dgp, replicate, cfg.nsims, cfg.seed)
     if summary.n_errors == summary.n_sims:
@@ -383,7 +383,7 @@ def cmd_diagnose(cfg: RunConfig):
         ],
     }
     if spec.feasible:
-        payload["sharp_null_slack"] = bounds_mod._slack_lp(table, spec, 0.0)[0]
+        payload["sharp_null_slack"] = bounds_mod._slack_lp(table, spec)[0]
     out = cfg.out or "diagnose.json"
     _write_json(out, payload)
     manifest = _write_manifest(cfg, [out])

@@ -28,12 +28,13 @@ from .errors import (
 )
 from .probtab import DistTable, RecordSet, encode, from_records
 from .typeshares import RestrictionSet
-from .bounds import sharp_null_slack
+from .bounds import ZERO_TOL, sharp_null_slack
 
 logger = logging.getLogger("mechtest")
 
 CLIP_HARD_LIMIT = 0.05
 WEAK_FIRST_STAGE = 1e-6
+OVERLAP_BAND = 0.01
 
 RANDOMIZED = "randomized"
 IV = "iv"
@@ -122,20 +123,20 @@ def iv_complier_marginals(records: RecordSet, bins=None) -> DistTable:
     return DistTable(support=enc.support, outcome_levels=enc.outcome_levels, mass=mass)
 
 
-def ipw_marginals(records: RecordSet, eta: float = 0.01, bins=None) -> DistTable:
+def ipw_marginals(records: RecordSet, bins=None) -> DistTable:
     """Arm-wise laws by inverse propensity weighting, over the outcome
     ``bins`` of :func:`~mechtest.probtab.encode`.
 
-    Requires the ``pscore`` column with values inside ``(eta, 1 - eta)``;
+    Requires the ``pscore`` column inside ``(OVERLAP_BAND, 1 - OVERLAP_BAND)``;
     rows outside that band raise ``OverlapError`` listing them.
     """
     if records.pscore is None:
         raise StructuralError("IPW adapter requires the pscore column")
     ps = records.pscore
-    bad = np.nonzero((ps <= eta) | (ps >= 1.0 - eta))[0]
+    bad = np.nonzero((ps <= OVERLAP_BAND) | (ps >= 1.0 - OVERLAP_BAND))[0]
     if bad.size:
         raise OverlapError(
-            f"{bad.size} rows have propensity outside ({eta}, {1 - eta}); "
+            f"{bad.size} rows have propensity outside ({OVERLAP_BAND}, {1 - OVERLAP_BAND}); "
             f"first offenders: {bad[:10].tolist()}",
             rows=bad.tolist(),
         )
@@ -241,8 +242,7 @@ class IvComparisonReport:
         return self.reject_direct == self.reject_relabel
 
 
-def iv_relabel_comparison(records: RecordSet, r: RestrictionSet,
-                          tol: float = 1e-9) -> IvComparisonReport:
+def iv_relabel_comparison(records: RecordSet, r: RestrictionSet) -> IvComparisonReport:
     """Compare the complier-law route against the relabeled-instrument route.
 
     Under a totally ordered mediator with monotonicity the two verdicts
@@ -264,6 +264,6 @@ def iv_relabel_comparison(records: RecordSet, r: RestrictionSet,
     return IvComparisonReport(
         slack_direct=float(direct),
         slack_relabel=float(relabel),
-        reject_direct=bool(direct > tol),
-        reject_relabel=bool(relabel > tol),
+        reject_direct=bool(direct > ZERO_TOL),
+        reject_relabel=bool(relabel > ZERO_TOL),
     )

@@ -65,6 +65,7 @@ class MomentSystem:
     arms 1 and 0.  ``cluster_cells[g, d, k, q]`` counts observations so the
     bootstrap can recompute ``p_hat`` under resampling; ``cluster_arm`` is
     0/1 for arm-pure clusters and -1 for clusters spanning both arms.
+    ``median_cell_count`` is :func:`median_cluster_cell_count` of its records.
     """
 
     c1: np.ndarray
@@ -78,6 +79,7 @@ class MomentSystem:
     n_outcomes: int
     cluster_cells: np.ndarray
     cluster_arm: np.ndarray
+    median_cell_count: float
 
     @property
     def n_omega(self):
@@ -293,6 +295,7 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
         n_outcomes=Q,
         cluster_cells=cells,
         cluster_arm=arm,
+        median_cell_count=med,
     )
 
 

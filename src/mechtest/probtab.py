@@ -418,6 +418,8 @@ def encode(records: RecordSet, bins=None) -> Encoding:
     """
     support, k_of = _mediator_codes(records.m)
     levels, q_of = np.unique(records.y + 0.0, return_inverse=True)
+    if isinstance(bins, int) and bins < 2:
+        raise StructuralError(f"bins must be at least 2, got {bins}")
     if bins is not None:
         cuts = quantile_cutpoints(records.y, bins) if isinstance(bins, int) else bins
         levels, bin_of_level = _bin_levels(levels, _check_cutpoints(cuts))
@@ -519,41 +521,3 @@ def discretize_outcome(table: DistTable, cutpoints) -> DistTable:
         n_clusters=table.n_clusters,
     )
 
-
-def bin_mediator(table: DistTable, assignment: dict, nu_max: float):
-    """Coarsen the mediator into bins; returns ``(binned table, nu_max)``.
-
-    ``assignment`` maps every support point (tuple) to a bin index.
-    ``nu_max`` is the allowed within-bin response share; it is passed
-    through so downstream reports can compare coarsened lower bounds
-    against it rather than against zero.
-    """
-    if not 0.0 <= nu_max <= 1.0:
-        raise StructuralError("nu_max must lie in [0, 1]")
-    norm = {}
-    for key, b in assignment.items():
-        norm[tuple(float(v) for v in np.atleast_1d(key))] = int(b)
-    for p in table.support.points:
-        if p not in norm:
-            raise StructuralError(f"support point {p} has no bin assignment")
-    bins = sorted(set(norm.values()))
-    pos = {b: i for i, b in enumerate(bins)}
-    mass = np.zeros((2, len(bins), table.n_outcomes))
-    for k, p in enumerate(table.support.points):
-        mass[:, pos[norm[p]], :] += table.mass[:, k, :]
-    order_ok = table.support.totally_ordered
-    if order_ok:
-        seq = [norm[p] for p in table.support.points]
-        order_ok = all(a <= b for a, b in zip(seq, seq[1:]))
-    support = MediatorSupport(
-        points=tuple((float(b),) for b in bins),
-        totally_ordered=order_ok,
-    )
-    binned = DistTable(
-        support=support,
-        outcome_levels=table.outcome_levels,
-        mass=mass,
-        n_units=table.n_units,
-        n_clusters=table.n_clusters,
-    )
-    return binned, float(nu_max)

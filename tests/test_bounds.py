@@ -14,7 +14,6 @@ from mechtest.bounds import (
     nu_lower_bounds,
     nu_pooled_lower_bound,
     sharp_null_slack,
-    within_bin_slack,
 )
 from mechtest.errors import IdentificationError
 from mechtest.probtab import delta_sup
@@ -365,16 +364,6 @@ def test_breakdown_with_infeasible_monotone_start():
 
     dmin = min_defier_budget(spec)
     assert star >= dmin - 1e-9 or star == 0.0
-
-
-def test_within_bin_slack_threshold(binary_instance):
-    r = monotone(binary_instance)
-    # bounds are (1/3, 1/4); allowing within-bin response up to 0.4 makes
-    # the coarsened test pass, 0.2 does not
-    assert within_bin_slack(binary_instance, r, 0.4) <= 1e-9
-    assert within_bin_slack(binary_instance, r, 0.2) > 1e-9
-    report = bounds_report(binary_instance, r, nu_max=0.4)
-    assert report.within_bin_consistent is True
 
 
 def _fuzz_tables(count):

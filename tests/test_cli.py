@@ -452,6 +452,37 @@ def test_diagnose_takes_each_median_cell_count_once(bins, calls, tmp_path, capsy
     assert json.loads(out.read_text())["median_cell_counts"] == want
 
 
+def test_simulate_reads_each_median_cell_count_off_the_moment_system(tmp_path, capsys,
+                                                                     monkeypatch):
+    seen = []
+    original = inference.median_cluster_cell_count
+
+    def counting(recs, bins=None):
+        seen.append(bins)
+        return original(recs, bins=bins)
+
+    monkeypatch.setattr(inference, "median_cluster_cell_count", counting)
+    args = ["simulate", "--nsims", "3", "--n", "400", "--bins", "5", "--method", "cond-chisq",
+            "--seed", "5", "--out", str(tmp_path / "sim.csv")]
+    code, _ = run_cli(args, capsys)
+    assert code == 0 and seen == []
+    with open(tmp_path / "sim.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    dgp = _simulate_design(resolve_config(build_parser().parse_args(args)))
+    for sim, row in enumerate(rows):
+        sample = mc.draw_sample(dgp, mc._derive(5, sim))
+        assert row["median_cell_count"] == f"{original(sample, bins=5):.10g}"
+
+
+@pytest.mark.parametrize("command", ["test", "bounds", "diagnose"])
+def test_one_bin_is_an_input_error_that_names_bins(command, tmp_path, capsys):
+    code, payload = run_cli([command, "--input", str(FIXTURE), "--bins", "1",
+                             "--out", str(tmp_path / "o")], capsys)
+    assert code == 2 and payload["error"] == "StructuralError"
+    assert payload["message"] == "bins must be at least 2, got 1"
+
+
 def test_missing_input_error(capsys):
     code, payload = run_cli(["bounds"], capsys)
     assert code == 2

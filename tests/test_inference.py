@@ -402,6 +402,7 @@ def synthetic_system(p_hat, sigma, n_eff):
         n_outcomes=1,
         cluster_cells=np.zeros((1, 2, 1, 1), dtype=np.int64),
         cluster_arm=np.array([-1]),
+        median_cell_count=1.0,
     )
 
 

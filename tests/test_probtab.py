@@ -13,7 +13,6 @@ from mechtest import ident, probtab
 from mechtest.errors import EstimationError, StructuralError
 from mechtest.probtab import (
     RecordSet,
-    bin_mediator,
     delta_sup,
     discretize_outcome,
     encode,
@@ -122,9 +121,6 @@ def test_mass_normalized_after_transforms():
     disc = discretize_outcome(table, (1.5, 3.5))
     for d in (0, 1):
         assert disc.mass[d].sum() == pytest.approx(1.0, abs=1e-9)
-    binned, _ = bin_mediator(disc, {(0.0,): 0, (1.0,): 1, (2.0,): 1}, 0.1)
-    for d in (0, 1):
-        assert binned.mass[d].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_discretize_pairwise_sums():
@@ -179,28 +175,6 @@ def test_ties_go_to_lower_bin():
     table = make_table(np.full((2, 1, 1), 1.0), levels=(float(cuts[0]),))
     disc = discretize_outcome(table, cuts)
     assert disc.n_outcomes == 1  # the tied value lands in the lower bin
-
-
-def test_bin_mediator_identity_noop(binary_instance):
-    out, nu_max = bin_mediator(binary_instance, {(0.0,): 0, (1.0,): 1}, 0.0)
-    assert nu_max == 0.0
-    assert_allclose(out.mass, binary_instance.mass)
-    assert out.support.totally_ordered
-
-
-def test_bin_mediator_merges_cells():
-    rng = np.random.default_rng(7)
-    table = random_table(rng, K=3, Q=2)
-    out, _ = bin_mediator(table, {(0.0,): 0, (1.0,): 1, (2.0,): 1}, 0.2)
-    assert out.n_mediators == 2
-    assert_allclose(out.mass[:, 1, :], table.mass[:, 1, :] + table.mass[:, 2, :])
-
-
-def test_bin_mediator_requires_total_assignment():
-    rng = np.random.default_rng(8)
-    table = random_table(rng, K=3, Q=2)
-    with pytest.raises(StructuralError):
-        bin_mediator(table, {(0.0,): 0, (1.0,): 1}, 0.2)
 
 
 def test_support_registration_and_order():
@@ -317,6 +291,10 @@ def test_encode_bins_label_each_bin_by_its_smallest_value(bins):
     assert table.outcome_levels == enc.outcome_levels
     with pytest.raises(StructuralError):
         encode(rec, (1.0, 0.0))
+    # one quantile bin has no cutpoint: the error names the option, not the empty cut set
+    for few in (1, 0):
+        with pytest.raises(StructuralError, match=f"^bins must be at least 2, got {few}$"):
+            encode(rec, few)
 
 
 def _reference_bin_records(records, bins):
