@@ -257,8 +257,20 @@ def breakdown_defier_budget(table: DistTable) -> float:
     budget is the least defier mass of such shares, one LP.  Returns 1 when
     no shares cover the gaps and 0 when the least covering defier mass is
     the least the mediator marginals allow, i.e. when there is no violation
-    evidence at any feasible budget.
+    evidence at any feasible budget.  So 1 does not tell a breakdown at 1
+    from gaps that no shares cover, and 0 hides the covering mass; the
+    ``robustness`` command reads both off :func:`_covering_lp`, that LP's
+    status and raw optimal value, and derives this budget from the same
+    solve.
     """
+    return _breakdown(*_covering_lp(table))
+
+
+def _covering_lp(table: DistTable):
+    """``(status, mass, least)`` of the breakdown budget's covering LP:
+    its status (``optimal`` or ``infeasible``), its optimal defier mass
+    (NaN when infeasible) and ``min_defier_budget`` of the unrestricted
+    set, below which no budget admits any shares."""
     if not table.support.totally_ordered:
         raise UnsupportedCaseError("breakdown budget needs a scalar ordered mediator")
     K = table.n_mediators
@@ -268,13 +280,18 @@ def breakdown_defier_budget(table: DistTable) -> float:
     gaps = np.array([delta_sup(table, k) for k in range(K)])
     defiers = RestrictionSet.defier_budget(table.support, 0.0).matrix[0]
     sol = solve_lp(spec.lp(defiers, cover, -gaps))
-    if sol.status == INFEASIBLE:
-        return 1.0
-    if sol.status != OPTIMAL:
+    if sol.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailureError(f"breakdown-budget LP ended with status {sol.status}")
-    if sol.value <= min_defier_budget(spec) + ZERO_TOL:
+    return sol.status, sol.value, min_defier_budget(spec)
+
+
+def _breakdown(status, mass, least) -> float:
+    """The breakdown budget from :func:`_covering_lp`'s results."""
+    if status == INFEASIBLE:
+        return 1.0
+    if mass <= least + ZERO_TOL:
         return 0.0
-    return float(sol.value)
+    return float(mass)
 
 
 def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,

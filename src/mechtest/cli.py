@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__, bounds as bounds_mod, ident, inference, mc
 from .errors import MechtestError, StructuralError, UnsupportedCaseError
+from .linprog import OPTIMAL
 from .probtab import DistTable, from_records, read_csv, support_from_values
 from .typeshares import RestrictionSet, build_identified_set, min_defier_budget, theta_kk_min
 
@@ -235,25 +236,37 @@ def cmd_test(cfg: RunConfig):
 
 
 def cmd_robustness(cfg: RunConfig):
+    """Pooled bound over a grid of defier budgets, and the breakdown budget.
+
+    The breakdown budget's covering LP is solved once, and it settles most
+    grid points: below the least defier budget the marginals allow, the
+    identified set is empty; at or above the covering LP's optimal defier
+    mass (and clear of the least budget), the bound is 0.  Only the points
+    in between, and those within ``ZERO_TOL`` of the least budget, build
+    their identified set and solve the pooled program.
+    """
     _, table = _load_table(cfg)
     if not table.support.totally_ordered:
         raise UnsupportedCaseError("robustness curves need a scalar ordered mediator")
     out = cfg.out or "robustness.csv"
+    status, mass, least = bounds_mod._covering_lp(table)
+    covered = mass if status == OPTIMAL else np.inf
     grid = np.linspace(0.0, cfg.dbar_max, cfg.dbar_steps)
     rows = []
-    for dbar in grid:
-        r = RestrictionSet.defier_budget(table.support, float(dbar))
-        spec = build_identified_set(table, r)
-        if not spec.feasible:
-            rows.append((float(dbar), "", "infeasible"))
-            continue
-        value, *_ = bounds_mod._pooled_lfp(table, spec)
-        rows.append((float(dbar), f"{value:.10g}", "ok"))
+    for dbar in map(float, grid):
+        if dbar < least - bounds_mod.ZERO_TOL:
+            value = None
+        elif dbar >= covered and dbar >= least + bounds_mod.ZERO_TOL:
+            value = 0.0
+        else:
+            spec = build_identified_set(table, RestrictionSet.defier_budget(table.support, dbar))
+            value = bounds_mod._pooled_lfp(table, spec)[0] if spec.feasible else None
+        rows.append((dbar, "", "infeasible") if value is None else (dbar, f"{value:.10g}", "ok"))
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dbar", "nu_pooled_lb", "status"])
         writer.writerows(rows)
-    breakdown = bounds_mod.breakdown_defier_budget(table)
+    breakdown = bounds_mod._breakdown(status, mass, least)
     summary = out.rsplit(".", 1)[0] + "_breakdown.json"
     _write_json(summary, {"breakdown_dbar": breakdown})
     manifest = _write_manifest(cfg, [out, summary])

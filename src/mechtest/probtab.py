@@ -15,6 +15,7 @@ builder.
 import csv
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 
 import numpy as np
 
@@ -412,16 +413,22 @@ def encode(records: RecordSet, bins=None) -> Encoding:
 
     This decides the cell layout for every table, moment system and cell
     count: support points in lexicographic order, outcome levels increasing,
-    and, with ``bins`` (a bin count for pooled quantile cutpoints, or the
-    cutpoints themselves), right-closed outcome intervals each labelled by
-    the smallest value observed in it.
+    and, with ``bins`` (a bin count, any integer but a bool, for pooled
+    quantile cutpoints, or a sequence of the cutpoints themselves),
+    right-closed outcome intervals each labelled by the smallest value
+    observed in it.
     """
     support, k_of = _mediator_codes(records.m)
     levels, q_of = np.unique(records.y + 0.0, return_inverse=True)
-    if isinstance(bins, int) and bins < 2:
-        raise StructuralError(f"bins must be at least 2, got {bins}")
     if bins is not None:
-        cuts = quantile_cutpoints(records.y, bins) if isinstance(bins, int) else bins
+        cuts = bins
+        if np.ndim(bins) == 0:
+            if isinstance(bins, bool) or not isinstance(bins, Integral):
+                raise StructuralError(f"bins must be an integer count or a sequence of "
+                                      f"cutpoints, got {bins!r}")
+            if bins < 2:
+                raise StructuralError(f"bins must be at least 2, got {bins}")
+            cuts = quantile_cutpoints(records.y, int(bins))
         levels, bin_of_level = _bin_levels(levels, _check_cutpoints(cuts))
         q_of = bin_of_level[q_of]
     if records.cluster is None:

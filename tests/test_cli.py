@@ -12,7 +12,7 @@ from mechtest import inference, mc
 from mechtest.cli import (
     OPTIONS, _load_table, _simulate_design, build_parser, main, resolve_config,
 )
-from mechtest.probtab import discretize_outcome, from_records, quantile_cutpoints
+from mechtest.probtab import discretize_outcome, from_records, quantile_cutpoints, read_csv
 
 FIXTURE = Path(__file__).parent / "data" / "binary_fixture.csv"
 SCHEMAS = Path(__file__).parents[1] / "src" / "mechtest" / "schemas"
@@ -341,11 +341,20 @@ def test_robustness_subcommand(tmp_path, capsys):
 def test_robustness_builds_each_identified_set_once(tmp_path, capsys, monkeypatch):
     from mechtest import bounds, cli, typeshares
 
+    table = from_records(read_csv(FIXTURE))
+    unrestricted = typeshares.RestrictionSet.unrestricted(table.support)
+    least = typeshares.min_defier_budget(typeshares.build_identified_set(table, unrestricted))
+    breakdown = bounds.breakdown_defier_budget(table)
+    grid = np.linspace(0.0, 0.4, 9)
+    # only the budgets between the least one and the breakdown need their own set
+    solved = [float(d) for d in grid if least <= d < breakdown]
+    assert least == 0.0 and len(solved) == 4
+
     built = []
     original = typeshares.build_identified_set
 
     def counting(table, r):
-        built.append(r.kind)
+        built.append((r.kind, r.params))
         return original(table, r)
 
     monkeypatch.setattr(cli, "build_identified_set", counting)
@@ -356,7 +365,8 @@ def test_robustness_builds_each_identified_set_once(tmp_path, capsys, monkeypatc
         capsys,
     )
     assert code == 0
-    assert built.count(typeshares.DEFIER_BUDGET) == 9
+    assert sorted(built) == sorted([(typeshares.UNRESTRICTED, ())]
+                                   + [(typeshares.DEFIER_BUDGET, (d,)) for d in solved])
 
 
 @pytest.mark.parametrize("command", ["ade", "diagnose"])

@@ -297,6 +297,21 @@ def test_encode_bins_label_each_bin_by_its_smallest_value(bins):
             encode(rec, few)
 
 
+def test_encode_takes_any_integer_bin_count_and_names_bins_on_other_scalars():
+    rng = np.random.default_rng(23)
+    rec = RecordSet(y=rng.normal(0.0, 1.0, 20), m=rng.integers(0, 2, 20), d=np.arange(20) % 2)
+    want = encode(rec, 5)
+    got = encode(rec, np.int64(5))
+    assert got.outcome_levels == want.outcome_levels
+    assert np.array_equal(got.cell_of, want.cell_of)
+    assert np.array_equal(from_records(rec, np.int64(5)).mass, from_records(rec, 5).mass)
+    for scalar in (5.0, True, np.float64(5.0), np.bool_(True)):
+        with pytest.raises(StructuralError, match="^bins must be an integer count"):
+            encode(rec, scalar)
+    with pytest.raises(StructuralError, match="^bins must be at least 2, got 1$"):
+        encode(rec, np.int64(1))
+
+
 def _reference_bin_records(records, bins):
     """The binned record set that tables were once identified from, kept as
     the reference for passing ``bins`` to :func:`encode`."""
