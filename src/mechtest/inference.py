@@ -18,7 +18,11 @@ shares are not coordinates, omega >= 0 is a bound, and the 2K marginal
 matches are equalities.  They and the restriction rows hold exactly; the
 budget and gap rows are studentized with their own standard deviations.
 Covariances are influence-function based at the independent-unit level
-(clusters when present), so the clustered and iid paths share one formula.
+(clusters when present), so the clustered and iid paths share one formula:
+a sum over unit profiles, each weighted by the units it stands for.  A
+cluster is its own profile of weight 1; unit-level records (one record per
+unit) are the occupied one-hot cells, each weighted by its cell count, so
+no array grows with the number of records.
 """
 
 import warnings
@@ -62,10 +66,16 @@ class MomentSystem:
     ``rows`` labels the inequality rows of ``c1`` / ``c2``; ``e1`` / ``e2``
     hold the equality rows, which are always exact.  ``p_hat`` stacks joint
     cells for arm 1, joint cells for arm 0, then the mediator marginals for
-    arms 1 and 0.  ``cluster_cells[g, d, k, q]`` counts observations so the
-    bootstrap can recompute ``p_hat`` under resampling; ``cluster_arm`` is
-    0/1 for arm-pure clusters and -1 for clusters spanning both arms.
-    ``median_cell_count`` is :func:`median_cluster_cell_count` of its records.
+    arms 1 and 0.  ``cluster_cells[g, d, k, q]`` counts the observations of
+    unit profile g so the bootstrap can recompute ``p_hat`` under
+    resampling, and ``cluster_weight[g]`` is the number of independent units
+    with that profile.  With clusters, each cluster is a profile of weight
+    1; with one record per unit, the profiles are the occupied one-hot
+    cells (at most 2KQ) weighted by their cell counts.  ``n_eff`` is the
+    number of independent units, the sum of ``cluster_weight``.
+    ``cluster_arm`` is 0/1 for arm-pure profiles and -1 for clusters
+    spanning both arms.  ``median_cell_count`` is
+    :func:`median_cluster_cell_count` of its records.
     """
 
     c1: np.ndarray
@@ -78,6 +88,7 @@ class MomentSystem:
     rows: tuple
     n_outcomes: int
     cluster_cells: np.ndarray
+    cluster_weight: np.ndarray
     cluster_arm: np.ndarray
     median_cell_count: float
 
@@ -157,14 +168,33 @@ def p_from_cells(cells):
     return comps / totals[..., arm]
 
 
-def _influence_covariance(cluster_cells):
-    """Covariance of sqrt(G) (p_hat - p) from cluster-level linearization."""
-    G = cluster_cells.shape[0]
-    totals = cluster_cells.sum(axis=(2, 3))  # (G, 2)
-    p_hat = p_from_cells(cluster_cells.sum(axis=0))
-    a, arm = _stacked(cluster_cells)
-    psi = G * (a.astype(float) - p_hat[None, :] * totals[:, arm]) / totals.sum(axis=0)[arm]
+def _influence_covariance(cells, weight):
+    """Covariance of sqrt(G) (p_hat - p) from unit-level linearization, and
+    p_hat, for ``weight[g]`` independent units of profile ``cells[g]``; G is
+    the number of units.  The influence vectors are scaled by the square
+    root of their weight so the outer products stay one symmetric product,
+    which is exactly the unweighted one when every weight is 1."""
+    G = int(weight.sum())
+    totals = cells.sum(axis=(2, 3))  # (profiles, 2)
+    p_hat = p_from_cells((weight[:, None, None, None] * cells).sum(axis=0))
+    a, arm = _stacked(cells)
+    psi = G * (a.astype(float) - p_hat[None, :] * totals[:, arm]) / (weight @ totals)[arm]
+    psi *= np.sqrt(weight)[:, None]
     return (psi.T @ psi) / G, p_hat
+
+
+def _unit_profiles(enc):
+    """``(cells, weight)`` of an encoding's unit profiles: with one record
+    per unit, each occupied cell as a one-hot (2, K, Q) array weighted by
+    its count; otherwise each cluster's counts with weight 1."""
+    if not enc.unit_level:
+        cells = enc.cell_sums(enc.cluster_of)
+        return cells, np.ones(cells.shape[0], dtype=np.int64)
+    counts = enc.cell_sums().reshape(-1)
+    occupied = np.flatnonzero(counts)
+    cells = np.zeros((occupied.size, counts.size), dtype=np.int64)
+    cells[np.arange(occupied.size), occupied] = 1
+    return cells.reshape(-1, *enc.shape), counts[occupied]
 
 
 def median_cluster_cell_count(records: RecordSet, bins=None):
@@ -220,6 +250,22 @@ def _general_rows(support, r: RestrictionSet, Q, nu_ub, n_p):
     return c1, np.vstack([c2.reshape(-1, n_p), restr2]), rows, e1, e2
 
 
+def _nu_ub_shares(nu_ub, K):
+    """``nu_ub`` as K shares: one value for every mediator value, or K."""
+    try:
+        shares = np.asarray(nu_ub, dtype=float)
+    except (TypeError, ValueError):
+        raise StructuralError(f"nu_ub must be numeric, got {nu_ub!r}") from None
+    if shares.ndim > 1 or (shares.ndim == 1 and shares.size != K):
+        raise StructuralError(f"nu_ub must be one value or {K} values, one per mediator "
+                              f"value, got shape {shares.shape}")
+    if not np.isfinite(shares).all():
+        raise StructuralError("nu_ub must be finite")
+    if shares.min() < 0 or shares.max() > 1:
+        raise StructuralError("nu_ub must lie in [0, 1]")
+    return np.broadcast_to(shares, (K,)).copy()
+
+
 def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
                         nu_ub=0.0, min_cell=CELL_COUNT_FLOOR) -> MomentSystem:
     """Assemble the moment-inequality system for the null that at most a
@@ -238,8 +284,10 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
     triggers :class:`CellCountWarning`; more stacked cell probabilities
     than independent units raise :class:`EstimationError`.  A custom
     restriction that no type shares satisfy raises
-    :class:`IdentificationError`.
+    :class:`IdentificationError`, and a ``nu_ub`` that is not one or K
+    finite shares in [0, 1] a :class:`StructuralError`.
     """
+    nu_ub = _nu_ub_shares(nu_ub, r.n_support)
     enc = encode(records, bins)
     support, levels = enc.support, enc.outcome_levels
     if r.n_support != support.k:
@@ -255,20 +303,18 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
     n_p = 2 * K * Q + 2 * K
     n_units = int(enc.cluster_of.max(initial=-1)) + 1
     if n_p > n_units:
-        # the n_p x n_p covariance of n_units units has rank at most
-        # n_units; on an unbinned continuous outcome it would not even fit
-        # in memory
+        # the n_p x n_p covariance of n_units units has rank at most n_units
         raise EstimationError(
             f"the moment system has {n_p} cell probabilities but only {n_units} "
             f"independent units ({Q} outcome levels); coarsen the outcome with "
             "bins (--bins on the command line)"
         )
-    cells = enc.cell_sums(enc.cluster_of)
+    cells, weight = _unit_profiles(enc)
     arm_counts = cells.sum(axis=(2, 3))
     if (arm_counts.sum(axis=0) == 0).any():
         raise EstimationError("need observations in both arms")
     arm = np.where(arm_counts[:, 1] == 0, 0, np.where(arm_counts[:, 0] == 0, 1, -1))
-    sigma, p_hat = _influence_covariance(cells)
+    sigma, p_hat = _influence_covariance(cells, weight)
     med = float(np.median(enc.units_per_cell()))
     if med < min_cell:
         warnings.warn(
@@ -277,9 +323,6 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
             CellCountWarning,
             stacklevel=2,
         )
-    nu_ub = np.broadcast_to(np.asarray(nu_ub, dtype=float), (K,)).copy()
-    if nu_ub.min() < 0 or nu_ub.max() > 1:
-        raise StructuralError("nu_ub must lie in [0, 1]")
     binary = K == 2 and r.kind == MONOTONE and not nu_ub.any()
     c1, c2, rows, e1, e2 = (_binary_rows(Q, n_p) if binary
                             else _general_rows(support, r, Q, nu_ub, n_p))
@@ -290,10 +333,11 @@ def build_moment_system(records: RecordSet, r: RestrictionSet, bins=None,
         e2=e2,
         p_hat=p_hat,
         sigma_hat=sigma,
-        n_eff=cells.shape[0],
+        n_eff=int(weight.sum()),
         rows=tuple(rows),
         n_outcomes=Q,
         cluster_cells=cells,
+        cluster_weight=weight,
         cluster_arm=arm,
         median_cell_count=med,
     )
@@ -340,10 +384,13 @@ def _make_resampler(system: MomentSystem):
     """Nonparametric bootstrap of independent units, within arm when
     clusters are arm-pure (always the case for unit-level data).
 
-    Unit-level records resample as a per-arm multinomial over the observed
-    cells, which is distributionally identical to redrawing rows and much
-    faster.  Mixed-arm clusters fall back to whole-dataset resampling with
-    a deterministic retry when a draw empties an arm.  The resampler
+    When every profile in ``cluster_cells`` is one record, the units
+    resample as a per-arm multinomial over the cells, with each profile's
+    count ``cluster_weight``; this is distributionally identical to
+    redrawing rows and much faster.  Otherwise each profile is one cluster
+    (weight 1) and whole clusters are redrawn: within arm when every
+    cluster is arm-pure, else from the whole dataset with a deterministic
+    retry when a draw empties an arm.  The resampler
     ``draw(rng, out=None)`` writes one (2, K, Q) count table into ``out``
     (a new array by default) and returns it.
     """
@@ -351,7 +398,7 @@ def _make_resampler(system: MomentSystem):
     arm = system.cluster_arm
     G, shape = cells.shape[0], cells.shape[1:]
     if (cells.sum(axis=(1, 2, 3)) == 1).all():
-        agg = cells.sum(axis=0)
+        agg = (system.cluster_weight[:, None, None, None] * cells).sum(axis=0)
         totals = agg.sum(axis=(1, 2))
         probs = [agg[d].reshape(-1) / totals[d] for d in (0, 1)]
 

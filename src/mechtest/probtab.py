@@ -390,6 +390,11 @@ class Encoding:
     def shape(self):
         return (2, self.support.k, len(self.outcome_levels))
 
+    @property
+    def unit_level(self):
+        """Whether every independent unit holds exactly one record."""
+        return self.cluster_of.max(initial=-1) + 1 == self.cluster_of.size
+
     def cell_sums(self, group=None, weights=None):
         """Rows (or their summed ``weights``) per cell: ``out[d, k, q]``, or
         ``out[g, d, k, q]`` split by the nonnegative integer ``group`` of
@@ -402,6 +407,9 @@ class Encoding:
 
     def units_per_cell(self):
         """Distinct independent units in each occupied (arm, M, Y) cell."""
+        if self.unit_level:
+            counts = self.cell_sums().reshape(-1)
+            return counts[counts > 0]
         n_cells = int(np.prod(self.shape))
         pairs = np.unique(self.cluster_of * n_cells + self.cell_of)
         per_cell = np.bincount(pairs % n_cells)

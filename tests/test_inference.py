@@ -24,7 +24,7 @@ from mechtest.inference import (
     test_conditional_chisq,
     test_least_favorable_bootstrap,
 )
-from mechtest.probtab import RecordSet, from_records, support_from_values
+from mechtest.probtab import RecordSet, encode, from_records, support_from_values
 from mechtest.rng import substream
 from mechtest.typeshares import RestrictionSet, marginal_equalities, share_polytope
 
@@ -361,6 +361,103 @@ def test_clustered_covariance_reduces_to_iid():
     assert a.n_eff == b.n_eff == rec.n
 
 
+def _reference_influence_covariance(cluster_cells):
+    """Covariance of sqrt(G) (p_hat - p) from one count array per
+    independent unit, (G, 2, K, Q), and p_hat: the dense per-unit form."""
+    G = cluster_cells.shape[0]
+    totals = cluster_cells.sum(axis=(2, 3))  # (G, 2)
+    p_hat = inference.p_from_cells(cluster_cells.sum(axis=0))
+    a, arm = inference._stacked(cluster_cells)
+    psi = G * (a.astype(float) - p_hat[None, :] * totals[:, arm]) / totals.sum(axis=0)[arm]
+    return (psi.T @ psi) / G, p_hat
+
+
+def per_unit_cells(records, bins=None):
+    enc = encode(records, bins)
+    return enc.cell_sums(enc.cluster_of)
+
+
+def random_unit_records(rng, n, K, Q, treated_share):
+    return RecordSet(y=rng.integers(0, Q, n).astype(float), m=rng.integers(0, K, n).astype(float),
+                     d=(rng.random(n) < treated_share).astype(int))
+
+
+def test_unit_level_covariance_matches_the_per_record_form():
+    rng = np.random.default_rng(71)
+    for trial in range(24):
+        K, Q = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        n = int(rng.integers(200, 1500))
+        rec = random_unit_records(rng, n, K, Q, rng.choice([0.15, 0.5, 0.8]))
+        if trial % 2:
+            rec = clustered(rec, rng.permutation(n))
+        system = build(rec, RestrictionSet.unrestricted(support_from_values(rec.m)))
+        sigma, p_hat = _reference_influence_covariance(per_unit_cells(rec))
+        assert_same_bits(system.p_hat, p_hat)
+        assert np.abs(system.sigma_hat - sigma).max() <= 1e-13 * np.abs(sigma).max()
+        K, Q = system.cluster_cells.shape[2:]
+        assert system.cluster_cells.shape[0] <= 2 * K * Q
+        assert system.n_eff == n and system.cluster_weight.sum() == n
+        assert (system.cluster_cells.sum(axis=(1, 2, 3)) == 1).all()
+
+
+def test_clustered_covariance_is_the_per_cluster_form_bit_for_bit():
+    rng = np.random.default_rng(72)
+    for trial in range(12):
+        K, Q = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        n = int(rng.integers(600, 1500))
+        rec = random_unit_records(rng, n, K, Q, 0.5)
+        size = int(rng.integers(2, 6))
+        if trial % 2:  # arm-pure clusters of `size` records, one singleton
+            labels = np.where(np.arange(n) == 0, -1, 10_000 * rec.d + np.arange(n) // size)
+        else:  # clusters that mix the arms
+            labels = np.arange(n) % (n // size)
+        rec = clustered(rec, labels)
+        system = build(rec, RestrictionSet.unrestricted(support_from_values(rec.m)))
+        dense = per_unit_cells(rec)
+        sigma, p_hat = _reference_influence_covariance(dense)
+        assert_same_bits(system.sigma_hat, sigma)
+        assert_same_bits(system.p_hat, p_hat)
+        assert np.array_equal(system.cluster_cells, dense)
+        assert system.cluster_weight.tolist() == [1] * dense.shape[0]
+        assert system.n_eff == dense.shape[0]
+        assert ((system.cluster_arm >= 0).all()) == bool(trial % 2)
+
+
+def test_unit_profiles_resample_as_the_per_record_cells():
+    rng = np.random.default_rng(73)
+    rec = random_unit_records(rng, 900, 3, 4, 0.3)
+    system = build(rec)
+    dense = per_unit_cells(rec)
+    per_record = dataclasses.replace(system, cluster_cells=dense,
+                                     cluster_weight=np.ones(dense.shape[0], dtype=np.int64),
+                                     cluster_arm=dense.sum(axis=(2, 3)).argmax(axis=1))
+    for seed in range(5):
+        got = inference._make_resampler(system)(substream(seed, 0))
+        assert np.array_equal(got, inference._make_resampler(per_record)(substream(seed, 0)))
+
+
+@pytest.mark.parametrize("nu_ub, message", [
+    (np.nan, "nu_ub must be finite"),
+    ([0.1, np.nan, 0.0, 0.0], "nu_ub must be finite"),
+    ([0.1, 0.2, 0.3], r"nu_ub must be one value or 4 values, one per mediator value, got shape \(3,\)"),
+    (np.zeros((2, 4)), r"nu_ub must be one value or 4 values"),
+    (-0.1, r"nu_ub must lie in \[0, 1\]"),
+    ([0.0, 0.0, 1.5, 0.0], r"nu_ub must lie in \[0, 1\]"),
+    ("half", "nu_ub must be numeric"),
+])
+def test_nu_ub_is_checked_before_the_records_are_encoded(nu_ub, message, monkeypatch):
+    rng = np.random.default_rng(74)
+    rec = random_unit_records(rng, 3000, 4, 3, 0.5)
+    r = RestrictionSet.monotone(support_from_values(rec.m))
+
+    def no_encode(*args):
+        raise AssertionError("encoded before nu_ub was checked")
+
+    monkeypatch.setattr(inference, "encode", no_encode)
+    with pytest.raises(StructuralError, match=message):
+        build(rec, r, nu_ub=nu_ub)
+
+
 def test_covariance_matches_multinomial_formula():
     rng = np.random.default_rng(8)
     rec = binary_records(rng, 500)
@@ -401,6 +498,7 @@ def synthetic_system(p_hat, sigma, n_eff):
         rows=(MomentRow("gap", k=0, q=0),),
         n_outcomes=1,
         cluster_cells=np.zeros((1, 2, 1, 1), dtype=np.int64),
+        cluster_weight=np.array([1]),
         cluster_arm=np.array([-1]),
         median_cell_count=1.0,
     )

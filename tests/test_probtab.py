@@ -275,6 +275,26 @@ def test_encode_matches_a_per_row_reference():
     assert table.n_clusters == tuple(len(set(cluster[d == a].tolist())) for a in (0, 1))
 
 
+def test_units_per_cell_matches_the_distinct_unit_count():
+    rng = np.random.default_rng(23)
+    n = 2000
+    d = (rng.random(n) < 0.3).astype(int)
+    # the treated arm never reaches the top outcome level: three empty cells
+    rec = RecordSet(y=rng.integers(0, 5 - d, n).astype(float), m=rng.integers(0, 3, n).astype(float),
+                    d=d)
+    labels = {"none": None, "singletons": rng.permutation(n).astype(str),
+              "pairs": np.arange(n) // 2, "mixed sizes": np.minimum(np.arange(n), n // 2),
+              "arm-pure": 10_000 * rec.d + rng.integers(0, 40, n)}
+    for name, cluster in labels.items():
+        enc = encode(replace(rec, cluster=cluster))
+        n_cells = int(np.prod(enc.shape))
+        per_cell = np.bincount(np.unique(enc.cluster_of * n_cells + enc.cell_of) % n_cells)
+        assert enc.unit_level == (name in ("none", "singletons"))
+        assert (enc.cell_sums() == 0).sum() == 3
+        assert np.array_equal(enc.units_per_cell(), per_cell[per_cell > 0]), name
+    assert encode(replace(rec, cluster=labels["singletons"])).units_per_cell().sum() == n
+
+
 @pytest.mark.parametrize("bins", [4, (-0.5, 0.25, 1.0)])
 def test_encode_bins_label_each_bin_by_its_smallest_value(bins):
     rng = np.random.default_rng(22)
