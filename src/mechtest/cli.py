@@ -20,7 +20,6 @@ import hashlib
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,21 +30,9 @@ from .probtab import DistTable, from_records, read_csv, support_from_values
 from .typeshares import RestrictionSet, build_identified_set, min_defier_budget, theta_kk_min
 
 
-@dataclass
-class RunConfig:
-    command: str
-    values: dict
-
-    def __getattr__(self, name):
-        values = object.__getattribute__(self, "values")
-        if name in values:
-            return values[name]
-        raise AttributeError(name)
-
-
 def _read_config_file(path):
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -76,9 +63,10 @@ def _typed(key, text, error):
         raise StructuralError(error) from None
 
 
-def resolve_config(args) -> RunConfig:
+def resolve_config(args) -> argparse.Namespace:
     """Layer defaults < config file < explicit flags.  Flags arrive as text
-    too, so values from both sources are parsed and checked alike."""
+    too, so values from both sources are parsed and checked alike.  Returns
+    the subcommand and every option's value as attributes."""
     values = {key: opt.default for key, opt in OPTIONS.items()}
     if args.config:
         for key, val in _read_config_file(args.config).items():
@@ -97,7 +85,7 @@ def resolve_config(args) -> RunConfig:
             raise StructuralError(f"{key} must be {need}, got {values[key]}")
     if not 0.0 < values["alpha"] < 1.0:
         raise StructuralError("alpha must lie in (0, 1)")
-    return RunConfig(args.command, values)
+    return argparse.Namespace(command=args.command, **values)
 
 
 def parse_restriction(spec_str: str, support) -> RestrictionSet:
@@ -118,7 +106,7 @@ def parse_restriction(spec_str: str, support) -> RestrictionSet:
         if name == "none":
             return RestrictionSet.unrestricted(support)
         if name == "custom":
-            rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+            rows = np.loadtxt(arg, delimiter=",", ndmin=2, encoding="utf-8-sig")
             return RestrictionSet.custom(support, rows[:, :-1], rows[:, -1])
     except ValueError as exc:
         raise StructuralError(f"invalid restriction '{spec_str}': {exc}") from None
@@ -132,7 +120,8 @@ def parse_strategy(spec_str: str) -> ident.StrategyTag:
         return ident.StrategyTag(kind=name)
     if name == ident.MEASUREMENT_ERROR:
         try:
-            return ident.StrategyTag(kind=name, l_matrix=np.loadtxt(arg, delimiter=",", ndmin=2))
+            l_matrix = np.loadtxt(arg, delimiter=",", ndmin=2, encoding="utf-8-sig")
+            return ident.StrategyTag(kind=name, l_matrix=l_matrix)
         except ValueError as exc:
             raise StructuralError(f"invalid strategy '{spec_str}': {exc}") from None
     raise StructuralError(f"unknown strategy '{spec_str}'")
@@ -161,10 +150,11 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_manifest(cfg: RunConfig, outputs):
+def _write_manifest(cfg, outputs):
     manifest = {
         "command": cfg.command,
-        "config": {k: v for k, v in sorted(cfg.values.items()) if k not in ("input", "out")},
+        "config": {k: v for k, v in sorted(vars(cfg).items())
+                   if k not in ("command", "input", "out")},
         "input": cfg.input,
         "input_sha256": _hash_file(cfg.input) if cfg.input else None,
         "outputs": outputs,
@@ -175,7 +165,7 @@ def _write_manifest(cfg: RunConfig, outputs):
     return path
 
 
-def _load_table(cfg: RunConfig):
+def _load_table(cfg):
     """Raw records and the table the strategy identifies from them over the
     outcome bins."""
     records = read_csv(cfg.input)
@@ -195,7 +185,7 @@ def _cells_csv(path, table: DistTable):
                 writer.writerow([m_label, y, f"{p1:.10g}", f"{p0:.10g}", f"{p1 - p0:.10g}"])
 
 
-def cmd_bounds(cfg: RunConfig):
+def cmd_bounds(cfg):
     _, table = _load_table(cfg)
     r = parse_restriction(cfg.restriction, table.support)
     report = bounds_mod.bounds_report(
@@ -210,7 +200,7 @@ def cmd_bounds(cfg: RunConfig):
     return 0
 
 
-def _run_test(cfg: RunConfig, system, seed):
+def _run_test(cfg, system, seed):
     """The test ``cfg.method`` on ``system``; ``seed`` drives lf-boot's draws."""
     if cfg.method == inference.LF_BOOT:
         return inference.test_least_favorable_bootstrap(
@@ -218,7 +208,7 @@ def _run_test(cfg: RunConfig, system, seed):
     return inference.test_conditional_chisq(system, alpha=cfg.alpha)
 
 
-def cmd_test(cfg: RunConfig):
+def cmd_test(cfg):
     if cfg.strategy != "randomized":
         raise UnsupportedCaseError(
             "finite-sample tests are implemented for the randomized design; "
@@ -235,7 +225,7 @@ def cmd_test(cfg: RunConfig):
     return 0
 
 
-def cmd_robustness(cfg: RunConfig):
+def cmd_robustness(cfg):
     """Pooled bound over a grid of defier budgets, and the breakdown budget.
 
     The breakdown budget's covering LP is solved once, and it settles most
@@ -275,7 +265,7 @@ def cmd_robustness(cfg: RunConfig):
     return 0
 
 
-def cmd_ade(cfg: RunConfig):
+def cmd_ade(cfg):
     _, table = _load_table(cfg)
     r = parse_restriction(cfg.restriction, table.support)
     spec, _ = bounds_mod.resolve_identified_set(table, r, cfg.auto_relax)
@@ -290,7 +280,7 @@ def cmd_ade(cfg: RunConfig):
     return 0
 
 
-def _simulate_design(cfg: RunConfig):
+def _simulate_design(cfg):
     if cfg.design == "binary":
         cp, tp = mc.binary_pools()
     elif cfg.design == "cluster":
@@ -314,7 +304,7 @@ def _simulate_design(cfg: RunConfig):
 _Replicate = namedtuple("_Replicate", "reject statistic p_value nu_pooled_lb median_cell_count")
 
 
-def cmd_simulate(cfg: RunConfig):
+def cmd_simulate(cfg):
     dgp = _simulate_design(cfg)
     bins = parse_bins(cfg.bins)
     # a malformed restriction is an input error, not an error in every replicate
@@ -361,7 +351,7 @@ def cmd_simulate(cfg: RunConfig):
     return 0
 
 
-def cmd_diagnose(cfg: RunConfig):
+def cmd_diagnose(cfg):
     records, table = _load_table(cfg)
     r = parse_restriction(cfg.restriction, table.support)
     spec = build_identified_set(table, r)

@@ -139,7 +139,6 @@ class StandardForm:
     rhs: np.ndarray
     cost: np.ndarray
     offset: float
-    n_rows_eq: int
     T: np.ndarray
     shifts: np.ndarray
 
@@ -214,7 +213,7 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     A[a_eq.shape[0]:, :nz] = a_ub
     A[a_eq.shape[0]:, nz:] = np.eye(n_ub)
     b = np.concatenate([b_eq, b_ub])
-    return StandardForm(A, b, None, None, a_eq.shape[0], T, shifts).with_cost(lp.objective)
+    return StandardForm(A, b, None, None, T, shifts).with_cost(lp.objective)
 
 
 def _pivot(tab, basis, row, col):
@@ -229,30 +228,31 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _simplex_phase(tab, basis, n_enter, n_pivots, force_out_from=None, stop_below=None):
-    """Pivot until optimal or unbounded.
+def _simplex_phase(tab, basis, n_enter, phase, n_pivots):
+    """Pivot ``tab`` and the int array ``basis`` in place until optimal or
+    unbounded; returns the status and ``n_pivots`` plus the pivots made.
 
     ``tab`` rows 0..m-1 hold [B^-1 A | B^-1 b]; the last row holds reduced
-    costs and the negated objective.  Columns ``>= n_enter`` never enter.
-    Pricing is most-negative-reduced-cost until the objective stalls, then
-    Bland's smallest-index rule takes over permanently, which guarantees
+    costs and the negated objective.  ``basis[i]`` is the column basic in
+    row i; columns ``>= n_enter`` (the artificials) never enter.  Pricing is
+    most-negative-reduced-cost until the objective stalls, then Bland's
+    smallest-index rule takes over permanently, which guarantees
     termination on degenerate problems.  A column that looks improving but
     has no positive pivot entry is declared unbounded only when its reduced
     cost is decisively negative relative to the column scale; otherwise it
     is accumulated roundoff and gets zeroed out (final certificates
-    re-verify every answer independently).  When ``force_out_from`` is set,
-    a basic variable with index at or above it (an artificial, necessarily
-    at level zero) is pivoted out as soon as the entering column touches
-    its row.  ``stop_below`` ends the phase early once the objective is
-    provably below it (used by phase 1, whose objective floor is zero).
+    re-verify every answer independently).  Phase 1 minimizes the sum of
+    the artificials and stops once that is below ``FEAS_TOL / 2``.  In
+    phase 2 a basic artificial, necessarily at level zero, is pivoted out
+    as soon as the entering column touches its row.  ``n_pivots`` counts
+    on across both phases against one budget.
     """
     m = tab.shape[0] - 1
-    basis_arr = np.asarray(basis)
     bland = False
     stall = 0
     stall_limit = 10 * (m + 1)
     while True:
-        if stop_below is not None and -tab[-1, -1] <= stop_below:
+        if phase == 1 and -tab[-1, -1] <= FEAS_TOL / 2:
             return OPTIMAL, n_pivots
         rc = tab[-1, :n_enter]
         candidates = np.nonzero(rc < -PIVOT_TOL)[0]
@@ -264,8 +264,8 @@ def _simplex_phase(tab, basis, n_enter, n_pivots, force_out_from=None, stop_belo
             enter = int(candidates[np.argmin(rc[candidates])])
         col = tab[:m, enter]
         leave = -1
-        if force_out_from is not None:
-            forced = np.nonzero((basis_arr >= force_out_from) & (np.abs(col) > PIVOT_TOL))[0]
+        if phase == 2:
+            forced = np.nonzero((basis >= n_enter) & (np.abs(col) > PIVOT_TOL))[0]
             if forced.size:
                 leave = int(forced[0])
         if leave < 0:
@@ -280,12 +280,11 @@ def _simplex_phase(tab, basis, n_enter, n_pivots, force_out_from=None, stop_belo
             best = ratios.min()
             ties = pos[ratios <= best + PIVOT_TOL]
             if bland:
-                leave = int(ties[np.argmin(basis_arr[ties])])
+                leave = int(ties[np.argmin(basis[ties])])
             else:
                 leave = int(ties[np.argmax(col[ties])])
         before = tab[-1, -1]
         _pivot(tab, basis, leave, enter)
-        basis_arr[leave] = basis[leave]
         if tab[-1, -1] > before + 1e-12 * (1.0 + abs(before)):
             stall = 0
         else:
@@ -310,9 +309,12 @@ class FeasibleSet:
 
     Phase 1 and the ejection of the artificial columns read only the
     constraints, so they run once, here.  A feasible set keeps the
-    resulting tableau and basis read-only, and each :meth:`minimize` runs
-    phase 2 on a copy of them; an empty one keeps its verified Farkas ray.
-    The objective of ``lp`` plays no part.
+    resulting tableau, its basis (one int array, the column basic in each
+    row) and the scaled ``[A | I]`` read-only; each :meth:`minimize` runs
+    phase 2 on copies of the tableau and basis and reads the optimum's
+    levels, basis matrix and basic costs off them by indexing.  An empty
+    set keeps its verified Farkas ray.  The objective of ``lp`` plays no
+    part.
 
     Raises
     ------
@@ -344,15 +346,14 @@ class FeasibleSet:
         tab[:m, -1] = b
         tab[-1, :nz] = -A.sum(axis=0)
         tab[-1, -1] = -b.sum()
-        basis = list(range(nz, nz + m))
-        status, piv = _simplex_phase(tab, basis, nz, 0, stop_below=0.5 * FEAS_TOL)
+        basis = np.arange(nz, nz + m)
+        status, piv = _simplex_phase(tab, basis, nz, 1, 0)
         if status != OPTIMAL:  # pragma: no cover - phase 1 cannot be unbounded
             raise SolverFailureError("phase 1 terminated without an optimum")
         self.n_vars, self._standard, self._phase1_pivots = lp.n_vars, sf, piv
         self.farkas = None
         if -tab[-1, -1] > FEAS_TOL:
-            cb = np.array([1.0 if j >= nz else 0.0 for j in basis])
-            y = cb @ tab[:m, nz: nz + m]
+            y = (basis >= nz) @ tab[:m, nz: nz + m]
             y[neg] *= -1.0
             ray = (y @ sf.matrix).max(initial=-np.inf)
             bound = y @ sf.rhs
@@ -370,15 +371,16 @@ class FeasibleSet:
         # Pivot artificials out of the basis where a real column is available;
         # those that remain sit at level zero in redundant rows and are ejected
         # lazily by phase 2's force-out rule.
-        for i in range(m):
-            if basis[i] >= nz:
-                usable = np.abs(tab[i, :nz]) > 1e-7
-                if usable.any():
-                    _pivot(tab, basis, i, int(usable.argmax()))
-        for a in (tab, A, neg, col_scale):
+        for i in np.flatnonzero(basis >= nz):  # a pivot changes the basis in its own row only
+            usable = np.abs(tab[i, :nz]) > 1e-7
+            if usable.any():
+                _pivot(tab, basis, i, int(usable.argmax()))
+        # basic column j: scaled real column j < nz, or unit column j - nz of an artificial
+        basic_cols = np.hstack([A, np.eye(m)])
+        for a in (tab, basis, basic_cols, neg, col_scale):
             a.setflags(write=False)
-        self._tab, self._basis, self._scaled, self._neg, self._col_scale = (
-            tab, tuple(basis), A, neg, col_scale)
+        self._tab, self._basis, self._basic_cols, self._neg, self._col_scale = (
+            tab, basis, basic_cols, neg, col_scale)
 
     @property
     def feasible(self):
@@ -393,36 +395,29 @@ class FeasibleSet:
         sf = self._standard.with_cost(c)
         if not self.feasible:
             return LpSolution(INFEASIBLE, farkas=self.farkas.copy(), standard=sf)
-        A, neg, col_scale = self._scaled, self._neg, self._col_scale
-        m, nz = A.shape
-        tab, basis = self._tab.copy(), list(self._basis)
+        neg, col_scale = self._neg, self._col_scale
+        m, nz = self._basis.size, col_scale.size
+        tab, basis = self._tab.copy(), self._basis.copy()
         cost_scaled = sf.cost / col_scale
         tab[-1, :] = 0.0
         tab[-1, :nz] = cost_scaled
-        for i in range(m):
-            if basis[i] < nz and cost_scaled[basis[i]] != 0.0:
-                tab[-1] -= cost_scaled[basis[i]] * tab[i]
-        status, piv = _simplex_phase(tab, basis, nz, self._phase1_pivots, force_out_from=nz)
+        for i, j in enumerate(basis.tolist()):
+            if j < nz and cost_scaled[j] != 0.0:
+                tab[-1] -= cost_scaled[j] * tab[i]
+        status, piv = _simplex_phase(tab, basis, nz, 2, self._phase1_pivots)
         if status == UNBOUNDED:
             return LpSolution(UNBOUNDED, value=-np.inf, standard=sf)
+        real = basis < nz
+        level = tab[:m, -1][real]
         z = np.zeros(nz)
-        for i in range(m):
-            if basis[i] < nz:
-                z[basis[i]] = max(tab[i, -1], 0.0)
+        z[basis[real]] = np.where(0.0 > level, 0.0, level)  # as max(level, 0.0): keeps -0.0
         z /= col_scale
         x = sf.point(z)
         value = float(sf.cost @ z + sf.offset)
         # Dual vector: solve B'y = c_B against the sign-corrected rows, undo the
         # sign flips, then verify feasibility and the zero duality gap.
-        B = np.empty((m, m))
-        cb = np.empty(m)
-        for i, j in enumerate(basis):
-            if j < nz:
-                B[:, i] = A[:, j]
-                cb[i] = cost_scaled[j]
-            else:
-                B[:, i] = np.eye(m)[:, j - nz]
-                cb[i] = 0.0
+        B = self._basic_cols[:, basis]
+        cb = np.concatenate([cost_scaled, np.zeros(m)])[basis]
         try:
             y = np.linalg.solve(B.T, cb)
         except np.linalg.LinAlgError as exc:

@@ -56,10 +56,6 @@ class MediatorSupport:
     def k(self):
         return len(self.points)
 
-    @property
-    def dim(self):
-        return len(self.points[0])
-
     def index(self, point):
         key = tuple(float(v) for v in np.atleast_1d(point))
         try:
@@ -304,7 +300,7 @@ def _read_plain(path):
 def _read_dialect(path):
     """Per-column block lists of any file, split by the ``csv`` module."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -342,7 +338,7 @@ def _read_dialect(path):
     return parts
 
 
-def _mediator_codes(m, totally_ordered=None):
+def _mediator_codes(m):
     """Support registry of the mediator rows and each row's index into it."""
     m = np.asarray(m, dtype=float)
     if m.ndim == 1:
@@ -353,14 +349,12 @@ def _mediator_codes(m, totally_ordered=None):
         points = points[:, None]
     else:
         points, k_of = np.unique(m + 0.0, axis=0, return_inverse=True)
-    if totally_ordered is None:
-        totally_ordered = m.shape[1] == 1
     support = MediatorSupport(points=tuple(map(tuple, points.tolist())),
-                              totally_ordered=totally_ordered)
+                              totally_ordered=m.shape[1] == 1)
     return support, k_of.reshape(-1)
 
 
-def support_from_values(m, totally_ordered=None) -> MediatorSupport:
+def support_from_values(m) -> MediatorSupport:
     """Common support registry for observed mediator rows.
 
     Scalar supports are sorted increasing and flagged totally ordered
@@ -368,7 +362,7 @@ def support_from_values(m, totally_ordered=None) -> MediatorSupport:
     sorted support); vector supports keep lexicographic order and rely on
     the elementwise partial order.
     """
-    return _mediator_codes(m, totally_ordered)[0]
+    return _mediator_codes(m)[0]
 
 
 @dataclass(frozen=True)

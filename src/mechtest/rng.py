@@ -8,8 +8,10 @@ execution order, so parallel evaluation cannot change them.
 
 The B draws of the least-favorable bootstrap take their generators from
 :func:`substreams`, which seeds all of them in one array pass.  It
-reproduces numpy's ``SeedSequence`` -> ``PCG64`` seeding (NEP 19; O'Neill
-2015) exactly, so draw b sees the same stream as ``substream(seed, b)``;
+starts from the pool of ``SeedSequence(seed)``, which has mixed in the seed,
+and reproduces the rest of numpy's ``SeedSequence`` -> ``PCG64`` seeding
+(NEP 19; O'Neill 2015) exactly, so draw b sees the same stream as
+``substream(seed, b)``;
 ``tests/test_rng.py`` pins the two against each other.
 """
 
@@ -69,26 +71,11 @@ def substreams(master_seed: int, n: int):
     master_seed, n = check_seed(master_seed), int(n)
     if not 0 <= n <= 1 << 32:  # a spawn key of one 32-bit word
         raise StructuralError(f"number of substreams must lie in [0, 2**32], got {n}")
-    # the seed's 32-bit words, zero-padded to the pool size because a spawn key follows
-    words = [master_seed & _MASK32]
-    while master_seed >> 32:
-        master_seed >>= 32
-        words.append(master_seed & _MASK32)
-    words += [0] * (_POOL - len(words))
-    # the mixing of the seed words, shared by every stream
-    h, pool = _INIT_A, []
-    for word in words[:_POOL]:
-        value, h = _hashmix(word, h, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, h = _hashmix(pool[src], h, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            value, h = _hashmix(word, h, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
+    # every stream shares SeedSequence's pool with the seed words mixed in, and the
+    # hash constant after the 16 + 4 max(0, words - 4) hashmix calls of that mixing
+    words = -(-master_seed.bit_length() // 32)
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - _POOL), 1 << 32) & _MASK32
     return _seeded(pool, h, n)
 
 

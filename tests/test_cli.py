@@ -229,6 +229,31 @@ def test_measurement_error_matrix_with_text_is_an_input_error(tmp_path, capsys):
     assert f"'me:{path}'" in payload["message"]
 
 
+@pytest.mark.parametrize("route", ["input", "config", "custom", "me"])
+def test_a_leading_byte_order_mark_is_skipped_in_every_text_input(route, tmp_path, capsys):
+    text = {"input": FIXTURE.read_text(encoding="utf-8"),
+            "config": "restriction = defier_budget:0.1\nade = yes\n",
+            "custom": "1,0,0,0,0.5\n",
+            "me": "0.9,0.1\n0.1,0.9\n"}[route]
+    outputs = []
+    for prefix in ("", "\ufeff"):
+        path = tmp_path / f"{route}{len(prefix)}.txt"
+        path.write_text(prefix + text, encoding="utf-8")
+        args = {"input": ["--input", str(path)],
+                "config": ["--input", str(FIXTURE), "--config", str(path)],
+                "custom": ["--input", str(FIXTURE), "--restriction", f"custom:{path}"],
+                "me": ["--input", str(FIXTURE), "--strategy", f"me:{path}"]}[route]
+        out = tmp_path / f"b{len(prefix)}.json"
+        code, _ = run_cli(["bounds", *args, "--out", str(out)], capsys)
+        assert code == 0
+        config = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())["config"]
+        outputs.append((out.read_bytes(), (tmp_path / f"b{len(prefix)}_cells.csv").read_bytes(),
+                        config if route == "config" else None))
+    assert outputs[0] == outputs[1]
+    if route == "config":
+        assert outputs[0][2]["restriction"] == "defier_budget:0.1" and outputs[0][2]["ade"]
+
+
 # two non-default values of every option: (text, typed value)
 OPTION_SAMPLES = {
     "input": [("a.csv", "a.csv"), ("b.csv", "b.csv")],
@@ -258,7 +283,7 @@ def _resolved(tmp_path, command, config=None, flags=()):
         path = tmp_path / "run.cfg"
         path.write_text(config, encoding="utf-8")
         argv += ["--config", str(path)]
-    return resolve_config(build_parser().parse_args(argv)).values
+    return vars(resolve_config(build_parser().parse_args(argv)))
 
 
 def _flag(key, text):

@@ -220,6 +220,59 @@ def test_pivot_matches_a_row_loop_bit_for_bit():
         assert np.array_equal(basis, ref_basis)
 
 
+def test_phase_two_forces_out_a_basic_artificial_first():
+    # two real columns and an artificial (index 2) basic at level zero in row 1
+    tab = np.array([[1.0, 1.0, 1.0],
+                    [0.0, -0.5, 0.0],
+                    [0.0, -1.0, 0.0]])
+    basis = np.array([0, 2])
+    status, n_pivots = linprog._simplex_phase(tab, basis, 2, 2, 7)
+    # the ratio test alone would pivot on row 0, the only positive entry, and
+    # leave the artificial basic
+    assert (status, n_pivots) == (OPTIMAL, 8)
+    assert basis.tolist() == [0, 1]
+    assert tab[:2, -1].tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("rc, status", [(-1e-9, OPTIMAL), (-1e-6, UNBOUNDED)])
+def test_phase_two_zeroes_a_roundoff_column_without_a_pivot(rc, status):
+    # column 1 improves but has no entry above PIVOT_TOL
+    tab = np.array([[1.0, -1.0, 1.0],
+                    [0.0, rc, 0.0]])
+    basis = np.array([0])
+    assert linprog._simplex_phase(tab, basis, 2, 2, 0) == (status, 0)
+    assert tab[-1, 1] == (0.0 if status == OPTIMAL else rc)
+    assert basis.tolist() == [0]
+
+
+def _kuhn_tableau():
+    """Kuhn's example: ``min -2x1 - 3x2 + x3 + 12x4`` over three rows with
+    slacks, degenerate in the first two."""
+    A = np.array([[-2.0, -9.0, 1.0, 9.0], [1 / 3, 1.0, -1 / 3, -2.0], [2.0, 3.0, -1.0, -12.0]])
+    tab = np.zeros((4, 8))
+    tab[:3, :4], tab[:3, 4:7], tab[:3, -1] = A, np.eye(3), [0.0, 0.0, 2.0]
+    tab[-1, :4] = [-2.0, -3.0, 1.0, 12.0]
+    return tab, np.arange(4, 7)
+
+
+def test_blands_rule_ends_the_cycle_of_the_most_negative_rule(monkeypatch):
+    # six most-negative pivots, none of which moves the objective, bring back
+    # the slack basis
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 5)
+    tab, basis = _kuhn_tableau()
+    with pytest.raises(SolverFailureError, match="6 pivots"):
+        linprog._simplex_phase(tab, basis, 7, 2, 0)
+    assert basis.tolist() == [4, 5, 6] and tab[-1, -1] == 0.0
+    # past 10 (m + 1) = 40 stalled pivots Bland's rule takes over and reaches
+    # the optimum -2 at x = (2, 0, 2, 0)
+    monkeypatch.undo()
+    tab, basis = _kuhn_tableau()
+    assert linprog._simplex_phase(tab, basis, 7, 2, 0) == (OPTIMAL, 44)
+    assert basis.tolist() == [4, 0, 2]
+    assert_allclose(tab[-1, -1], 2.0, atol=1e-12)
+    assert_allclose(tab[1:3, -1], [2.0, 2.0], atol=1e-12)
+
+
 # -- linear-fractional programs ------------------------------------------
 
 
@@ -608,8 +661,8 @@ def test_feasible_set_answers_every_objective_as_a_cold_solve():
                            ub_rhs=bu, bounds=_random_bounds(rng, x0))
         fs = FeasibleSet(lp)
         if fs.feasible:
-            stored = (fs._tab.tobytes(), fs._basis)
-            assert not fs._tab.flags.writeable
+            stored = (fs._tab.tobytes(), fs._basis.tobytes())
+            assert not (fs._tab.flags.writeable or fs._basis.flags.writeable)
         objectives = [rng.normal(size=n), np.zeros(n), rng.integers(-1, 2, n) * 1.0,
                       np.eye(n)[int(rng.integers(n))], -np.eye(n)[int(rng.integers(n))]]
         for j in [*rng.permutation(5), *rng.permutation(5)]:
@@ -618,7 +671,7 @@ def test_feasible_set_answers_every_objective_as_a_cold_solve():
             assert solution_bytes(got) == solution_bytes(want)
             statuses.add(got.status)
         if fs.feasible:
-            assert (fs._tab.tobytes(), fs._basis) == stored
+            assert (fs._tab.tobytes(), fs._basis.tobytes()) == stored
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 

@@ -367,7 +367,7 @@ def test_binned_tables_match_tables_of_binned_records(bins):
 
 def _reference_read_csv(path):
     """The row-by-row reader that ``read_csv`` replaced, kept as its reference."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -627,6 +627,7 @@ def test_read_csv_header_only_keeps_the_mediator_columns(tmp_path):
     (["y,d,m1", "1,0,0", "1,1,\xff"], "line 3"),
     (["y,d,m1,cluster", "1,0,0,a", "0,1,1,\xc3"], "line 3"),
     (["y,d,\xe9m1", "1,0,0"], "line 1"),
+    (["\xef\xbb\xbfy,d,m1", "1,0,0", "0,1,\xff"], "line 3"),  # after a UTF-8 byte-order mark
 ])
 def test_read_csv_bytes_that_are_not_utf8_are_input_errors(lines, where, tmp_path):
     path = tmp_path / "latin1.csv"
@@ -634,6 +635,24 @@ def test_read_csv_bytes_that_are_not_utf8_are_input_errors(lines, where, tmp_pat
     with pytest.raises(StructuralError) as info:
         read_csv(path)
     assert str(info.value).startswith(f"{path}: {where}: not UTF-8")
+
+
+def test_read_csv_skips_a_leading_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    for name in ("two-mediators", "quoted-and-spaced", "cluster-with-spaces", "multiline-label",
+                 "float-forms", "no-final-newline", "header-only"):
+        plain.write_text(_HAND_CORPUS[name], encoding="utf-8", newline="")
+        bom.write_text("\ufeff" + _HAND_CORPUS[name], encoding="utf-8", newline="")
+        want = _outcome(read_csv, plain)
+        assert isinstance(want, dict) and _outcome(read_csv, bom) == want, name
+
+
+def test_read_csv_a_byte_order_mark_past_the_start_is_an_input_error(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffy,d,m1\n1,0,0\n\ufeff0,1,1\n", encoding="utf-8")
+    with pytest.raises(StructuralError, match="^" + re.escape(f"{path}: line 3: could not")):
+        read_csv(path)
 
 
 def test_quantile_cutpoints_match_the_per_bin_loop():
