@@ -257,20 +257,16 @@ def breakdown_defier_budget(table: DistTable) -> float:
     budget is the least defier mass of such shares, one LP.  Returns 1 when
     no shares cover the gaps and 0 when the least covering defier mass is
     the least the mediator marginals allow, i.e. when there is no violation
-    evidence at any feasible budget.  So 1 does not tell a breakdown at 1
-    from gaps that no shares cover, and 0 hides the covering mass; the
-    ``robustness`` command reads both off :func:`_covering_lp`, that LP's
-    status and raw optimal value, and derives this budget from the same
-    solve.
+    evidence at any feasible budget.
     """
     return _breakdown(*_covering_lp(table))
 
 
 def _covering_lp(table: DistTable):
-    """``(status, mass, least)`` of the breakdown budget's covering LP:
-    its status (``optimal`` or ``infeasible``), its optimal defier mass
-    (NaN when infeasible) and ``min_defier_budget`` of the unrestricted
-    set, below which no budget admits any shares."""
+    """``(covered, least)`` of the breakdown budget's covering LP: its
+    optimal defier mass (+inf when no shares cover the gaps) and
+    ``min_defier_budget`` of the unrestricted set, below which no budget
+    admits any shares."""
     if not table.support.totally_ordered:
         raise UnsupportedCaseError("breakdown budget needs a scalar ordered mediator")
     K = table.n_mediators
@@ -282,16 +278,16 @@ def _covering_lp(table: DistTable):
     sol = solve_lp(spec.lp(defiers, cover, -gaps))
     if sol.status not in (OPTIMAL, INFEASIBLE):
         raise SolverFailureError(f"breakdown-budget LP ended with status {sol.status}")
-    return sol.status, sol.value, min_defier_budget(spec)
+    return (sol.value if sol.status == OPTIMAL else np.inf), min_defier_budget(spec)
 
 
-def _breakdown(status, mass, least) -> float:
+def _breakdown(covered, least) -> float:
     """The breakdown budget from :func:`_covering_lp`'s results."""
-    if status == INFEASIBLE:
+    if covered == np.inf:
         return 1.0
-    if mass <= least + ZERO_TOL:
+    if covered <= least + ZERO_TOL:
         return 0.0
-    return float(mass)
+    return float(covered)
 
 
 def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,

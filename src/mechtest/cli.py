@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__, bounds as bounds_mod, ident, inference, mc
 from .errors import MechtestError, StructuralError, UnsupportedCaseError
-from .linprog import OPTIMAL
 from .probtab import DistTable, from_records, read_csv, support_from_values
 from .typeshares import RestrictionSet, build_identified_set, min_defier_budget, theta_kk_min
 
@@ -239,8 +238,7 @@ def cmd_robustness(cfg):
     if not table.support.totally_ordered:
         raise UnsupportedCaseError("robustness curves need a scalar ordered mediator")
     out = cfg.out or "robustness.csv"
-    status, mass, least = bounds_mod._covering_lp(table)
-    covered = mass if status == OPTIMAL else np.inf
+    covered, least = bounds_mod._covering_lp(table)
     grid = np.linspace(0.0, cfg.dbar_max, cfg.dbar_steps)
     rows = []
     for dbar in map(float, grid):
@@ -256,7 +254,7 @@ def cmd_robustness(cfg):
         writer = csv.writer(fh)
         writer.writerow(["dbar", "nu_pooled_lb", "status"])
         writer.writerows(rows)
-    breakdown = bounds_mod._breakdown(status, mass, least)
+    breakdown = bounds_mod._breakdown(covered, least)
     summary = out.rsplit(".", 1)[0] + "_breakdown.json"
     _write_json(summary, {"breakdown_dbar": breakdown})
     manifest = _write_manifest(cfg, [out, summary])

@@ -105,8 +105,13 @@ class MomentSystem:
         return np.sqrt(np.clip(np.einsum("ij,jk,ik->i", self.c2, self.sigma_hat, self.c2), 0.0, None))
 
     def hard_mask(self):
-        sds = self.moment_sds()
-        return np.array([r.hard or sds[j] < HARD_SD_FLOOR for j, r in enumerate(self.rows)])
+        return _hard_rows(self, self.moment_sds())
+
+
+def _hard_rows(system: MomentSystem, sds):
+    """Rows flagged hard, and rows whose ``moment_sds`` entry in ``sds`` is
+    below ``HARD_SD_FLOOR``."""
+    return np.array([r.hard or sd < HARD_SD_FLOOR for r, sd in zip(system.rows, sds)])
 
 
 @dataclass(frozen=True)
@@ -447,7 +452,7 @@ def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
     coordinates as one array operation.
     """
     sds = system.moment_sds()
-    hard = system.hard_mask()
+    hard = _hard_rows(system, sds)
     if not (~hard).any():
         raise EstimationError("degenerate data: no stochastic moment rows remain")
     t0, omega_hat = _minmax_statistic(system, system.p_hat, np.zeros(system.n_rows), sds, hard)

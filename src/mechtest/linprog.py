@@ -6,11 +6,13 @@ implementation favors robustness and verifiable certificates over speed:
 * ``solve_lp`` is a two-phase tableau simplex with Bland's anti-cycling
   rule.  Optimal solutions carry a dual vector proving the value; infeasible
   ones carry a Farkas ray proving emptiness.  Both certificates are checked
-  before returning.  Phase 1 reads only the constraints, so a
-  ``FeasibleSet`` runs it once and minimizes many objectives from the same
-  feasible basis; ``solve_lp`` is one ``FeasibleSet`` and one objective.
-  The type-share LPs of one identified set share its ``FeasibleSet``, so
-  phase 1 runs once per identified set, not once per objective.
+  before returning.  Rows that phase 1 leaves to an artificial are dropped
+  as redundant, so phase 2 works on real columns only.  Phase 1 reads only
+  the constraints, so a ``FeasibleSet`` runs it once and minimizes many
+  objectives from the same feasible basis; ``solve_lp`` is one
+  ``FeasibleSet`` and one objective.  The type-share LPs of one identified
+  set share its ``FeasibleSet``, so phase 1 runs once per identified set,
+  not once per objective.
 * ``solve_lfp`` minimizes a ratio of affine forms by Dinkelbach's steps,
   LPs over one ``FeasibleSet`` whose last dual certifies the ratio, after
   an LP has verified that the denominator is positive on the set.
@@ -242,10 +244,9 @@ def _simplex_phase(tab, basis, n_enter, phase, n_pivots):
     cost is decisively negative relative to the column scale; otherwise it
     is accumulated roundoff and gets zeroed out (final certificates
     re-verify every answer independently).  Phase 1 minimizes the sum of
-    the artificials and stops once that is below ``FEAS_TOL / 2``.  In
-    phase 2 a basic artificial, necessarily at level zero, is pivoted out
-    as soon as the entering column touches its row.  ``n_pivots`` counts
-    on across both phases against one budget.
+    the artificials and stops once that is below ``FEAS_TOL / 2``; phase 2
+    runs on a tableau without artificials, whose basic columns are all
+    real.  ``n_pivots`` counts on across both phases against one budget.
     """
     m = tab.shape[0] - 1
     bland = False
@@ -263,26 +264,20 @@ def _simplex_phase(tab, basis, n_enter, phase, n_pivots):
         else:
             enter = int(candidates[np.argmin(rc[candidates])])
         col = tab[:m, enter]
-        leave = -1
-        if phase == 2:
-            forced = np.nonzero((basis >= n_enter) & (np.abs(col) > PIVOT_TOL))[0]
-            if forced.size:
-                leave = int(forced[0])
-        if leave < 0:
-            pos = np.nonzero(col > PIVOT_TOL)[0]
-            if pos.size == 0:
-                col_scale = np.abs(col).max(initial=0.0)
-                if rc[enter] > -1e-7 * (1.0 + col_scale):
-                    tab[-1, enter] = 0.0
-                    continue
-                return UNBOUNDED, n_pivots
-            ratios = tab[pos, -1] / col[pos]
-            best = ratios.min()
-            ties = pos[ratios <= best + PIVOT_TOL]
-            if bland:
-                leave = int(ties[np.argmin(basis[ties])])
-            else:
-                leave = int(ties[np.argmax(col[ties])])
+        pos = np.nonzero(col > PIVOT_TOL)[0]
+        if pos.size == 0:
+            col_scale = np.abs(col).max(initial=0.0)
+            if rc[enter] > -1e-7 * (1.0 + col_scale):
+                tab[-1, enter] = 0.0
+                continue
+            return UNBOUNDED, n_pivots
+        ratios = tab[pos, -1] / col[pos]
+        best = ratios.min()
+        ties = pos[ratios <= best + PIVOT_TOL]
+        if bland:
+            leave = int(ties[np.argmin(basis[ties])])
+        else:
+            leave = int(ties[np.argmax(col[ties])])
         before = tab[-1, -1]
         _pivot(tab, basis, leave, enter)
         if tab[-1, -1] > before + 1e-12 * (1.0 + abs(before)):
@@ -308,13 +303,14 @@ class FeasibleSet:
     """The feasible set of one LP, over which many objectives are minimized.
 
     Phase 1 and the ejection of the artificial columns read only the
-    constraints, so they run once, here.  A feasible set keeps the
-    resulting tableau, its basis (one int array, the column basic in each
-    row) and the scaled ``[A | I]`` read-only; each :meth:`minimize` runs
-    phase 2 on copies of the tableau and basis and reads the optimum's
-    levels, basis matrix and basic costs off them by indexing.  An empty
-    set keeps its verified Farkas ray.  The objective of ``lp`` plays no
-    part.
+    constraints, so they run once, here.  A row whose artificial cannot be
+    ejected is redundant and is dropped.  A feasible set keeps the
+    resulting tableau over the kept rows, its basis (one int array, the
+    real column basic in each kept row) and the kept rows of the scaled A
+    read-only; each :meth:`minimize` runs phase 2 on copies of the tableau
+    and basis and reads the optimum's levels, basis matrix and basic costs
+    off them by indexing.  An empty set keeps its verified Farkas ray.  The
+    objective of ``lp`` plays no part.
 
     Raises
     ------
@@ -368,19 +364,20 @@ class FeasibleSet:
         # Nothing below reads the artificial columns: they never enter again,
         # and a pivot updates each column on its own.
         tab = np.delete(tab, np.s_[nz: nz + m], axis=1)
-        # Pivot artificials out of the basis where a real column is available;
-        # those that remain sit at level zero in redundant rows and are ejected
-        # lazily by phase 2's force-out rule.
+        # Pivot artificials out of the basis where a real column is available.
         for i in np.flatnonzero(basis >= nz):  # a pivot changes the basis in its own row only
             usable = np.abs(tab[i, :nz]) > 1e-7
             if usable.any():
                 _pivot(tab, basis, i, int(usable.argmax()))
-        # basic column j: scaled real column j < nz, or unit column j - nz of an artificial
-        basic_cols = np.hstack([A, np.eye(m)])
-        for a in (tab, basis, basic_cols, neg, col_scale):
+        # An artificial still basic sits below FEAS_TOL / 2 in a row whose real
+        # entries are all at most 1e-7: a redundant row, dropped with it.  The
+        # certificates in minimize still check every original row.
+        kept = basis < nz
+        tab, basis, A = tab[np.append(kept, True)], basis[kept], A[kept]
+        for a in (tab, basis, A, kept, neg, col_scale):
             a.setflags(write=False)
-        self._tab, self._basis, self._basic_cols, self._neg, self._col_scale = (
-            tab, basis, basic_cols, neg, col_scale)
+        self._tab, self._basis, self._A, self._kept, self._neg, self._col_scale = (
+            tab, basis, A, kept, neg, col_scale)
 
     @property
     def feasible(self):
@@ -388,7 +385,9 @@ class FeasibleSet:
 
     def minimize(self, objective) -> LpSolution:
         """Minimize ``objective'x`` over the set; every status is backed by a
-        verified certificate, exactly as :func:`solve_lp` certifies it."""
+        verified certificate, exactly as :func:`solve_lp` certifies it.
+        Phase 2 runs on real columns over the kept rows; a dropped row's
+        multiplier is 0, and the certificates check every original row."""
         c = _as_vector(np.asarray(objective, dtype=float), self.n_vars, "objective")
         if not np.isfinite(c).all():
             raise StructuralError("objective has a NaN or infinite entry")
@@ -396,30 +395,27 @@ class FeasibleSet:
         if not self.feasible:
             return LpSolution(INFEASIBLE, farkas=self.farkas.copy(), standard=sf)
         neg, col_scale = self._neg, self._col_scale
-        m, nz = self._basis.size, col_scale.size
+        m, nz = neg.size, col_scale.size
         tab, basis = self._tab.copy(), self._basis.copy()
         cost_scaled = sf.cost / col_scale
-        tab[-1, :] = 0.0
-        tab[-1, :nz] = cost_scaled
+        tab[-1] = np.append(cost_scaled, 0.0)
         for i, j in enumerate(basis.tolist()):
-            if j < nz and cost_scaled[j] != 0.0:
+            if cost_scaled[j] != 0.0:
                 tab[-1] -= cost_scaled[j] * tab[i]
         status, piv = _simplex_phase(tab, basis, nz, 2, self._phase1_pivots)
         if status == UNBOUNDED:
             return LpSolution(UNBOUNDED, value=-np.inf, standard=sf)
-        real = basis < nz
-        level = tab[:m, -1][real]
+        level = tab[:-1, -1]
         z = np.zeros(nz)
-        z[basis[real]] = np.where(0.0 > level, 0.0, level)  # as max(level, 0.0): keeps -0.0
+        z[basis] = np.where(0.0 > level, 0.0, level)  # as max(level, 0.0): keeps -0.0
         z /= col_scale
         x = sf.point(z)
         value = float(sf.cost @ z + sf.offset)
-        # Dual vector: solve B'y = c_B against the sign-corrected rows, undo the
-        # sign flips, then verify feasibility and the zero duality gap.
-        B = self._basic_cols[:, basis]
-        cb = np.concatenate([cost_scaled, np.zeros(m)])[basis]
+        # Dual vector: solve B'y = c_B against the kept sign-corrected rows, undo
+        # the sign flips, then verify feasibility and the zero duality gap.
+        y = np.zeros(m)
         try:
-            y = np.linalg.solve(B.T, cb)
+            y[self._kept] = np.linalg.solve(self._A[:, basis].T, cost_scaled[basis])
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(
                 f"singular basis at the optimum {_where(2, piv, nz, m)}") from exc

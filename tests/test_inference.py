@@ -330,6 +330,16 @@ def test_bootstrap_determinism():
     assert c.critical_value != a.critical_value
 
 
+def test_lf_bootstrap_computes_the_moment_sds_once(monkeypatch):
+    system = build(binary_records(np.random.default_rng(5), 600, lift=0.2))
+    calls = []
+    moment_sds = MomentSystem.moment_sds
+    monkeypatch.setattr(MomentSystem, "moment_sds",
+                        lambda self: calls.append(self) or moment_sds(self))
+    test_least_favorable_bootstrap(system, 0.05, b_draws=200, seed=9)
+    assert len(calls) == 1
+
+
 def test_bootstrap_preconditions():
     rng = np.random.default_rng(6)
     system = build(binary_records(rng, 300))

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog as scipy_linprog, nnls
 
-from conftest import solution_bytes
+from conftest import random_table, solution_bytes
 from mechtest import linprog
 from mechtest.errors import DomainError, SolverFailureError, StructuralError
 from mechtest.linprog import (
@@ -18,6 +18,7 @@ from mechtest.linprog import (
     solve_lp,
     solve_qp,
 )
+from mechtest.typeshares import RestrictionSet, build_identified_set
 
 
 def test_single_variable_box():
@@ -220,18 +221,48 @@ def test_pivot_matches_a_row_loop_bit_for_bit():
         assert np.array_equal(basis, ref_basis)
 
 
-def test_phase_two_forces_out_a_basic_artificial_first():
-    # two real columns and an artificial (index 2) basic at level zero in row 1
-    tab = np.array([[1.0, 1.0, 1.0],
-                    [0.0, -0.5, 0.0],
-                    [0.0, -1.0, 0.0]])
-    basis = np.array([0, 2])
-    status, n_pivots = linprog._simplex_phase(tab, basis, 2, 2, 7)
-    # the ratio test alone would pivot on row 0, the only positive entry, and
-    # leave the artificial basic
-    assert (status, n_pivots) == (OPTIMAL, 8)
-    assert basis.tolist() == [0, 1]
-    assert tab[:2, -1].tolist() == [1.0, 0.0]
+def _programs_with_redundant_rows(rng):
+    """Feasible LPs with rank-deficient equalities: a duplicated row, a row
+    that is the sum of two others, and an identified set's 2K marginal
+    matches."""
+    for i in range(20):
+        n = int(rng.integers(3, 7))
+        Ae, Au = rng.normal(size=(3, n)), rng.normal(size=(2, n))
+        x0 = rng.uniform(0.1, 1.0, n)
+        for eq in (np.vstack([Ae, Ae[1]]), np.vstack([Ae[0] + Ae[2], Ae])):
+            yield LinearProgram(objective=rng.normal(size=n), eq_matrix=eq, eq_rhs=eq @ x0,
+                                ub_matrix=Au, ub_rhs=Au @ x0 + 0.5, bounds=[(0.0, 3.0)] * n)
+        table = random_table(rng, monotone_theta=True)
+        r = (RestrictionSet.unrestricted, RestrictionSet.monotone)[i % 2](table.support)
+        yield build_identified_set(table, r).lp(rng.normal(size=table.n_mediators ** 2))
+
+
+def _highs(lp):
+    me, mu = lp.eq_matrix.shape[0], lp.ub_matrix.shape[0]
+    return scipy_linprog(lp.objective, A_ub=lp.ub_matrix if mu else None,
+                         b_ub=lp.ub_rhs if mu else None, A_eq=lp.eq_matrix if me else None,
+                         b_eq=lp.eq_rhs if me else None, bounds=lp.bounds, method="highs")
+
+
+def test_phase_two_runs_on_real_columns_over_the_independent_rows():
+    rng = np.random.default_rng(31)
+    for lp in _programs_with_redundant_rows(rng):
+        fs = FeasibleSet(lp)
+        sf = fs._standard
+        nz = sf.matrix.shape[1]
+        assert (fs._basis < nz).all()
+        # one stored row per independent row, plus the cost row
+        assert fs._tab.shape[0] - 1 == fs._basis.size == np.linalg.matrix_rank(sf.matrix)
+        dropped = ~fs._kept
+        assert dropped.any()
+        sol = fs.minimize(lp.objective)
+        ref = _highs(lp)
+        assert sol.status == OPTIMAL and ref.status == 0
+        assert abs(sol.value - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+        assert (sol.dual[dropped] == 0.0).all()
+        std = sol.standard
+        assert (std.cost - sol.dual @ std.matrix).min() >= -1e-9
+        assert abs(sol.dual @ std.rhs - (sol.value - std.offset)) <= 1e-9 * (1.0 + abs(sol.value))
 
 
 @pytest.mark.parametrize("rc, status", [(-1e-9, OPTIMAL), (-1e-6, UNBOUNDED)])

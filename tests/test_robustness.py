@@ -17,7 +17,6 @@ import pytest
 from conftest import make_table
 from mechtest import bounds, cli
 from mechtest.cli import main
-from mechtest.linprog import INFEASIBLE, OPTIMAL
 from mechtest.typeshares import RestrictionSet, build_identified_set
 
 ANY_INPUT = cli.__file__  # the table is patched in; the manifest only hashes this file
@@ -76,11 +75,11 @@ def _fuzz_tables(n):
 
 
 def test_curve_matches_the_per_point_path_on_fuzzed_tables(tmp_path, monkeypatch, capsys):
-    statuses = set()
+    covered = set()
     for table in _fuzz_tables(30):
-        statuses.add(bounds._covering_lp(table)[0])
+        covered.add(bool(np.isfinite(bounds._covering_lp(table)[0])))
         _assert_matches_per_point(table, 0.5, 26, tmp_path, monkeypatch, capsys)
-    assert statuses == {OPTIMAL, INFEASIBLE}
+    assert covered == {True, False}
 
 
 # K=2: control m=0 cells (.1, .7), m=1 (.1, .1); treated m=0 (.4, .1), m=1 (.3, .2).
@@ -94,7 +93,7 @@ COVERED = make_table([[[0.3, 0.3], [0.2, 0.2]], [[0.15, 0.15], [0.35, 0.35]]])
 
 def test_uncoverable_gaps_keep_a_positive_bound_at_every_feasible_budget(
         tmp_path, monkeypatch, capsys):
-    assert bounds._covering_lp(UNCOVERABLE)[0] == INFEASIBLE
+    assert bounds._covering_lp(UNCOVERABLE)[0] == np.inf
     rows = _assert_matches_per_point(UNCOVERABLE, 1.0, 11, tmp_path, monkeypatch, capsys)
     assert bounds.breakdown_defier_budget(UNCOVERABLE) == 1.0
     ok = [float(r[1]) for r in rows if r[2] == "ok"]
@@ -102,8 +101,8 @@ def test_uncoverable_gaps_keep_a_positive_bound_at_every_feasible_budget(
 
 
 def test_breakdown_zero_gives_a_zero_curve(tmp_path, monkeypatch, capsys):
-    status, mass, least = bounds._covering_lp(COVERED)
-    assert status == OPTIMAL and mass <= least + bounds.ZERO_TOL
+    covered, least = bounds._covering_lp(COVERED)
+    assert covered <= least + bounds.ZERO_TOL
     assert bounds.breakdown_defier_budget(COVERED) == 0.0
     rows = _assert_matches_per_point(COVERED, 0.5, 26, tmp_path, monkeypatch, capsys)
     assert {(r[1], r[2]) for r in rows} == {("0", "ok")}
@@ -113,9 +112,9 @@ def _exact_budget_tables():
     """Fuzzed tables whose least defier budget is positive and whose
     breakdown lies above it."""
     for table in _fuzz_tables(40):
-        status, mass, least = bounds._covering_lp(table)
-        if status == OPTIMAL and least > 0.0 and mass > least + bounds.ZERO_TOL:
-            yield table, least, mass
+        covered, least = bounds._covering_lp(table)
+        if np.isfinite(covered) and least > 0.0 and covered > least + bounds.ZERO_TOL:
+            yield table, least, covered
 
 
 @pytest.mark.parametrize("at", ["least", "breakdown"])
