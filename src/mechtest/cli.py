@@ -16,6 +16,7 @@ describing the error.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -440,6 +441,7 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mechtest",

@@ -23,13 +23,19 @@ a sum over unit profiles, each weighted by the units it stands for.  A
 cluster is its own profile of weight 1; unit-level records (one record per
 unit) are the occupied one-hot cells, each weighted by its cell count, so
 no array grows with the number of records.
+
+scipy is imported inside the function that uses it
+(``test_conditional_chisq``, and ``solve_qp`` in ``linprog``), never at
+module level, so the bootstrap test and every CLI command but the
+conditional chi-squared test run without loading it.  A test in
+``tests/test_cli.py`` fails if a fresh process loads any scipy module on
+a path that does not use it.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, gammaincinv
 
 from .errors import EstimationError, IdentificationError, SolverFailureError, StructuralError
 from .linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, FeasibleSet, LinearProgram, solve_lp,
@@ -619,6 +625,8 @@ def test_conditional_chisq(system: MomentSystem, alpha: float) -> TestResult:
     returns.  Zero binding rows means never reject."""
     if not 0 < alpha < 1:
         raise StructuralError("alpha must be in (0, 1)")
+    from scipy.special import chdtrc, gammaincinv
+
     statistic, df = _chisq_solution(system)
     if df == 0:
         critical = np.inf

@@ -31,12 +31,17 @@ Inputs must be finite: a NaN or infinite entry in an objective, a matrix
 or a right-hand side raises ``StructuralError``; only bounds may be
 infinite.  Everything is deterministic: identical inputs give bit-identical
 outputs.
+
+scipy is imported inside the functions that use it (``_independent_rows``
+and ``solve_qp``), never at module level: only the conditional chi-squared
+test reaches them, and importing scipy costs a CLI process more than most
+subcommands compute.  A test in ``tests/test_cli.py`` fails if a fresh
+process loads any scipy module on a path that does not use it.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import qr, qr_delete, qr_insert, solve_triangular
 
 from .errors import DomainError, SolverFailureError, StructuralError
 
@@ -515,6 +520,8 @@ def _independent_rows(rows, null):
     """
     if rows.shape[0] == 0 or null.shape[1] == 0:
         return []
+    from scipy.linalg import qr
+
     norms = np.linalg.norm(rows, axis=1)
     unit = rows / np.where(norms > 0, norms, 1.0)[:, None]
     _, r, piv = qr(null.T @ unit.T, mode="economic", pivoting=True)
@@ -549,6 +556,8 @@ def solve_qp(n_dist, feasible: LinearProgram, start) -> LpSolution:
     and ``dual`` holds one multiplier per equality row followed by one per
     ``active`` row, in that order.
     """
+    from scipy.linalg import qr, qr_delete, qr_insert, solve_triangular
+
     n = feasible.n_vars
     if not 0 < n_dist <= n:
         raise StructuralError(f"n_dist is {n_dist}, expected 1 to {n}")

@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -666,3 +668,69 @@ def test_unbinned_continuous_outcome_is_an_input_error(method, tmp_path, capsys)
     assert payload["error"] == "EstimationError"
     assert "804 cell probabilities" in payload["message"]
     assert "--bins" in payload["message"]
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "mechtest":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for run in (1, 2):
+        code, _ = run_cli(["diagnose", "--input", str(FIXTURE),
+                           "--out", str(tmp_path / f"d{run}.json")], capsys)
+        assert code == 0
+    assert len(built) == 1
+
+
+def _fresh_cli(args):
+    """Run ``python -m mechtest.cli args`` in a new process under ``-X
+    importtime``; return the names of the scipy modules it imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "mechtest.cli", *args],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    names = (line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+             if line.startswith("import time:"))
+    return {name for name in names if name == "scipy" or name.startswith("scipy.")}
+
+
+# What a fresh CLI process imports of scipy, stated per command: None means no
+# scipy module at all, a name means that module must be imported.  Only the
+# conditional chi-squared test's QP and chi-squared tail use scipy.
+FRESH_SCIPY = {
+    "bounds": None,
+    "ade": None,
+    "robustness": None,
+    "diagnose": None,
+    "test --method lf-boot": None,
+    "simulate --method lf-boot --nsims 1 --n 400 --boot 200": None,
+    "test --method cond-chisq": "scipy.special",
+}
+
+
+@pytest.mark.parametrize("command", FRESH_SCIPY)
+def test_a_fresh_cli_process_imports_scipy_only_where_it_is_used(command, tmp_path):
+    args = command.split()
+    if args[0] != "simulate":
+        args += ["--input", str(FIXTURE)]
+    loaded = _fresh_cli(args + ["--out", str(tmp_path / "out")])
+    if FRESH_SCIPY[command] is None:
+        assert not loaded, sorted(loaded)
+    else:
+        assert FRESH_SCIPY[command] in loaded
+
+
+def test_cond_chisq_writes_the_same_bytes_in_a_fresh_process(tmp_path, capsys):
+    import scipy.special  # noqa: F401  (in-process, scipy is imported before the call)
+
+    args = ["test", "--input", str(FIXTURE), "--method", "cond-chisq"]
+    code, _ = run_cli(args + ["--out", str(tmp_path / "here.json")], capsys)
+    assert code == 0
+    _fresh_cli(args + ["--out", str(tmp_path / "fresh.json")])
+    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
