@@ -34,6 +34,7 @@ a path that does not use it.
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -41,12 +42,14 @@ from .errors import EstimationError, IdentificationError, SolverFailureError, St
 from .linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, FeasibleSet, LinearProgram, solve_lp,
                       solve_qp)
 from .probtab import RecordSet, encode
-from .rng import substreams
+from .rng import integers_from_raw, substream, substreams
 from .typeshares import CUSTOM, MONOTONE, RestrictionSet, share_polytope
 
 HARD_SD_FLOOR = 1e-12
 CHISQ_RIDGE = 1e-10  # added to the covariance before whitening
 CELL_COUNT_FLOOR = 15
+_DRAW_BLOCK = 1 << 17  # cluster picks per block of bootstrap draws
+_FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
 
 LF_BOOT = "lf-boot"
 COND_CHISQ = "cond-chisq"
@@ -391,6 +394,18 @@ def _minmax_statistic(system: MomentSystem, p_vec, shift, sds, hard):
     return float(sol.value), sol.point[:-1]
 
 
+def _cluster_pools(system: MomentSystem):
+    """The pools whole clusters are redrawn from: one per arm when every
+    cluster is arm-pure, else one of all clusters; None when every profile
+    is one record, which resamples as a multinomial."""
+    cells, arm = system.cluster_cells, system.cluster_arm
+    if (cells.sum(axis=(1, 2, 3)) == 1).all():
+        return None
+    if (arm >= 0).all():
+        return [np.flatnonzero(arm == d) for d in (0, 1)]
+    return [np.arange(cells.shape[0])]
+
+
 def _make_resampler(system: MomentSystem):
     """Nonparametric bootstrap of independent units, within arm when
     clusters are arm-pure (always the case for unit-level data).
@@ -399,16 +414,19 @@ def _make_resampler(system: MomentSystem):
     resample as a per-arm multinomial over the cells, with each profile's
     count ``cluster_weight``; this is distributionally identical to
     redrawing rows and much faster.  Otherwise each profile is one cluster
-    (weight 1) and whole clusters are redrawn: within arm when every
+    (weight 1) and whole clusters are redrawn from :func:`_cluster_pools`,
+    each pool by one ``rng.integers(0, n, n)``: within arm when every
     cluster is arm-pure, else from the whole dataset with a deterministic
     retry when a draw empties an arm.  The resampler
     ``draw(rng, out=None)`` writes one (2, K, Q) count table into ``out``
-    (a new array by default) and returns it.
+    (a new array by default) and returns it.  :func:`_resample_draws`
+    makes the cluster draws of many substreams at once from their raw words
+    and calls it only for a draw those words cannot reproduce.
     """
     cells = system.cluster_cells
-    arm = system.cluster_arm
     G, shape = cells.shape[0], cells.shape[1:]
-    if (cells.sum(axis=(1, 2, 3)) == 1).all():
+    pools = _cluster_pools(system)
+    if pools is None:
         agg = (system.cluster_weight[:, None, None, None] * cells).sum(axis=0)
         totals = agg.sum(axis=(1, 2))
         probs = [agg[d].reshape(-1) / totals[d] for d in (0, 1)]
@@ -422,8 +440,7 @@ def _make_resampler(system: MomentSystem):
         return draw_units
     # a draw is the multiplicity of each cluster times its counts, exact in int64
     flat = cells.reshape(G, -1)
-    if (arm >= 0).all():
-        pools = [np.nonzero(arm == d)[0] for d in (0, 1)]
+    if len(pools) == 2:
 
         def draw_clusters(rng, out=None):
             out = np.empty(shape, dtype=np.int64) if out is None else out
@@ -446,6 +463,50 @@ def _make_resampler(system: MomentSystem):
     return draw_mixed
 
 
+def _resample_draws(system: MomentSystem, b_draws: int, seed: int):
+    """The (B, 2, K, Q) counts whose row b is ``_make_resampler(system)``
+    applied to substream ``(seed, b)``, bit for bit.
+
+    Cluster draws are made in blocks of rows: each substream's raw PCG64
+    words are mapped to its picks as ``Generator.integers`` maps them
+    (:func:`rng.integers_from_raw`), and one ``bincount`` and one product,
+    exact in float64, turn a block's picks into counts.  A draw that the
+    raw words cannot reproduce, because numpy would reject a half there or
+    because the first picks of a mixed-cluster draw empty an arm, is
+    redrawn by the resampler from a fresh substream ``(seed, b)``.
+    """
+    resample = _make_resampler(system)
+    cells = system.cluster_cells
+    G, shape = cells.shape[0], cells.shape[1:]
+    out = np.empty((b_draws, *shape), dtype=np.int64)
+    pools = _cluster_pools(system)
+    streams = substreams(seed, b_draws)
+    if pools is None:
+        for row, rng in zip(out, streams):
+            resample(rng, row)
+        return out
+    sizes = [pool.size for pool in pools]
+    # pick j of pool i is cluster order[start_i + j]
+    order = np.concatenate(pools)
+    start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    # a count is at most G times the largest cluster count: below 2**53 a float64
+    # product is exact, and far faster than numpy's int64 one
+    flat = cells.reshape(G, -1)
+    flat = flat.astype(np.float64 if G * flat.max() < _FLOAT_EXACT else np.int64)
+    block = max(1, _DRAW_BLOCK // G)
+    for lo in range(0, b_draws, block):
+        rows = out[lo: lo + block]
+        picks, exact = integers_from_raw(islice(streams, len(rows)), sizes)
+        idx = order[picks + start] + G * np.arange(len(rows))[:, None]
+        times = np.bincount(idx.ravel(), minlength=len(rows) * G).reshape(len(rows), G)
+        rows[...] = (times.astype(flat.dtype) @ flat).reshape(rows.shape)
+        if len(pools) == 1:
+            exact &= rows.sum(axis=(2, 3)).min(axis=1) > 0
+        for i in np.flatnonzero(~exact):
+            resample(substream(seed, lo + i), rows[i])
+    return out
+
+
 def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
     """Statistic and sorted bootstrap draws of the least-favorable max test.
 
@@ -454,8 +515,13 @@ def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
     hard rows, the marginal-matching equalities and omega >= 0 hold exactly
     and keep their own right-hand sides.  Draw b resamples with
     its own substream ``(seed, b)`` into row b of one (B, 2, K, Q) count
-    array, which is then evaluated as one stack, and without nuisance
-    coordinates as one array operation.
+    array (:func:`_resample_draws`), which is then evaluated as one stack,
+    and without nuisance coordinates as one array operation.  Cluster draws
+    read each substream's raw PCG64 words and map them as
+    ``Generator.integers`` does; a draw where numpy would reject a half, or
+    a mixed-cluster draw whose first picks empty an arm, is redrawn by the
+    exact per-draw resampler.  ``tests/test_rng.py`` pins the mapping
+    against numpy.
     """
     sds = system.moment_sds()
     hard = _hard_rows(system, sds)
@@ -466,11 +532,7 @@ def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
     if np.isfinite(t0):
         soft = ~np.array([r.hard for r in system.rows], dtype=bool)
         shift[soft] = (system.c2 @ system.p_hat - system.c1 @ omega_hat)[soft]
-    resample = _make_resampler(system)
-    cells = np.empty((b_draws, *system.cluster_cells.shape[1:]), dtype=np.int64)
-    for row, rng in zip(cells, substreams(seed, b_draws)):
-        resample(rng, row)
-    p_star = p_from_cells(cells)
+    p_star = p_from_cells(_resample_draws(system, b_draws, seed))
     if system.n_omega == 0:
         t, _ = _minmax_statistic(system, p_star, shift, sds, hard)
     else:

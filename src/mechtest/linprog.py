@@ -235,7 +235,7 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _simplex_phase(tab, basis, n_enter, phase, n_pivots):
+def _simplex_phase(tab, basis, n_enter, phase, n_pivots, n_rows=None):
     """Pivot ``tab`` and the int array ``basis`` in place until optimal or
     unbounded; returns the status and ``n_pivots`` plus the pivots made.
 
@@ -252,6 +252,8 @@ def _simplex_phase(tab, basis, n_enter, phase, n_pivots):
     the artificials and stops once that is below ``FEAS_TOL / 2``; phase 2
     runs on a tableau without artificials, whose basic columns are all
     real.  ``n_pivots`` counts on across both phases against one budget.
+    ``n_rows`` is the standard form's row count, which an exceeded budget
+    names beside the kept rows of ``tab``; by default, the rows of ``tab``.
     """
     m = tab.shape[0] - 1
     bland = False
@@ -294,14 +296,17 @@ def _simplex_phase(tab, basis, n_enter, phase, n_pivots):
         n_pivots += 1
         if n_pivots > _MAX_PIVOTS:
             raise SolverFailureError(
-                f"simplex exceeded the pivot budget: {n_pivots} pivots on a standard "
-                f"form of {n_enter} variables and {m} rows"
+                f"simplex exceeded the pivot budget "
+                f"{_where(phase, n_pivots, n_enter, m if n_rows is None else n_rows, m)}"
             )
 
 
-def _where(phase, n_pivots, n_vars, n_rows):
+def _where(phase, n_pivots, n_vars, n_rows, kept=None):
+    """Where a solve failed; ``kept`` rows of ``n_rows`` are named when phase 1
+    dropped some."""
+    dropped = "" if kept in (None, n_rows) else f" ({kept} kept after phase 1)"
     return (f"in phase {phase} after {n_pivots} pivots on a standard form of "
-            f"{n_vars} variables and {n_rows} rows")
+            f"{n_vars} variables and {n_rows} rows{dropped}")
 
 
 class FeasibleSet:
@@ -407,7 +412,7 @@ class FeasibleSet:
         for i, j in enumerate(basis.tolist()):
             if cost_scaled[j] != 0.0:
                 tab[-1] -= cost_scaled[j] * tab[i]
-        status, piv = _simplex_phase(tab, basis, nz, 2, self._phase1_pivots)
+        status, piv = _simplex_phase(tab, basis, nz, 2, self._phase1_pivots, m)
         if status == UNBOUNDED:
             return LpSolution(UNBOUNDED, value=-np.inf, standard=sf)
         level = tab[:-1, -1]
@@ -423,15 +428,15 @@ class FeasibleSet:
             y[self._kept] = np.linalg.solve(self._A[:, basis].T, cost_scaled[basis])
         except np.linalg.LinAlgError as exc:
             raise SolverFailureError(
-                f"singular basis at the optimum {_where(2, piv, nz, m)}") from exc
+                f"singular basis at the optimum {_where(2, piv, nz, m, basis.size)}") from exc
         y[neg] *= -1.0
         reduced = sf.cost - y @ sf.matrix
         gap = abs(y @ sf.rhs - (value - sf.offset))
         primal = np.abs(sf.matrix @ z - sf.rhs).max() if m else 0.0
         if not (reduced.min() >= -1e-7 and gap <= 1e-7 * (1.0 + abs(value)) and primal <= 1e-7):
             raise SolverFailureError(
-                f"failed to certify the LP optimum {_where(2, piv, nz, m)}: smallest reduced "
-                f"cost {reduced.min():.3g} (must be >= -1e-7), duality gap {gap:.3g} "
+                f"failed to certify the LP optimum {_where(2, piv, nz, m, basis.size)}: smallest "
+                f"reduced cost {reduced.min():.3g} (must be >= -1e-7), duality gap {gap:.3g} "
                 f"(must be <= {1e-7 * (1.0 + abs(value)):.3g}), primal residual "
                 f"{primal:.3g} (must be <= 1e-7)"
             )

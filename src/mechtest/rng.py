@@ -13,6 +13,13 @@ and reproduces the rest of numpy's ``SeedSequence`` -> ``PCG64`` seeding
 (NEP 19; O'Neill 2015) exactly, so draw b sees the same stream as
 ``substream(seed, b)``;
 ``tests/test_rng.py`` pins the two against each other.
+
+Cluster draws need only bounded integers, so they skip the ``Generator``:
+:func:`integers_from_raw` reads each substream's raw PCG64 words and maps
+them as ``Generator.integers`` does (Lemire 2019: 32-bit halves, low half
+first, ``(u n) >> 32``).  A row where numpy may have rejected a half and
+drawn again is flagged, so the caller redraws it with the generator
+itself; ``tests/test_rng.py`` pins the mapping against numpy.
 """
 
 import numpy as np
@@ -29,6 +36,7 @@ _MASK32 = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 _CHUNK = 4096  # streams seeded per array pass
+_WORD = 1 << 32
 
 
 def check_seed(seed) -> int:
@@ -105,3 +113,31 @@ def _seeded(pool, h, n):
                 "uinteger": 0,
             }
             yield generator
+
+
+def integers_from_raw(generators, sizes):
+    """``generator.integers(0, n, n)`` for each n of ``sizes`` in turn, for
+    every generator of ``generators``, from its raw 64-bit words.
+
+    Each generator must hold no buffered half-word, as :func:`substreams`
+    yields them; its stream is advanced.  Every n lies in [1, 2**32].
+    Returns ``(picks, exact)``: row r of the int64 array ``picks`` holds the
+    pools' picks side by side, and ``exact[r]`` is False when some half u
+    of row r has ``u n mod 2**32`` below numpy's threshold ``2**32 mod n``,
+    where numpy rejects u and draws again, so that row differs from numpy's.
+
+    numpy maps each 32-bit half u, low half of a word first, to
+    ``(u n) >> 32``; the half left over by one pool opens the next, and a
+    pool of one reads no half.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ones = (sizes == 1).astype(np.int64)
+    halves = int(sizes.sum() - ones.sum())
+    raw = [g.bit_generator.random_raw(halves // 2 + 1) for g in generators]
+    u = np.array(raw, dtype="<u8").reshape(len(raw), halves // 2 + 1).view("<u4")
+    # a pick reads the half at its column less the pools of one before it; a pool of
+    # one reads the next half unused, since (u * 1) >> 32 = 0 and 2**32 mod 1 = 0
+    col = np.arange(sizes.sum()) - np.repeat(np.cumsum(ones) - ones, sizes)
+    scaled = u[:, col] * np.repeat(sizes.astype(np.uint64), sizes)
+    exact = ~((scaled & _MASK32) < np.repeat(_WORD % sizes, sizes).astype(np.uint64)).any(axis=1)
+    return (scaled >> 32).view(np.int64), exact

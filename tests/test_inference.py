@@ -897,6 +897,16 @@ def clustered(rec, labels):
     return RecordSet(y=rec.y, m=rec.m, d=rec.d, cluster=labels)
 
 
+def one_treated_cluster_records():
+    """20 control-only clusters and one that holds every treated unit: a
+    mixed-cluster draw that misses it empties the treated arm."""
+    rng = np.random.default_rng(61)
+    d = np.r_[np.zeros(210, dtype=int), np.ones(100, dtype=int)]
+    return RecordSet(y=rng.integers(0, 2, d.size).astype(float),
+                     m=(rng.random(d.size) < 0.4).astype(float), d=d,
+                     cluster=np.minimum(np.arange(d.size) // 10, 20))
+
+
 def lf_equivalence_case(name):
     """``(system, b_draws, seed)`` of one input of the equivalence test."""
     rng = np.random.default_rng(51)
@@ -913,6 +923,13 @@ def lf_equivalence_case(name):
         return build(clustered(unit, labels)), 300, 9
     if name == "mixed-clusters":
         return build(clustered(unit, np.arange(unit.n) % 40)), 300, 10
+    if name == "one-treated-cluster":
+        # arm-pure pools of 37 control clusters (odd) and of one treated
+        # cluster, which the raw-word picks read no half for
+        labels = np.where(unit.d == 1, -1, np.arange(unit.n) % 37)
+        return build(clustered(unit, labels)), 300, 13
+    if name == "mixed-retry":
+        return build(one_treated_cluster_records()), 300, 14
     if name == "hard-through-sd":
         # one soft-flagged row with zero sd: hard through hard_mask alone,
         # so the draws that move it above zero are +inf
@@ -933,7 +950,8 @@ def lf_equivalence_case(name):
 
 
 @pytest.mark.parametrize("name", ["unit", "unit-four-levels", "arm-pure-clusters",
-                                  "mixed-clusters", "hard-through-sd", "tied-draws",
+                                  "mixed-clusters", "one-treated-cluster", "mixed-retry",
+                                  "hard-through-sd", "tied-draws",
                                   "ordered-nuisance", "ordered-negative-zero"])
 def test_stacked_lf_draws_equal_the_per_draw_loop(name, monkeypatch):
     system, b_draws, seed = lf_equivalence_case(name)
@@ -964,6 +982,49 @@ def test_stacked_lf_draws_equal_the_per_draw_loop(name, monkeypatch):
         assert (system.cluster_arm >= 0).all()
     if name == "ordered-negative-zero":
         assert np.signbit(order[order == 0]).any()
+    if name == "one-treated-cluster":
+        assert sorted((system.cluster_arm == d).sum() for d in (0, 1)) == [1, 37]
+    if name == "mixed-retry":
+        G = system.cluster_cells.shape[0]
+        missed = sum(G - 1 not in substream(seed, b).integers(0, G, G) for b in range(b_draws))
+        assert system.cluster_arm[-1] == -1 and 0 < missed < b_draws
+
+
+def per_draw_cells(system, b_draws, seed):
+    resample = inference._make_resampler(system)
+    return np.array([resample(substream(seed, b)) for b in range(b_draws)])
+
+
+@pytest.mark.parametrize("name", ["arm-pure-clusters", "one-treated-cluster", "mixed-retry"])
+def test_cluster_draws_equal_the_per_draw_resampler_in_any_block(name, monkeypatch):
+    system, _, seed = lf_equivalence_case(name)
+    want = per_draw_cells(system, 50, seed)
+    got = inference._resample_draws(system, 50, seed)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # blocks of three rows, and numpy's int64 product in place of the float64 one
+    monkeypatch.setattr(inference, "_DRAW_BLOCK", 3 * system.cluster_cells.shape[0])
+    monkeypatch.setattr(inference, "_FLOAT_EXACT", 0)
+    assert np.array_equal(inference._resample_draws(system, 50, seed), want)
+
+
+def test_cluster_draws_redraw_the_rows_the_raw_words_cannot_reproduce(monkeypatch):
+    # rows flagged inexact (as in numpy's rejection zone) are garbage until redrawn
+    system, _, seed = lf_equivalence_case("arm-pure-clusters")
+    want = per_draw_cells(system, 40, seed)
+    from_raw = inference.integers_from_raw
+    flagged = []
+
+    def some_inexact(generators, sizes):
+        picks, exact = from_raw(generators, sizes)
+        exact[::3] = False
+        picks[~exact] = 0
+        flagged.append(int((~exact).sum()))
+        return picks, exact
+
+    monkeypatch.setattr(inference, "integers_from_raw", some_inexact)
+    monkeypatch.setattr(inference, "_DRAW_BLOCK", 7 * system.cluster_cells.shape[0])
+    assert np.array_equal(inference._resample_draws(system, 40, seed), want)
+    assert flagged == [3, 3, 3, 3, 3, 2]  # blocks of 7, 7, 7, 7, 7 and 5 rows
 
 
 def test_mixed_cluster_resampler_retries_then_gives_up():

@@ -721,6 +721,26 @@ def test_budget_failures_name_the_problem_shape(monkeypatch):
         solve_lp(LinearProgram(objective=[-1.0], bounds=[(0.0, 1.0)]))
 
 
+def test_a_phase_two_budget_failure_names_the_standard_form_and_the_kept_rows(monkeypatch):
+    # x1 + x2 = 1 twice: phase 1 drops one copy, and phase 2 must pivot x2 in
+    lp = LinearProgram(objective=[-1.0, -2.0], eq_matrix=[[1.0, 1.0], [1.0, 1.0]],
+                       eq_rhs=[1.0, 1.0])
+    fs = FeasibleSet(lp)
+    assert fs._kept.tolist().count(True) == 1
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", fs._phase1_pivots)
+    with pytest.raises(SolverFailureError) as info:
+        fs.minimize(lp.objective)
+    assert str(info.value) == (
+        f"simplex exceeded the pivot budget in phase 2 after {fs._phase1_pivots + 1} pivots on "
+        "a standard form of 2 variables and 2 rows (1 kept after phase 1)")
+    # a phase 1 failure has kept every row
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 0)
+    with pytest.raises(SolverFailureError) as info:
+        FeasibleSet(lp)
+    assert str(info.value) == ("simplex exceeded the pivot budget in phase 1 after 1 pivots on "
+                               "a standard form of 2 variables and 2 rows")
+
+
 def test_certificate_failures_name_shape_phase_and_residuals(monkeypatch):
     lp = LinearProgram(objective=[-1.0], bounds=[(0.0, 1.0)])
     # a wrong dual: y = 0 leaves the reduced cost -1 and a duality gap of 1
