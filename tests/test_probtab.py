@@ -465,6 +465,29 @@ def _block_corpus(block):
     yield "quote-in-block-3", _rows_text(header, quoted)
 
 
+
+def _repeat_corpus(block):
+    """Files whose lines repeat, within a block and across block boundaries."""
+    header = "y,d,m1,cluster,z,pscore"
+    rows = ["1,0,0,a,0,0.5", "0,1,1,b,1,0.25", "2,1,0,a,1,0.5"]
+    yield "identical", _rows_text(header, [rows[0]] * (2 * block + 1))
+    # row block - 1 ends a block and row block, equal to it, opens the next
+    around = [rows[i % 2] for i in range(block - 1)] + [rows[2], rows[2]] + rows[:2]
+    yield "equal-across-a-boundary", _rows_text(header, around)
+    yield "terminated-then-unterminated", "\n".join([header, *rows, rows[0], rows[0]])
+    yield "crlf-then-unterminated", "\r\n".join([header, *rows * block, rows[1]])
+    # the same records with both line ends: distinct lines, equal records
+    yield "repeated-crlf-and-lf", "".join([header + "\r\n"] + [r + end for end in ("\r\n", "\n")
+                                                                for r in rows * block])
+    labels = [" a ", "a", "  a", " a ", "b ", " b"]
+    yield "spaced-labels", _rows_text(header, [f"1,{i % 2},0,{g},0,0.5"
+                                               for i, g in enumerate(labels * block)])
+    # a bad line repeated after good copies of other lines: the first one is named
+    bad = rows * block + ["1,x,0,a,0,0.5"] + rows + ["1,x,0,a,0,0.5"] * 2
+    yield "repeated-bad-line", _rows_text(header, bad)
+    yield "repeated-short-line", _rows_text(header, rows * block + ["1,0"] + rows + ["1,0"])
+
+
 _HAND_CORPUS = {
     "quoted-and-spaced": 'y,d,m1,cluster\n" 1.5 ",1, 0 ,"a, b"\n2 ,"0",1,  x y \n',
     "space-before-quote": 'y,d,m1\n1,0,0\n2, "0",1\n',
@@ -559,7 +582,8 @@ def _fuzz_corpus(n_files, seed):
 @pytest.mark.parametrize("block", [3, probtab.BLOCK_ROWS])
 def test_read_csv_matches_the_row_by_row_reference(block, tmp_path, monkeypatch):
     monkeypatch.setattr(probtab, "BLOCK_ROWS", block)
-    corpus = [*_block_corpus(block), *_HAND_CORPUS.items(), *_token_corpus(), *_fuzz_corpus(300, 12)]
+    corpus = [*_block_corpus(block), *_repeat_corpus(block), *_HAND_CORPUS.items(),
+              *_token_corpus(), *_fuzz_corpus(300, 12)]
     for name, text in corpus:
         path = tmp_path / f"{name}.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -580,9 +604,10 @@ def test_read_csv_reads_plain_files_without_the_csv_module(tmp_path, monkeypatch
     monkeypatch.setattr(probtab, "BLOCK_ROWS", 3)
     corpus = {**dict(_block_corpus(3)), **_HAND_CORPUS, **dict(_token_corpus())}
     plain = ["clean-1", "clean-3", "mixed-line-ends", "no-final-newline", "separator-label",
-             "label-131071", "nan-outcome", "float-forms", "fractional-treatment", "header-only-crlf"]
+             "label-131071", "nan-outcome", "float-forms", "fractional-treatment",
+             "header-only-crlf", "bom"]
     dialect = ["quote-in-block-3", "quoted-and-spaced", "bare-cr", "nul", "non-ascii-digit",
-               "no-break-space", "bom", "label-131072", "label-131073", "blank-line", "short-row",
+               "no-break-space", "label-131072", "label-131073", "blank-line", "short-row",
                "long-row", "fault-3-'x'", "missing-d", "empty"]
     for col in _TOKEN_COLUMNS:
         for token in _TOKENS:
@@ -608,6 +633,41 @@ def test_read_csv_reads_plain_files_without_the_csv_module(tmp_path, monkeypatch
         with pytest.raises(_DialectRead):
             read_csv(paths[name])
 
+
+
+def test_read_csv_parses_each_distinct_line_of_a_block_once(tmp_path, monkeypatch):
+    chunks, row_maps = [], []
+
+    def recording_fields(chunk, width, limit):
+        chunks.append(chunk)
+        return plain_fields(chunk, width, limit)
+
+    def recording_block(parts, column, fields, cluster, rows=None):
+        row_maps.append(rows)
+        return add_block(parts, column, fields, cluster, rows)
+
+    plain_fields, add_block = probtab._plain_fields, probtab._add_block
+    monkeypatch.setattr(probtab, "_plain_fields", recording_fields)
+    monkeypatch.setattr(probtab, "_add_block", recording_block)
+    lines = [b"1,0,0,a\n", b"0,1,1,b\n", b"1,1,0,a\n"]
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_bytes(b"y,d,m1,cluster\n" + b"".join(lines[i % 3] for i in range(1000)))
+    rec = read_csv(repeated)
+    assert chunks[1:] == [b"".join(lines)]  # the header is parsed on its own
+    assert [rows.tolist() for rows in row_maps] == [[i % 3 for i in range(1000)]]
+    assert rec.n == 1000 and rec.cluster[997:].tolist() == ["b", "a", "a"]
+    # a block of distinct lines is parsed as it stands, with no row map
+    chunks.clear(), row_maps.clear()
+    lines = [b"%d,%d,0,a\n" % (i, i % 2) for i in range(1000)]
+    distinct = tmp_path / "distinct.csv"
+    distinct.write_bytes(b"y,d,m1,cluster\n" + b"".join(lines))
+    read_csv(distinct)
+    assert chunks[1:] == [b"".join(lines)]
+    assert len(row_maps) == 1 and row_maps[0] is None
+    monkeypatch.setattr(probtab, "_plain_fields", plain_fields)
+    monkeypatch.setattr(probtab, "_add_block", add_block)
+    for path in (repeated, distinct):
+        assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
 
 def test_read_csv_names_the_physical_line_a_bad_record_starts_on(tmp_path):
     path = tmp_path / "multiline.csv"
