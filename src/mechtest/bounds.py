@@ -149,7 +149,11 @@ def _pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
     Variables are ``(theta, t_k := theta_kk nu_k)``; the objective is
     ``sum_k t_k / sum_k theta_kk``.  Returns (value, theta, t, degenerate);
     a degenerate program, whose denominator can vanish, has value 0 and
-    ``theta`` None.
+    ``theta`` None.  An empty program has value, ``theta`` and ``t`` None.
+    It is empty exactly when the identified set is, since ``t_k`` lies
+    between ``gap_k - sum_{l != k} theta_lk`` and ``theta_kk`` and
+    ``gap_k <= P(M=m_k|1) = sum_l theta_lk``; so its phase 1 can stand in
+    for the identified set's.
     """
     K = spec.k
     n = K * K + K
@@ -175,7 +179,7 @@ def _pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
         # the identified set lets the always-taker mass sum_k theta_kk vanish
         return 0.0, None, np.zeros(K), True
     if sol.status != OPTIMAL:
-        raise SolverFailureError("pooled-bound program did not solve")
+        return None, None, None, False
     point = spec.point(sol.point)
     return max(float(sol.value), 0.0), point[: K * K].reshape(K, K), point[K * K:], False
 
@@ -187,8 +191,15 @@ def nu_pooled_lower_bound(table: DistTable, r: RestrictionSet, auto_relax=False)
     always-taker mass to vanish.
     """
     spec, _ = resolve_identified_set(table, r, auto_relax)
-    value, _, _, _ = _pooled_lfp(table, spec)
-    return value
+    return _solved_pooled_lfp(table, spec)[0]
+
+
+def _solved_pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
+    """:func:`_pooled_lfp` over an identified set known to be nonempty."""
+    out = _pooled_lfp(table, spec)
+    if out[0] is None:
+        raise SolverFailureError("pooled-bound program is empty on a nonempty identified set")
+    return out
 
 
 def _trimmed_mean(levels, pmf, share, upper):
@@ -300,7 +311,7 @@ def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
     # The reported (theta, eta) is the pooled program's minimizer (theta, t),
     # so the pooled bound equals sum(eta)/sum(diag) at it and dominates the
     # diagonal-weighted per-k bounds there.
-    pooled, theta, eta, degenerate = _pooled_lfp(table, spec)
+    pooled, theta, eta, degenerate = _solved_pooled_lfp(table, spec)
     if degenerate:  # no minimizer: the slack program's allocation, eta read off it
         theta = theta_slack
         eta = [max(delta_sup(table, k) - (theta[:, k].sum() - theta[k, k]), 0.0)

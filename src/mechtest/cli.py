@@ -233,7 +233,10 @@ def cmd_robustness(cfg):
     identified set is empty; at or above the covering LP's optimal defier
     mass (and clear of the least budget), the bound is 0.  Only the points
     in between, and those within ``ZERO_TOL`` of the least budget, build
-    their identified set and solve the pooled program.
+    their identified set and solve the pooled program.  Clear of the least
+    budget the set is nonempty, and the pooled program, which is empty
+    exactly when the set is, checks that with its own phase 1; within
+    ``ZERO_TOL`` of it the set's phase 1 decides feasibility first.
     """
     _, table = _load_table(cfg)
     if not table.support.totally_ordered:
@@ -249,7 +252,10 @@ def cmd_robustness(cfg):
             value = 0.0
         else:
             spec = build_identified_set(table, RestrictionSet.defier_budget(table.support, dbar))
-            value = bounds_mod._pooled_lfp(table, spec)[0] if spec.feasible else None
+            if dbar >= least + bounds_mod.ZERO_TOL or spec.feasible:
+                value = bounds_mod._pooled_lfp(table, spec)[0]
+            else:
+                value = None
         rows.append((dbar, "", "infeasible") if value is None else (dbar, f"{value:.10g}", "ok"))
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

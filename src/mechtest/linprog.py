@@ -11,8 +11,12 @@ implementation favors robustness and verifiable certificates over speed:
   the constraints, so a ``FeasibleSet`` runs it once and minimizes many
   objectives from the same feasible basis; ``solve_lp`` is one
   ``FeasibleSet`` and one objective.  The type-share LPs of one identified
-  set share its ``FeasibleSet``, so phase 1 runs once per identified set,
-  not once per objective.
+  set share its ``FeasibleSet``, built when the set is first read, so
+  phase 1 runs at most once per identified set, not once per objective.
+  Each pivot prices with one ``argmin`` of the reduced costs, runs one
+  ratio test over the positive entries of the entering column and updates
+  only the rows whose entry in that column is nonzero, so a few array
+  passes make a pivot.
 * ``solve_lfp`` minimizes a ratio of affine forms by Dinkelbach's steps,
   LPs over one ``FeasibleSet`` whose last dual certifies the ratio, after
   an LP has verified that the denominator is positive on the set.
@@ -39,7 +43,7 @@ subcommands compute.  A test in ``tests/test_cli.py`` fails if a fresh
 process loads any scipy module on a path that does not use it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,7 +158,10 @@ class StandardForm:
         columns are ignored.  Each entry is formed from its own columns of
         ``T`` alone (``shift + z``, ``shift - z``, or ``z+ - z-`` for a free
         variable, whose shift is zero), so no zero term of the product can
-        change the sign of a zero."""
+        change the sign of a zero.  A program without variables has the
+        empty point."""
+        if not self.T.size:
+            return np.zeros(self.T.shape[0])
         nonzero = self.T != 0
         own = np.add.reduceat(self.T.sum(axis=0) * z[: self.T.shape[1]], nonzero.argmax(axis=1))
         return np.where(nonzero.sum(axis=1) == 2, own, self.shifts + own)
@@ -163,8 +170,9 @@ class StandardForm:
         """The same system under ``objective`` of the original variables;
         the slack columns cost nothing."""
         n_slack = self.matrix.shape[1] - self.T.shape[1]
-        return replace(self, cost=np.concatenate([objective @ self.T, np.zeros(n_slack)]),
-                       offset=float(objective @ self.shifts))
+        return StandardForm(self.matrix, self.rhs,
+                            np.concatenate([objective @ self.T, np.zeros(n_slack)]),
+                            float(objective @ self.shifts), self.T, self.shifts)
 
 
 @dataclass(frozen=True)
@@ -226,12 +234,17 @@ def standard_form(lp: LinearProgram) -> StandardForm:
 def _pivot(tab, basis, row, col):
     """Pivot on ``tab[row, col]`` as one rank-1 update of the rows whose
     ``col`` entry is nonzero; every element gets the same ``a - f*b`` as in
-    a row-by-row elimination, so the result is bit-identical to it."""
-    tab[row] /= tab[row, col]
+    a row-by-row elimination, so the result is bit-identical to it.  A row
+    whose factor is zero is left alone: ``a - 0*b`` could turn a ``-0.0``
+    into ``0.0``."""
+    prow = tab[row]
+    prow /= prow[col]
     factor = tab[:, col].copy()
     factor[row] = 0.0
-    rows = np.flatnonzero(factor)
-    tab[rows] -= factor[rows, None] * tab[row]
+    rows = factor.nonzero()[0]
+    update = tab.take(rows, axis=0)
+    update -= factor.take(rows)[:, None] * prow
+    tab[rows] = update
     basis[row] = col
 
 
@@ -244,47 +257,58 @@ def _simplex_phase(tab, basis, n_enter, phase, n_pivots, n_rows=None):
     row i; columns ``>= n_enter`` (the artificials) never enter.  Pricing is
     most-negative-reduced-cost until the objective stalls, then Bland's
     smallest-index rule takes over permanently, which guarantees
-    termination on degenerate problems.  A column that looks improving but
-    has no positive pivot entry is declared unbounded only when its reduced
-    cost is decisively negative relative to the column scale; otherwise it
-    is accumulated roundoff and gets zeroed out (final certificates
-    re-verify every answer independently).  Phase 1 minimizes the sum of
-    the artificials and stops once that is below ``FEAS_TOL / 2``; phase 2
+    termination on degenerate problems.  Each pivot prices with one
+    ``argmin`` of the reduced costs (under Bland's rule, one ``argmax`` of
+    the improving mask) and runs one ratio test over the positive entries
+    of the entering column; ties within ``PIVOT_TOL`` of the least ratio
+    go to the largest pivot entry (Bland: the smallest basic column), the
+    first one in row order.  A column that looks improving but has no
+    positive pivot entry is declared unbounded only when its reduced cost
+    is decisively negative relative to the column scale; otherwise it is
+    accumulated roundoff and gets zeroed out (final certificates re-verify
+    every answer independently).  Phase 1 minimizes the sum of the
+    artificials and stops once that is below ``FEAS_TOL / 2``; phase 2
     runs on a tableau without artificials, whose basic columns are all
     real.  ``n_pivots`` counts on across both phases against one budget.
     ``n_rows`` is the standard form's row count, which an exceeded budget
     names beside the kept rows of ``tab``; by default, the rows of ``tab``.
     """
     m = tab.shape[0] - 1
+    if n_enter == 0:
+        return OPTIMAL, n_pivots
     bland = False
     stall = 0
     stall_limit = 10 * (m + 1)
+    rc = tab[-1, :n_enter]
+    rhs = tab[:m, -1]
+    ratios = np.empty(m)
     while True:
         if phase == 1 and -tab[-1, -1] <= FEAS_TOL / 2:
             return OPTIMAL, n_pivots
-        rc = tab[-1, :n_enter]
-        candidates = np.nonzero(rc < -PIVOT_TOL)[0]
-        if candidates.size == 0:
-            return OPTIMAL, n_pivots
         if bland:
-            enter = int(candidates[0])
+            improving = rc < -PIVOT_TOL
+            enter = int(improving.argmax())
+            if not improving[enter]:
+                return OPTIMAL, n_pivots
         else:
-            enter = int(candidates[np.argmin(rc[candidates])])
+            enter = int(rc.argmin())
+            if not rc[enter] < -PIVOT_TOL:
+                return OPTIMAL, n_pivots
         col = tab[:m, enter]
-        pos = np.nonzero(col > PIVOT_TOL)[0]
-        if pos.size == 0:
+        pos = col > PIVOT_TOL
+        if not pos.any():
             col_scale = np.abs(col).max(initial=0.0)
             if rc[enter] > -1e-7 * (1.0 + col_scale):
                 tab[-1, enter] = 0.0
                 continue
             return UNBOUNDED, n_pivots
-        ratios = tab[pos, -1] / col[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + PIVOT_TOL]
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=pos)
+        ties = ratios <= ratios.min() + PIVOT_TOL
         if bland:
-            leave = int(ties[np.argmin(basis[ties])])
+            leave = int(np.where(ties, basis, tab.shape[1]).argmin())
         else:
-            leave = int(ties[np.argmax(col[ties])])
+            leave = int(np.where(ties, col, -np.inf).argmax())
         before = tab[-1, -1]
         _pivot(tab, basis, leave, enter)
         if tab[-1, -1] > before + 1e-12 * (1.0 + abs(before)):
@@ -372,8 +396,10 @@ class FeasibleSet:
             self.farkas = y
             return
         # Nothing below reads the artificial columns: they never enter again,
-        # and a pivot updates each column on its own.
-        tab = np.delete(tab, np.s_[nz: nz + m], axis=1)
+        # and a pivot updates each column on its own.  The right-hand side
+        # moves into the first of them, and a slice drops the rest.
+        tab[:, nz] = tab[:, -1]
+        tab = tab[:, : nz + 1]
         # Pivot artificials out of the basis where a real column is available.
         for i in np.flatnonzero(basis >= nz):  # a pivot changes the basis in its own row only
             usable = np.abs(tab[i, :nz]) > 1e-7
@@ -408,10 +434,12 @@ class FeasibleSet:
         m, nz = neg.size, col_scale.size
         tab, basis = self._tab.copy(), self._basis.copy()
         cost_scaled = sf.cost / col_scale
-        tab[-1] = np.append(cost_scaled, 0.0)
-        for i, j in enumerate(basis.tolist()):
-            if cost_scaled[j] != 0.0:
-                tab[-1] -= cost_scaled[j] * tab[i]
+        cost_row = tab[-1]
+        cost_row[:-1] = cost_scaled
+        cost_row[-1] = 0.0
+        basic_cost = cost_scaled[basis]
+        for i in np.flatnonzero(basic_cost).tolist():
+            cost_row -= basic_cost[i] * tab[i]
         status, piv = _simplex_phase(tab, basis, nz, 2, self._phase1_pivots, m)
         if status == UNBOUNDED:
             return LpSolution(UNBOUNDED, value=-np.inf, standard=sf)
@@ -430,13 +458,13 @@ class FeasibleSet:
             raise SolverFailureError(
                 f"singular basis at the optimum {_where(2, piv, nz, m, basis.size)}") from exc
         y[neg] *= -1.0
-        reduced = sf.cost - y @ sf.matrix
+        reduced = (sf.cost - y @ sf.matrix).min(initial=np.inf)
         gap = abs(y @ sf.rhs - (value - sf.offset))
         primal = np.abs(sf.matrix @ z - sf.rhs).max() if m else 0.0
-        if not (reduced.min() >= -1e-7 and gap <= 1e-7 * (1.0 + abs(value)) and primal <= 1e-7):
+        if not (reduced >= -1e-7 and gap <= 1e-7 * (1.0 + abs(value)) and primal <= 1e-7):
             raise SolverFailureError(
                 f"failed to certify the LP optimum {_where(2, piv, nz, m, basis.size)}: smallest "
-                f"reduced cost {reduced.min():.3g} (must be >= -1e-7), duality gap {gap:.3g} "
+                f"reduced cost {reduced:.3g} (must be >= -1e-7), duality gap {gap:.3g} "
                 f"(must be <= {1e-7 * (1.0 + abs(value)):.3g}), primal residual "
                 f"{primal:.3g} (must be <= 1e-7)"
             )

@@ -11,7 +11,8 @@ with a closed-form cross-check and an explicit cascade allocation in the
 totally-ordered monotone case.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -168,8 +169,11 @@ class IdentifiedSetSpec:
     restriction's :func:`share_polytope`: the LPs of :meth:`lp` run over
     its free cells only, and :meth:`point` maps their points back to the
     K^2 shares.  ``feasible_set`` is the :class:`FeasibleSet` of those
-    constraints, built with the spec: phase 1 runs once per identified set,
-    and :meth:`minimize` solves every objective over it.
+    constraints, built when it is first read (by :attr:`feasible` or
+    :meth:`minimize`): phase 1 runs at most once per identified set, and
+    not at all for a spec whose caller knows the set is nonempty and only
+    builds programs from it with :meth:`lp`.  :meth:`minimize` solves
+    every objective over it.
     """
 
     support: MediatorSupport
@@ -179,10 +183,10 @@ class IdentifiedSetSpec:
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     polytope: tuple
-    feasible_set: FeasibleSet = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "feasible_set", FeasibleSet(self.lp(np.zeros(self.k**2))))
+    @cached_property
+    def feasible_set(self):
+        return FeasibleSet(self.lp(np.zeros(self.k**2)))
 
     @property
     def k(self):

@@ -42,6 +42,19 @@ def test_unbounded():
     assert solve_lp(LinearProgram(objective=[-1.0])).status == UNBOUNDED
 
 
+def test_a_program_without_variables_has_the_empty_point():
+    sol = solve_lp(LinearProgram(objective=np.zeros(0)))
+    assert (sol.status, sol.value, sol.point.shape) == (OPTIMAL, 0.0, (0,))
+    zero_row = LinearProgram(np.zeros(0), eq_matrix=np.zeros((1, 0)), eq_rhs=[0.0])
+    sol = FeasibleSet(zero_row).minimize(np.zeros(0))
+    assert (sol.status, sol.value, sol.point.shape) == (OPTIMAL, 0.0, (0,))
+    assert sol.dual.tolist() == [0.0]
+    sol = FeasibleSet(replace(zero_row, eq_rhs=[1.0])).minimize(np.zeros(0))
+    assert sol.status == INFEASIBLE and sol.farkas.tolist() == [1.0]
+    sol = solve_lfp((np.zeros(0), 1.0), (np.zeros(0), 2.0), LinearProgram(objective=np.zeros(0)))
+    assert (sol.status, sol.value, sol.point.shape) == (OPTIMAL, 0.5, (0,))
+
+
 def _theta_lp(p0, p1, objective, monotone=True):
     K = len(p0)
     A = np.zeros((2 * K, K * K))
@@ -302,6 +315,119 @@ def test_blands_rule_ends_the_cycle_of_the_most_negative_rule(monkeypatch):
     assert basis.tolist() == [4, 0, 2]
     assert_allclose(tab[-1, -1], 2.0, atol=1e-12)
     assert_allclose(tab[1:3, -1], [2.0, 2.0], atol=1e-12)
+
+
+def _reference_simplex_phase(tab, basis, n_enter, phase, n_pivots):
+    """The pivot loop that ``_simplex_phase`` replaced, kept as its reference:
+    it prices over a list of candidate columns, runs the ratio test over the
+    list of positive entries and eliminates row by row."""
+    m = tab.shape[0] - 1
+    bland = False
+    stall = 0
+    stall_limit = 10 * (m + 1)
+    while True:
+        if phase == 1 and -tab[-1, -1] <= linprog.FEAS_TOL / 2:
+            return OPTIMAL, n_pivots
+        rc = tab[-1, :n_enter]
+        candidates = np.nonzero(rc < -linprog.PIVOT_TOL)[0]
+        if candidates.size == 0:
+            return OPTIMAL, n_pivots
+        if bland:
+            enter = int(candidates[0])
+        else:
+            enter = int(candidates[np.argmin(rc[candidates])])
+        col = tab[:m, enter]
+        pos = np.nonzero(col > linprog.PIVOT_TOL)[0]
+        if pos.size == 0:
+            col_scale = np.abs(col).max(initial=0.0)
+            if rc[enter] > -1e-7 * (1.0 + col_scale):
+                tab[-1, enter] = 0.0
+                continue
+            return UNBOUNDED, n_pivots
+        ratios = tab[pos, -1] / col[pos]
+        best = ratios.min()
+        ties = pos[ratios <= best + linprog.PIVOT_TOL]
+        if bland:
+            leave = int(ties[np.argmin(basis[ties])])
+        else:
+            leave = int(ties[np.argmax(col[ties])])
+        before = tab[-1, -1]
+        _pivot_by_rows(tab, basis, leave, enter)
+        if tab[-1, -1] > before + 1e-12 * (1.0 + abs(before)):
+            stall = 0
+        else:
+            stall += 1
+            if stall > stall_limit:
+                bland = True
+        n_pivots += 1
+
+
+def _random_tableaux(rng):
+    """``(tab, basis, n_enter, phase)`` over a slack basis (phase 2) or an
+    artificial one (phase 1), with exact and negative zeros among the
+    entries and, in every third tableau, a zero right-hand side."""
+    for i in range(400):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        A = rng.normal(size=(m, n)) * rng.choice([1e-6, 1.0, 1e4], size=(1, n))
+        A[rng.random(A.shape) < 0.25] = 0.0
+        A[rng.random(A.shape) < 0.15] = -0.0
+        b = np.zeros(m) if i % 3 == 0 else np.where(rng.random(m) < 0.3, 0.0,
+                                                    rng.uniform(0.0, 2.0, m))
+        tab = np.zeros((m + 1, n + m + 1))
+        tab[:m, :n], tab[:m, n: n + m], tab[:m, -1] = A, np.eye(m), b
+        phase = 1 + i % 2
+        if phase == 1:
+            tab[-1, :n], tab[-1, -1] = -A.sum(axis=0), -b.sum()
+        else:
+            tab[-1, :n] = np.where(rng.random(n) < 0.2, -0.0, rng.normal(size=n))
+        yield tab, np.arange(n, n + m), n if phase == 1 else n + m, phase
+
+
+def _solver_tableaux(monkeypatch):
+    """Every tableau ``_simplex_phase`` is given while solving the LPs with
+    redundant rows and identified sets under each order restriction."""
+    captured = []
+    run = linprog._simplex_phase
+
+    def capturing(tab, basis, n_enter, phase, *rest):
+        captured.append((tab.copy(), basis.copy(), n_enter, phase))
+        return run(tab, basis, n_enter, phase, *rest)
+
+    monkeypatch.setattr(linprog, "_simplex_phase", capturing)
+    rng = np.random.default_rng(37)
+    for lp in _programs_with_redundant_rows(rng):
+        solve_lp(lp)
+    for trial in range(30):
+        table = random_table(rng, monotone_theta=trial % 2 == 0)
+        sup = table.support
+        r = [RestrictionSet.monotone(sup), RestrictionSet.defier_budget(sup, 0.02),
+             RestrictionSet.unrestricted(sup)][trial % 3]
+        spec = build_identified_set(table, r)
+        for c in (rng.normal(size=sup.k**2), -np.ones(sup.k**2)):
+            spec.minimize(c)
+    monkeypatch.undo()
+    return captured
+
+
+def test_simplex_phase_matches_its_reference_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(41)
+    roundoff = np.array([[1.0, -1.0, 1.0], [0.0, -1e-9, 0.0]])
+    corpus = [*_random_tableaux(rng), (*_kuhn_tableau(), 7, 2),
+              (roundoff, np.array([0]), 2, 2), *_solver_tableaux(monkeypatch)]
+    outcomes = set()
+    for tab, basis, n_enter, phase in corpus:
+        ref_tab, ref_basis = tab.copy(), basis.copy()
+        want = _reference_simplex_phase(ref_tab, ref_basis, n_enter, phase, 0)
+        got = linprog._simplex_phase(tab, basis, n_enter, phase, 0)
+        assert got == want
+        assert basis.tolist() == ref_basis.tolist()
+        assert tab.tobytes() == ref_tab.tobytes()  # also the signs of zeros
+        empty = phase == 1 and -tab[-1, -1] > linprog.FEAS_TOL
+        outcomes.add((phase, "infeasible" if empty else got[0], got[1] > 40))
+    # both phases, every status, and runs long enough for Bland's rule
+    assert {(p, s) for p, s, _ in outcomes} == {
+        (1, OPTIMAL), (1, "infeasible"), (2, OPTIMAL), (2, UNBOUNDED)}
+    assert (2, OPTIMAL, True) in outcomes
 
 
 # -- linear-fractional programs ------------------------------------------

@@ -131,3 +131,50 @@ def test_grid_points_exactly_at_the_least_and_the_breakdown_budget(
             assert rows[-1][1:] == ["0", "ok"]
         else:
             assert rows[-1][2] == "ok" and rows[0][2] == "infeasible"
+
+
+def test_points_clear_of_the_least_budget_run_one_phase_one(
+        phase_one_runs, tmp_path, monkeypatch, capsys):
+    """Grid points at least ``ZERO_TOL`` above the least budget skip their
+    identified set's phase 1: the pooled program's own phase 1 is the
+    feasibility check there.  A point at the least budget runs both."""
+    marked = []  # per point that builds a set: its budget and the phase 1 runs it starts
+
+    def marking(table, r):
+        marked.append((r.params[-1], len(phase_one_runs)))
+        return build_identified_set(table, r)
+
+    monkeypatch.setattr(cli, "build_identified_set", marking)
+    tables = [t for t in _exact_budget_tables() if t[0].n_mediators >= 3][:5]
+    assert len(tables) == 5
+    seen = set()
+    for table, least, covered in tables:
+        del phase_one_runs[:], marked[:]
+        # 0, least / 2, least, 1.5 least, 2 least: the middle point is the least budget
+        rows, _ = _cli_curve(table, 2.0 * least, 5, tmp_path, monkeypatch, capsys)
+        assert float(rows[2][0]) == least
+        starts = [n for _, n in marked] + [len(phase_one_runs)]
+        for (dbar, start), end in zip(marked, starts[1:]):
+            if dbar >= least + bounds.ZERO_TOL:
+                assert end - start == 1, (dbar, least)
+                seen.add("above")
+            else:
+                assert dbar == least and end - start == 2
+                seen.add("at")
+        # points below the least budget and at or above the breakdown build no set
+        grid, tol = [float(r[0]) for r in rows], bounds.ZERO_TOL
+        assert [d for d, _ in marked] == [
+            d for d in grid if d >= least - tol and (d < covered or d < least + tol)]
+        # the same rows as each point's own identified set and pooled bound
+        for dbar, value, status in rows:
+            r = RestrictionSet.defier_budget(table.support, float(dbar))
+            if not build_identified_set(table, r).feasible:
+                assert (value, status) == ("", "infeasible")
+                seen.add("below")
+                continue
+            ref = f"{bounds.nu_pooled_lower_bound(table, r):.10g}"
+            assert status == "ok"
+            assert value == ref or (value == "0" and abs(float(ref)) < 1e-15), (dbar, value, ref)
+            if float(dbar) >= covered:
+                seen.add("covered")
+    assert seen == {"below", "at", "above", "covered"}
