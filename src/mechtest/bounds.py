@@ -1,5 +1,7 @@
 """Identification outputs: response-share lower bounds, feasibility slack,
-trimming bounds on always-taker average effects, and breakdown budgets.
+trimming bounds on always-taker average effects, and the robustness curve
+(:func:`robustness_curve`): the pooled bound over defier budgets and the
+breakdown budget.
 
 For each mediator value k, ``nu_k`` is the fraction of k-always-takers
 (units whose mediator sits at m_k under both arms) whose outcome still
@@ -147,13 +149,10 @@ def _pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
     """Linear-fractional program for the pooled bound.
 
     Variables are ``(theta, t_k := theta_kk nu_k)``; the objective is
-    ``sum_k t_k / sum_k theta_kk``.  Returns (value, theta, t, degenerate);
-    a degenerate program, whose denominator can vanish, has value 0 and
-    ``theta`` None.  An empty program has value, ``theta`` and ``t`` None.
-    It is empty exactly when the identified set is, since ``t_k`` lies
-    between ``gap_k - sum_{l != k} theta_lk`` and ``theta_kk`` and
-    ``gap_k <= P(M=m_k|1) = sum_l theta_lk``; so its phase 1 can stand in
-    for the identified set's.
+    ``sum_k t_k / sum_k theta_kk``.  Returns (value, theta, t).  A
+    degenerate program, whose denominator can vanish, has value 0, ``theta``
+    None and ``t`` zero; an empty one has all three None.  It is empty
+    exactly when the identified set is (see :func:`robustness_curve`).
     """
     K = spec.k
     n = K * K + K
@@ -177,11 +176,11 @@ def _pooled_lfp(table: DistTable, spec: IdentifiedSetSpec):
         sol = solve_lfp((num[cols], 0.0), (den[cols], 0.0), feas)
     except DomainError:
         # the identified set lets the always-taker mass sum_k theta_kk vanish
-        return 0.0, None, np.zeros(K), True
+        return 0.0, None, np.zeros(K)
     if sol.status != OPTIMAL:
-        return None, None, None, False
+        return None, None, None
     point = spec.point(sol.point)
-    return max(float(sol.value), 0.0), point[: K * K].reshape(K, K), point[K * K:], False
+    return max(float(sol.value), 0.0), point[: K * K].reshape(K, K), point[K * K:]
 
 
 def nu_pooled_lower_bound(table: DistTable, r: RestrictionSet, auto_relax=False) -> float:
@@ -259,6 +258,39 @@ def _ade_bounds(table: DistTable, spec: IdentifiedSetSpec, k: int, tmin: float):
     return float(lb), float(ub)
 
 
+def robustness_curve(table: DistTable, grid):
+    """The pooled bound at each defier budget of ``grid`` and the breakdown
+    budget, as ``(values, breakdown)``: ``values[i]`` is
+    :func:`nu_pooled_lower_bound` under a defier budget of ``grid[i]``, or
+    None where that identified set is empty.
+
+    The breakdown budget's covering LP, solved once, settles most points:
+    below the least defier budget the marginals allow, the set is empty;
+    at or above the LP's optimal defier mass, ``ZERO_TOL`` clear of the
+    least budget, the bound is 0.  The other points build their identified
+    set and solve the pooled program.  Within ``ZERO_TOL`` of the least
+    budget the set's phase 1 decides feasibility first; clear of it the
+    set is nonempty, and the pooled program's phase 1 is the only one run.
+    That program is empty exactly when the set is, since ``t_k`` lies
+    between ``gap_k - sum_{l != k} theta_lk`` and ``theta_kk``, and
+    ``gap_k <= P(M=m_k|1) = sum_l theta_lk``.
+    """
+    covered, least = _covering_lp(table)
+    values = []
+    for dbar in map(float, grid):
+        clear = dbar >= least + ZERO_TOL
+        if dbar < least - ZERO_TOL:
+            values.append(None)
+        elif clear and dbar >= covered:
+            values.append(0.0)
+        else:
+            spec = build_identified_set(table, RestrictionSet.defier_budget(table.support, dbar))
+            values.append(_pooled_lfp(table, spec)[0] if clear or spec.feasible else None)
+    if covered == np.inf:
+        return values, 1.0
+    return values, (0.0 if covered <= least + ZERO_TOL else float(covered))
+
+
 def breakdown_defier_budget(table: DistTable) -> float:
     """Largest defier budget at which the pooled bound stays positive.
 
@@ -270,7 +302,7 @@ def breakdown_defier_budget(table: DistTable) -> float:
     the least the mediator marginals allow, i.e. when there is no violation
     evidence at any feasible budget.
     """
-    return _breakdown(*_covering_lp(table))
+    return robustness_curve(table, ())[1]
 
 
 def _covering_lp(table: DistTable):
@@ -292,15 +324,6 @@ def _covering_lp(table: DistTable):
     return (sol.value if sol.status == OPTIMAL else np.inf), min_defier_budget(spec)
 
 
-def _breakdown(covered, least) -> float:
-    """The breakdown budget from :func:`_covering_lp`'s results."""
-    if covered == np.inf:
-        return 1.0
-    if covered <= least + ZERO_TOL:
-        return 0.0
-    return float(covered)
-
-
 def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
                   with_ade=False) -> BoundsReport:
     """Full identification report for one table and restriction set."""
@@ -311,7 +334,8 @@ def bounds_report(table: DistTable, r: RestrictionSet, auto_relax=False,
     # The reported (theta, eta) is the pooled program's minimizer (theta, t),
     # so the pooled bound equals sum(eta)/sum(diag) at it and dominates the
     # diagonal-weighted per-k bounds there.
-    pooled, theta, eta, degenerate = _solved_pooled_lfp(table, spec)
+    pooled, theta, eta = _solved_pooled_lfp(table, spec)
+    degenerate = theta is None
     if degenerate:  # no minimizer: the slack program's allocation, eta read off it
         theta = theta_slack
         eta = [max(delta_sup(table, k) - (theta[:, k].sum() - theta[k, k]), 0.0)

@@ -19,6 +19,7 @@ import csv
 import functools
 import hashlib
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -193,7 +194,7 @@ def cmd_bounds(cfg):
     )
     out = cfg.out or "bounds.json"
     _write_json(out, report.to_json_dict())
-    cells = out.rsplit(".", 1)[0] + "_cells.csv"
+    cells = os.path.splitext(out)[0] + "_cells.csv"
     _cells_csv(cells, table)
     manifest = _write_manifest(cfg, [out, cells])
     print(json.dumps({"ok": True, "outputs": [out, cells, manifest]}))
@@ -226,43 +227,21 @@ def cmd_test(cfg):
 
 
 def cmd_robustness(cfg):
-    """Pooled bound over a grid of defier budgets, and the breakdown budget.
-
-    The breakdown budget's covering LP is solved once, and it settles most
-    grid points: below the least defier budget the marginals allow, the
-    identified set is empty; at or above the covering LP's optimal defier
-    mass (and clear of the least budget), the bound is 0.  Only the points
-    in between, and those within ``ZERO_TOL`` of the least budget, build
-    their identified set and solve the pooled program.  Clear of the least
-    budget the set is nonempty, and the pooled program, which is empty
-    exactly when the set is, checks that with its own phase 1; within
-    ``ZERO_TOL`` of it the set's phase 1 decides feasibility first.
-    """
+    """Pooled bound over a grid of defier budgets, and the breakdown budget
+    (:func:`bounds.robustness_curve`)."""
     _, table = _load_table(cfg)
     if not table.support.totally_ordered:
         raise UnsupportedCaseError("robustness curves need a scalar ordered mediator")
     out = cfg.out or "robustness.csv"
-    covered, least = bounds_mod._covering_lp(table)
     grid = np.linspace(0.0, cfg.dbar_max, cfg.dbar_steps)
-    rows = []
-    for dbar in map(float, grid):
-        if dbar < least - bounds_mod.ZERO_TOL:
-            value = None
-        elif dbar >= covered and dbar >= least + bounds_mod.ZERO_TOL:
-            value = 0.0
-        else:
-            spec = build_identified_set(table, RestrictionSet.defier_budget(table.support, dbar))
-            if dbar >= least + bounds_mod.ZERO_TOL or spec.feasible:
-                value = bounds_mod._pooled_lfp(table, spec)[0]
-            else:
-                value = None
-        rows.append((dbar, "", "infeasible") if value is None else (dbar, f"{value:.10g}", "ok"))
+    values, breakdown = bounds_mod.robustness_curve(table, grid)
+    rows = [(dbar, "", "infeasible") if value is None else (dbar, f"{value:.10g}", "ok")
+            for dbar, value in zip(map(float, grid), values)]
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dbar", "nu_pooled_lb", "status"])
         writer.writerows(rows)
-    breakdown = bounds_mod._breakdown(covered, least)
-    summary = out.rsplit(".", 1)[0] + "_breakdown.json"
+    summary = os.path.splitext(out)[0] + "_breakdown.json"
     _write_json(summary, {"breakdown_dbar": breakdown})
     manifest = _write_manifest(cfg, [out, summary])
     print(json.dumps({"ok": True, "outputs": [out, summary, manifest],

@@ -416,12 +416,13 @@ def _make_resampler(system: MomentSystem):
     redrawing rows and much faster.  Otherwise each profile is one cluster
     (weight 1) and whole clusters are redrawn from :func:`_cluster_pools`,
     each pool by one ``rng.integers(0, n, n)``: within arm when every
-    cluster is arm-pure, else from the whole dataset with a deterministic
-    retry when a draw empties an arm.  The resampler
-    ``draw(rng, out=None)`` writes one (2, K, Q) count table into ``out``
-    (a new array by default) and returns it.  :func:`_resample_draws`
-    makes the cluster draws of many substreams at once from their raw words
-    and calls it only for a draw those words cannot reproduce.
+    cluster is arm-pure, else from the whole dataset.  A draw that empties
+    an arm is redrawn, up to 100 tries; per-arm pools never empty one.
+    The resampler ``draw(rng, out=None)`` writes one (2, K, Q) count table
+    into ``out`` (a new array by default) and returns it.
+    :func:`_resample_draws` makes the cluster draws of many substreams at
+    once from their raw words and calls it only for a draw those words
+    cannot reproduce.
     """
     cells = system.cluster_cells
     G, shape = cells.shape[0], cells.shape[1:]
@@ -440,27 +441,19 @@ def _make_resampler(system: MomentSystem):
         return draw_units
     # a draw is the multiplicity of each cluster times its counts, exact in int64
     flat = cells.reshape(G, -1)
-    if len(pools) == 2:
-
-        def draw_clusters(rng, out=None):
-            out = np.empty(shape, dtype=np.int64) if out is None else out
-            idx = np.concatenate([pool[rng.integers(0, pool.size, pool.size)] for pool in pools])
-            out[...] = (np.bincount(idx, minlength=G) @ flat).reshape(shape)
-            return out
-
-        return draw_clusters
     arm_totals = cells.sum(axis=(2, 3))  # (G, 2)
 
-    def draw_mixed(rng, out=None):
+    def draw_clusters(rng, out=None):
         out = np.empty(shape, dtype=np.int64) if out is None else out
         for _ in range(100):
-            times = np.bincount(rng.integers(0, G, G), minlength=G)
+            idx = np.concatenate([pool[rng.integers(0, pool.size, pool.size)] for pool in pools])
+            times = np.bincount(idx, minlength=G)
             if (times @ arm_totals).min() > 0:
                 out[...] = (times @ flat).reshape(shape)
                 return out
         raise EstimationError("bootstrap could not produce both arms")
 
-    return draw_mixed
+    return draw_clusters
 
 
 def _resample_draws(system: MomentSystem, b_draws: int, seed: int):

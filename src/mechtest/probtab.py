@@ -225,6 +225,9 @@ def _layout(header, path):
     for col in ("y", "d"):
         if col not in header:
             raise StructuralError(f"{path}: missing required column '{col}'")
+    for col in ("y", "d", "cluster", "z", "pscore"):
+        if header.count(col) > 1:
+            raise StructuralError(f"{path}: column '{col}' appears more than once")
     m_cols = sorted((h for h in header if h.startswith("m") and h[1:].isdigit()),
                     key=lambda h: int(h[1:]))
     if not m_cols:

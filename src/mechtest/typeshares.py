@@ -171,9 +171,9 @@ class IdentifiedSetSpec:
     K^2 shares.  ``feasible_set`` is the :class:`FeasibleSet` of those
     constraints, built when it is first read (by :attr:`feasible` or
     :meth:`minimize`): phase 1 runs at most once per identified set, and
-    not at all for a spec whose caller knows the set is nonempty and only
-    builds programs from it with :meth:`lp`.  :meth:`minimize` solves
-    every objective over it.
+    not at all for a spec that only builds programs with :meth:`lp`, as
+    :func:`bounds.robustness_curve` does where its feasibility rule allows.
+    :meth:`minimize` solves every objective over it.
     """
 
     support: MediatorSupport

@@ -365,6 +365,21 @@ def test_robustness_subcommand(tmp_path, capsys):
     assert payload["breakdown_dbar"] == pytest.approx(0.2, abs=1e-3)
 
 
+@pytest.mark.parametrize("command, side", [("bounds", "_cells.csv"),
+                                           ("robustness", "_breakdown.json")])
+@pytest.mark.parametrize("out", ["my.dir/report", "./report"])
+def test_side_files_are_named_after_the_output_file(command, side, out, tmp_path, capsys,
+                                                    monkeypatch):
+    # a dot in a directory name, or an --out without an extension, is not a suffix
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my.dir").mkdir()
+    code, payload = run_cli([command, "--input", str(FIXTURE), "--out", out], capsys)
+    assert code == 0
+    assert payload["outputs"][:2] == [out, out + side]
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(os.path.normpath(out + end) for end in ("", side, ".manifest.json"))
+
+
 def test_robustness_builds_each_identified_set_once(tmp_path, capsys, monkeypatch):
     from mechtest import bounds, cli, typeshares
 

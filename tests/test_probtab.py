@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_table, random_table
 from mechtest import ident, probtab
+from mechtest.cli import main
 from mechtest.errors import EstimationError, StructuralError
 from mechtest.probtab import (
     RecordSet,
@@ -235,6 +236,22 @@ def test_csv_missing_required_column(tmp_path):
     path.write_text("y,m1\n1,0\n", encoding="utf-8")
     with pytest.raises(StructuralError, match="'d'"):
         read_csv(path)
+
+
+@pytest.mark.parametrize("col", ["y", "d", "cluster", "z", "pscore"])
+def test_csv_repeated_column_is_an_input_error(col, tmp_path, capsys):
+    # a plain copy and a quoted one, which only the csv module splits
+    header = ["y", "d", "m1", "cluster", "z", "pscore", col]
+    values = dict(zip(header, ["1", "0", "0", "a", "0", "0.5"]))
+    rows = [header, [values[c] for c in header], [values[c] for c in header]]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    quoted.write_text("".join(",".join(f'"{f}"' for f in r) + "\n" for r in rows), encoding="utf-8")
+    for path in (plain, quoted):
+        with pytest.raises(StructuralError, match=f"column '{col}' appears more than once"):
+            read_csv(path)
+        assert main(["bounds", "--input", str(path), "--out", str(tmp_path / "b.json")]) == 2
+        assert f"column '{col}' appears more than once" in capsys.readouterr().out
 
 
 def test_empty_md_cells_keep_indices():
@@ -517,7 +534,6 @@ _HAND_CORPUS = {
     "fractional-treatment": "y,d,m1\n1,0.5,0\n1,1,1\n",
     "instrument-two": "y,d,m1,z\n1,0,0,2\n1,1,1,1\n",
     "treatment-as-float": "y,d,m1,z\n1,1.0,0,0.0\n0,0.0,1,1.0\n",
-    "duplicate-column": "y,d,m1,y\n1,0,0,x\n0,1,1,y\n",
     "extra-columns": "id,y,note,d,m1\n7,1,hello,0,0\n8,0,,1,1\n",
     "multiline-label": 'y,d,m1,cluster\n1,0,0,"a\nb"\n0,1,1,c\n',
     "bad-row-after-multiline-label": 'y,d,m1,cluster\n1,0,0,"a\nb"\nx,1,1,c\n',

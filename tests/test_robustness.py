@@ -1,11 +1,12 @@
-"""The ``robustness`` curve against the per-point path it replaced.
+"""The robustness curve against the per-point path it replaced.
 
-``cmd_robustness`` answers the grid points below the least defier budget
-(empty set) and at or above the breakdown LP's covering mass (bound 0)
-without an identified set of their own.  The reference here is the loop
-that built every point's set and solved its pooled program; the curve must
-carry the same labels and print the same values, except where that loop
-printed a rounding residue below 1e-15 for a bound that is 0.
+``bounds.robustness_curve``, which ``cmd_robustness`` writes out, answers
+the grid points below the least defier budget (empty set) and at or above
+the breakdown LP's covering mass (bound 0) without an identified set of
+their own.  The reference here is the loop that built every point's set and
+solved its pooled program; the curve must carry the same labels and print
+the same values, except where that loop printed a rounding residue below
+1e-15 for a bound that is 0.
 """
 
 import csv
@@ -17,6 +18,8 @@ import pytest
 from conftest import make_table
 from mechtest import bounds, cli
 from mechtest.cli import main
+from mechtest.errors import UnsupportedCaseError
+from mechtest.probtab import RecordSet, delta_sup, from_records
 from mechtest.typeshares import RestrictionSet, build_identified_set
 
 ANY_INPUT = cli.__file__  # the table is patched in; the manifest only hashes this file
@@ -54,13 +57,16 @@ def _cli_curve(table, dbar_max, steps, tmp_path, monkeypatch, capsys):
 def _assert_matches_per_point(table, dbar_max, steps, tmp_path, monkeypatch, capsys):
     rows, breakdown = _cli_curve(table, dbar_max, steps, tmp_path, monkeypatch, capsys)
     assert breakdown == bounds.breakdown_defier_budget(table)
-    want = _per_point_rows(table, np.linspace(0.0, dbar_max, steps))
+    _assert_rows_match(rows, _per_point_rows(table, np.linspace(0.0, dbar_max, steps)))
+    return rows
+
+
+def _assert_rows_match(rows, want):
     assert [r[0] for r in rows] == [w[0] for w in want]
     assert [r[2] for r in rows] == [w[2] for w in want]
     for (dbar, got, _), (_, ref, _) in zip(rows, want):
         if got != ref:  # only a residue of a vanishing bound may differ
             assert got == "0" and abs(float(ref)) < 1e-15, (dbar, got, ref)
-    return rows
 
 
 def _fuzz_tables(n):
@@ -80,6 +86,48 @@ def test_curve_matches_the_per_point_path_on_fuzzed_tables(tmp_path, monkeypatch
         covered.add(bool(np.isfinite(bounds._covering_lp(table)[0])))
         _assert_matches_per_point(table, 0.5, 26, tmp_path, monkeypatch, capsys)
     assert covered == {True, False}
+
+
+def test_robustness_curve_matches_the_per_point_path_on_fuzzed_tables():
+    grid = np.linspace(0.0, 0.5, 26)
+    for table in _fuzz_tables(30):
+        values, breakdown = bounds.robustness_curve(table, grid)
+        assert breakdown == bounds.breakdown_defier_budget(table)
+        # the rows as cmd_robustness writes them
+        rows = [[repr(float(dbar)), "", "infeasible"] if value is None else
+                [repr(float(dbar)), f"{value:.10g}", "ok"] for dbar, value in zip(grid, values)]
+        _assert_rows_match(rows, _per_point_rows(table, grid))
+
+
+def test_robustness_curve_on_an_empty_grid_is_the_breakdown_budget():
+    for table in [*_fuzz_tables(10), UNCOVERABLE, COVERED]:
+        assert bounds.robustness_curve(table, ()) == ([], bounds.breakdown_defier_budget(table))
+
+
+def test_robustness_curve_solves_every_point_of_a_one_value_mediator(monkeypatch):
+    # no stratum sends compliers into m=0, so its gap 0.3 is never covered; the
+    # only shares are theta_00 = 1, and the bound is the gap at every budget
+    table = make_table([[[0.6, 0.4]], [[0.3, 0.7]]])
+    built = []
+
+    def counting(table, r):
+        built.append(r.params)
+        return build_identified_set(table, r)
+
+    monkeypatch.setattr(bounds, "build_identified_set", counting)
+    grid = np.linspace(0.0, 0.5, 6)
+    values, breakdown = bounds.robustness_curve(table, grid)
+    assert breakdown == 1.0
+    assert values == pytest.approx([delta_sup(table, 0)] * 6, abs=1e-12)
+    assert built == [()] + [(float(d),) for d in grid]  # the covering LP's set, then each point
+
+
+def test_robustness_curve_needs_a_scalar_ordered_mediator():
+    m = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 2, dtype=float)
+    table = from_records(RecordSet(y=[0, 1, 0, 1, 1, 0, 1, 0], m=m, d=[0] * 4 + [1] * 4))
+    assert not table.support.totally_ordered
+    with pytest.raises(UnsupportedCaseError):
+        bounds.robustness_curve(table, [0.1])
 
 
 # K=2: control m=0 cells (.1, .7), m=1 (.1, .1); treated m=0 (.4, .1), m=1 (.3, .2).
@@ -141,10 +189,11 @@ def test_points_clear_of_the_least_budget_run_one_phase_one(
     marked = []  # per point that builds a set: its budget and the phase 1 runs it starts
 
     def marking(table, r):
-        marked.append((r.params[-1], len(phase_one_runs)))
+        if r.params:  # not the covering LP's unrestricted set
+            marked.append((r.params[-1], len(phase_one_runs)))
         return build_identified_set(table, r)
 
-    monkeypatch.setattr(cli, "build_identified_set", marking)
+    monkeypatch.setattr(bounds, "build_identified_set", marking)
     tables = [t for t in _exact_budget_tables() if t[0].n_mediators >= 3][:5]
     assert len(tables) == 5
     seen = set()
