@@ -34,7 +34,6 @@ a path that does not use it.
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -42,13 +41,12 @@ from .errors import EstimationError, IdentificationError, SolverFailureError, St
 from .linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, FeasibleSet, LinearProgram, solve_lp,
                       solve_qp)
 from .probtab import RecordSet, encode
-from .rng import integers_from_raw, substream, substreams
+from .rng import substream
 from .typeshares import CUSTOM, MONOTONE, RestrictionSet, share_polytope
 
 HARD_SD_FLOOR = 1e-12
 CHISQ_RIDGE = 1e-10  # added to the covariance before whitening
 CELL_COUNT_FLOOR = 15
-_DRAW_BLOCK = 1 << 17  # cluster picks per block of bootstrap draws
 _FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
 
 LF_BOOT = "lf-boot"
@@ -112,9 +110,6 @@ class MomentSystem:
     def moment_sds(self):
         """Per-row sd of sqrt(N) times the sampled part of the moment."""
         return np.sqrt(np.clip(np.einsum("ij,jk,ik->i", self.c2, self.sigma_hat, self.c2), 0.0, None))
-
-    def hard_mask(self):
-        return _hard_rows(self, self.moment_sds())
 
 
 def _hard_rows(system: MomentSystem, sds):
@@ -406,97 +401,62 @@ def _cluster_pools(system: MomentSystem):
     return [np.arange(cells.shape[0])]
 
 
-def _make_resampler(system: MomentSystem):
-    """Nonparametric bootstrap of independent units, within arm when
-    clusters are arm-pure (always the case for unit-level data).
+def _resample_draws(system: MomentSystem, b_draws: int, seed: int):
+    """B bootstrap count tables as one (B, 2, K, Q) int64 array.
 
-    When every profile in ``cluster_cells`` is one record, the units
-    resample as a per-arm multinomial over the cells, with each profile's
-    count ``cluster_weight``; this is distributionally identical to
-    redrawing rows and much faster.  Otherwise each profile is one cluster
-    (weight 1) and whole clusters are redrawn from :func:`_cluster_pools`,
-    each pool by one ``rng.integers(0, n, n)``: within arm when every
-    cluster is arm-pure, else from the whole dataset.  A draw that empties
-    an arm is redrawn, up to 100 tries; per-arm pools never empty one.
-    The resampler ``draw(rng, out=None)`` writes one (2, K, Q) count table
-    into ``out`` (a new array by default) and returns it.
-    :func:`_resample_draws` makes the cluster draws of many substreams at
-    once from their raw words and calls it only for a draw those words
-    cannot reproduce.
+    Independent units are resampled, within arm when clusters are arm-pure
+    (always the case for unit-level data), and each arm or pool draws all B
+    tables from one generator in one numpy call:
+
+    * when every profile in ``cluster_cells`` is one record, the units of
+      arm d resample as a multinomial over its cells, with each profile's
+      count ``cluster_weight``, from ``substream(seed, d)``; this is
+      distributionally identical to redrawing records and much faster;
+    * otherwise each profile is one cluster (weight 1) and whole clusters
+      are redrawn from :func:`_cluster_pools`, pool i by one
+      ``integers(0, n_i, size=(B, n_i))`` from ``substream(seed, i)``.
+      A mixed-cluster row whose picks empty an arm is redrawn, in row
+      order, from ``substream(seed, 2)``, up to 100 tries per row; per-arm
+      pools never empty one.
+
+    Row b depends on rows 0 .. b-1, so the first rows of a larger B are the
+    draws of a smaller one.
     """
     cells = system.cluster_cells
     G, shape = cells.shape[0], cells.shape[1:]
     pools = _cluster_pools(system)
     if pools is None:
         agg = (system.cluster_weight[:, None, None, None] * cells).sum(axis=0)
-        totals = agg.sum(axis=(1, 2))
-        probs = [agg[d].reshape(-1) / totals[d] for d in (0, 1)]
-
-        def draw_units(rng, out=None):
-            out = np.empty(shape, dtype=np.int64) if out is None else out
-            for d in (0, 1):
-                out[d] = rng.multinomial(totals[d], probs[d]).reshape(shape[1:])
-            return out
-
-        return draw_units
-    # a draw is the multiplicity of each cluster times its counts, exact in int64
-    flat = cells.reshape(G, -1)
-    arm_totals = cells.sum(axis=(2, 3))  # (G, 2)
-
-    def draw_clusters(rng, out=None):
-        out = np.empty(shape, dtype=np.int64) if out is None else out
-        for _ in range(100):
-            idx = np.concatenate([pool[rng.integers(0, pool.size, pool.size)] for pool in pools])
-            times = np.bincount(idx, minlength=G)
-            if (times @ arm_totals).min() > 0:
-                out[...] = (times @ flat).reshape(shape)
-                return out
-        raise EstimationError("bootstrap could not produce both arms")
-
-    return draw_clusters
-
-
-def _resample_draws(system: MomentSystem, b_draws: int, seed: int):
-    """The (B, 2, K, Q) counts whose row b is ``_make_resampler(system)``
-    applied to substream ``(seed, b)``, bit for bit.
-
-    Cluster draws are made in blocks of rows: each substream's raw PCG64
-    words are mapped to its picks as ``Generator.integers`` maps them
-    (:func:`rng.integers_from_raw`), and one ``bincount`` and one product,
-    exact in float64, turn a block's picks into counts.  A draw that the
-    raw words cannot reproduce, because numpy would reject a half there or
-    because the first picks of a mixed-cluster draw empty an arm, is
-    redrawn by the resampler from a fresh substream ``(seed, b)``.
-    """
-    resample = _make_resampler(system)
-    cells = system.cluster_cells
-    G, shape = cells.shape[0], cells.shape[1:]
-    out = np.empty((b_draws, *shape), dtype=np.int64)
-    pools = _cluster_pools(system)
-    streams = substreams(seed, b_draws)
-    if pools is None:
-        for row, rng in zip(out, streams):
-            resample(rng, row)
+        out = np.empty((b_draws, *shape), dtype=np.int64)
+        for d in (0, 1):
+            n_d = agg[d].sum()
+            out[:, d] = substream(seed, d).multinomial(
+                n_d, agg[d].reshape(-1) / n_d, size=b_draws).reshape(b_draws, *shape[1:])
         return out
-    sizes = [pool.size for pool in pools]
-    # pick j of pool i is cluster order[start_i + j]
-    order = np.concatenate(pools)
-    start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
     # a count is at most G times the largest cluster count: below 2**53 a float64
     # product is exact, and far faster than numpy's int64 one
     flat = cells.reshape(G, -1)
     flat = flat.astype(np.float64 if G * flat.max() < _FLOAT_EXACT else np.int64)
-    block = max(1, _DRAW_BLOCK // G)
-    for lo in range(0, b_draws, block):
-        rows = out[lo: lo + block]
-        picks, exact = integers_from_raw(islice(streams, len(rows)), sizes)
-        idx = order[picks + start] + G * np.arange(len(rows))[:, None]
-        times = np.bincount(idx.ravel(), minlength=len(rows) * G).reshape(len(rows), G)
-        rows[...] = (times.astype(flat.dtype) @ flat).reshape(rows.shape)
-        if len(pools) == 1:
-            exact &= rows.sum(axis=(2, 3)).min(axis=1) > 0
-        for i in np.flatnonzero(~exact):
-            resample(substream(seed, lo + i), rows[i])
+
+    def tables(picks, pool):
+        """The count tables of (rows, n) picks among the n clusters of ``pool``."""
+        rows, n = picks.shape
+        picks += n * np.arange(rows)[:, None]
+        times = np.bincount(picks.ravel(), minlength=picks.size).reshape(rows, n)
+        return (times.astype(flat.dtype) @ flat[pool]).reshape(rows, *shape)
+
+    out = sum(tables(substream(seed, i).integers(0, pool.size, size=(b_draws, pool.size)), pool)
+              for i, pool in enumerate(pools)).astype(np.int64)
+    if len(pools) == 2:
+        return out
+    retry = substream(seed, 2)
+    for b in np.flatnonzero(out.sum(axis=(2, 3)).min(axis=1) == 0):
+        for _ in range(99):  # 100 tries with the first
+            out[b] = tables(retry.integers(0, G, size=(1, G)), pools[0])[0]
+            if out[b].sum(axis=(1, 2)).min() > 0:
+                break
+        else:
+            raise EstimationError("bootstrap could not produce both arms")
     return out
 
 
@@ -506,15 +466,10 @@ def _lf_draws(system: MomentSystem, b_draws: int, seed: int):
     Each soft row is recentred at its sample value at the minimizing omega,
     so every soft moment binds (the least-favorable configuration); the
     hard rows, the marginal-matching equalities and omega >= 0 hold exactly
-    and keep their own right-hand sides.  Draw b resamples with
-    its own substream ``(seed, b)`` into row b of one (B, 2, K, Q) count
-    array (:func:`_resample_draws`), which is then evaluated as one stack,
-    and without nuisance coordinates as one array operation.  Cluster draws
-    read each substream's raw PCG64 words and map them as
-    ``Generator.integers`` does; a draw where numpy would reject a half, or
-    a mixed-cluster draw whose first picks empty an arm, is redrawn by the
-    exact per-draw resampler.  ``tests/test_rng.py`` pins the mapping
-    against numpy.
+    and keep their own right-hand sides.  The B count tables come from
+    :func:`_resample_draws`, one generator per arm or cluster pool, and are
+    evaluated as one stack, without nuisance coordinates as one array
+    operation.
     """
     sds = system.moment_sds()
     hard = _hard_rows(system, sds)

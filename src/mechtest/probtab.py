@@ -225,11 +225,11 @@ def _layout(header, path):
     for col in ("y", "d"):
         if col not in header:
             raise StructuralError(f"{path}: missing required column '{col}'")
-    for col in ("y", "d", "cluster", "z", "pscore"):
-        if header.count(col) > 1:
-            raise StructuralError(f"{path}: column '{col}' appears more than once")
     m_cols = sorted((h for h in header if h.startswith("m") and h[1:].isdigit()),
                     key=lambda h: int(h[1:]))
+    for col in ("y", "d", "cluster", "z", "pscore", *m_cols):
+        if header.count(col) > 1:
+            raise StructuralError(f"{path}: column '{col}' appears more than once")
     if not m_cols:
         raise StructuralError(f"{path}: no mediator columns m1..mp found")
     if m_cols != [f"m{i + 1}" for i in range(len(m_cols))]:

@@ -18,6 +18,7 @@ from mechtest.inference import (
     CellCountWarning,
     MomentRow,
     MomentSystem,
+    _hard_rows,
     _minmax_statistic,
     build_moment_system,
     median_cluster_cell_count,
@@ -71,7 +72,7 @@ def test_general_system_dimensions():
     assert system.n_rows == K * (1 + Q)
     assert system.e1.shape == (2 * K, system.n_omega) and system.e2.shape == (2 * K, system.p_hat.size)
     assert {row.kind for row in system.rows} == {"budget", "gap"}
-    assert not system.hard_mask().any()
+    assert not _hard_rows(system, system.moment_sds()).any()
     # a positive defier budget pins nothing: all K^2 shares, one hard budget row
     system = build(rec, RestrictionSet.defier_budget(support, 0.1))
     assert system.n_omega == K * K + K * Q  # 24 columns
@@ -233,10 +234,12 @@ def test_compact_system_matches_the_row_form_reference():
         assert system.n_rows == K * (1 + Q) + sum(row.kind == "restriction" for row in system.rows)
         values = []
         for sys_ in (system, reference):
-            sds, hard = sys_.moment_sds(), sys_.hard_mask()
+            sds = sys_.moment_sds()
+            hard = _hard_rows(sys_, sds)
             zero = np.zeros(sys_.n_rows)
             values.append(_minmax_statistic(sys_, sys_.p_hat, zero, sds, hard)[0])
-        sds, hard = reference.moment_sds(), reference.hard_mask()
+        sds = reference.moment_sds()
+        hard = _hard_rows(reference, sds)
         ref = highs_minmax(reference, reference.p_hat, np.zeros(reference.n_rows), sds, hard,
                            allow_infeasible=True)
         assert_allclose(values, ref, rtol=1e-9, atol=1e-9)
@@ -277,7 +280,7 @@ def test_nu_ub_one_trivially_satisfiable():
     rec = binary_records(rng, 800, lift=0.4)
     system = build(rec, nu_ub=1.0)
     sds = system.moment_sds()
-    hard = system.hard_mask()
+    hard = _hard_rows(system, sds)
     t0, _ = _minmax_statistic(system, system.p_hat, np.zeros(system.n_rows), sds, hard)
     assert t0 <= 1e-10
 
@@ -310,7 +313,7 @@ def test_population_statistic_matches_slack_sign():
         rec = records_from_table(table, per_arm=grid * 4)
         system = build(rec, r)
         sds = system.moment_sds()
-        hard = system.hard_mask()
+        hard = _hard_rows(system, sds)
         t0, _ = _minmax_statistic(system, system.p_hat, np.zeros(system.n_rows), sds, hard)
         stat_zero = (not np.isfinite(t0)) is False and max(t0, 0.0) <= 1e-9
         slack = sharp_null_slack(table, r)
@@ -442,8 +445,8 @@ def test_unit_profiles_resample_as_the_per_record_cells():
                                      cluster_weight=np.ones(dense.shape[0], dtype=np.int64),
                                      cluster_arm=dense.sum(axis=(2, 3)).argmax(axis=1))
     for seed in range(5):
-        got = inference._make_resampler(system)(substream(seed, 0))
-        assert np.array_equal(got, inference._make_resampler(per_record)(substream(seed, 0)))
+        got = inference._resample_draws(system, 20, seed)
+        assert np.array_equal(got, inference._resample_draws(per_record, 20, seed))
 
 
 @pytest.mark.parametrize("nu_ub, message", [
@@ -819,7 +822,8 @@ def test_minmax_statistic_matches_highs_with_nuisance_coordinates():
     for K in (3, 4, 5):
         system = build(ordered_violation_records(rng, n=4000, K=K))
         assert system.n_omega > 0
-        sds, hard = system.moment_sds(), system.hard_mask()
+        sds = system.moment_sds()
+        hard = _hard_rows(system, sds)
         zero = np.zeros(system.n_rows)
         t0, omega_hat = _minmax_statistic(system, system.p_hat, zero, sds, hard)
         ref = highs_minmax(system, system.p_hat, zero, sds, hard)
@@ -827,29 +831,10 @@ def test_minmax_statistic_matches_highs_with_nuisance_coordinates():
         # one least-favorable draw: soft rows recentred at omega_hat
         soft = ~np.array([row.hard for row in system.rows])
         shift = np.where(soft, system.c2 @ system.p_hat - system.c1 @ omega_hat, 0.0)
-        p_star = inference.p_from_cells(inference._make_resampler(system)(substream(K, 0)))
+        p_star = inference.p_from_cells(inference._resample_draws(system, 1, K)[0])
         t_b, _ = _minmax_statistic(system, p_star, shift, sds, hard)
         ref = highs_minmax(system, p_star, shift, sds, hard)
         assert abs(t_b - ref) <= 1e-9 * (1.0 + abs(ref))
-
-
-def reference_draw(system, rng):
-    """One resampled (2, K, Q) count table as the per-draw loop made it,
-    summing the drawn clusters' count arrays."""
-    cells, arm = system.cluster_cells, system.cluster_arm
-    if (cells.sum(axis=(1, 2, 3)) == 1).all():  # the multinomial path is unchanged
-        return inference._make_resampler(system)(rng)
-    if (arm >= 0).all():
-        out = np.zeros(cells.shape[1:], dtype=np.int64)
-        for d in (0, 1):
-            pool = np.nonzero(arm == d)[0]
-            out += cells[pool[rng.integers(0, pool.size, pool.size)]].sum(axis=0)
-        return out
-    for _ in range(100):
-        out = cells[rng.integers(0, cells.shape[0], cells.shape[0])].sum(axis=0)
-        if out.sum(axis=(1, 2)).min() > 0:
-            return out
-    raise EstimationError("bootstrap could not produce both arms")
 
 
 def reference_p(cells):
@@ -861,9 +846,10 @@ def reference_p(cells):
 
 
 def reference_lf_draws(system, b_draws, seed):
-    """The LF bootstrap as a loop over draws, one vector at a time: the
-    reference for the stacked evaluation."""
-    sds, hard = system.moment_sds(), system.hard_mask()
+    """The LF bootstrap as a loop over the same count tables, one vector at
+    a time: the reference for the stacked evaluation."""
+    sds = system.moment_sds()
+    hard = _hard_rows(system, sds)
 
     def minmax(p_vec, shift):
         if system.n_omega:
@@ -881,8 +867,8 @@ def reference_lf_draws(system, b_draws, seed):
         soft = ~np.array([row.hard for row in system.rows], dtype=bool)
         shift[soft] = (system.c2 @ system.p_hat - system.c1 @ omega_hat)[soft]
     draws = np.empty(b_draws)
-    for b in range(b_draws):
-        t_b, _ = minmax(reference_p(reference_draw(system, substream(seed, b))), shift)
+    for b, cells in enumerate(inference._resample_draws(system, b_draws, seed)):
+        t_b, _ = minmax(reference_p(cells), shift)
         draws[b] = root_n * max(t_b, 0.0) if np.isfinite(t_b) else np.inf
     return statistic, np.sort(draws)
 
@@ -924,14 +910,13 @@ def lf_equivalence_case(name):
     if name == "mixed-clusters":
         return build(clustered(unit, np.arange(unit.n) % 40)), 300, 10
     if name == "one-treated-cluster":
-        # arm-pure pools of 37 control clusters (odd) and of one treated
-        # cluster, which the raw-word picks read no half for
+        # arm-pure pools of 37 control clusters and of one treated cluster
         labels = np.where(unit.d == 1, -1, np.arange(unit.n) % 37)
         return build(clustered(unit, labels)), 300, 13
     if name == "mixed-retry":
         return build(one_treated_cluster_records()), 300, 14
     if name == "hard-through-sd":
-        # one soft-flagged row with zero sd: hard through hard_mask alone,
+        # one soft-flagged row with zero sd: hard through its sd alone,
         # so the draws that move it above zero are +inf
         system = build(unit)
         j = int(np.argmin(system.c2 @ system.p_hat))
@@ -939,12 +924,12 @@ def lf_equivalence_case(name):
         sigma = np.where(used[:, None] | used[None, :], 0.0, system.sigma_hat)
         return dataclasses.replace(system, sigma_hat=sigma), 300, 11
     if name == "tied-draws":
-        # replicate 4 of the simulate run whose draws tie with the statistic
+        # replicate 5 of the simulate run whose draws tie with the statistic
         cp, tp = mc.cluster_pools()
         dgp = mc.MixtureDgp(control_pool=cp, treated_pool=tp, t=0.0, cluster_mode=True,
                             clusters_per_arm=20)
-        records = mc.draw_sample(dgp, mc._derive(789609968, 4))
-        return build(records, bins=5), 999, mc._derive(789609968, 4, 1)
+        records = mc.draw_sample(dgp, mc._derive(98, 5))
+        return build(records, bins=5), 999, mc._derive(98, 5, 1)
     assert name in ("ordered-nuisance", "ordered-negative-zero")
     return build(ordered_violation_records(rng, n=1500)), 200, 12
 
@@ -977,7 +962,7 @@ def test_stacked_lf_draws_equal_the_per_draw_loop(name, monkeypatch):
     if name == "hard-through-sd":
         assert np.isfinite(statistic) and 0 < np.isinf(order).sum() < b_draws
     if name == "tied-draws":
-        assert (np.abs(order - statistic) <= 1e-9 * statistic).any()
+        assert (np.abs(order - statistic) <= 1e-9 * statistic).any() and result.reject
     if name == "arm-pure-clusters":
         assert (system.cluster_arm >= 0).all()
     if name == "ordered-negative-zero":
@@ -986,74 +971,90 @@ def test_stacked_lf_draws_equal_the_per_draw_loop(name, monkeypatch):
         assert sorted((system.cluster_arm == d).sum() for d in (0, 1)) == [1, 37]
     if name == "mixed-retry":
         G = system.cluster_cells.shape[0]
-        missed = sum(G - 1 not in substream(seed, b).integers(0, G, G) for b in range(b_draws))
-        assert system.cluster_arm[-1] == -1 and 0 < missed < b_draws
+        missed = (substream(seed, 0).integers(0, G, size=(b_draws, G)) != G - 1).all(axis=1)
+        assert system.cluster_arm[-1] == -1 and 0 < missed.sum() < b_draws
 
 
-def per_draw_cells(system, b_draws, seed):
-    resample = inference._make_resampler(system)
-    return np.array([resample(substream(seed, b)) for b in range(b_draws)])
+def bootstrap_moments(system):
+    """Mean and covariance of one resampled count table, flattened: per arm
+    a multinomial over its cells when every profile is one record, else the
+    sum over pools (one per arm when the clusters are arm-pure, else one) of
+    n draws with replacement from the pool's n clusters."""
+    cells = system.cluster_cells.reshape(system.cluster_cells.shape[0], -1).astype(float)
+    if (cells.sum(axis=1) == 1).all():
+        agg = (system.cluster_weight[:, None] * cells).sum(axis=0).reshape(2, -1)
+        n, share = agg.sum(axis=1, keepdims=True), agg / agg.sum(axis=1, keepdims=True)
+        cov = np.zeros((cells.shape[1],) * 2)
+        for d, block in enumerate(np.split(np.arange(cells.shape[1]), 2)):
+            cov[np.ix_(block, block)] = n[d] * (np.diag(share[d]) - np.outer(share[d], share[d]))
+        return agg.reshape(-1), cov
+    arm = system.cluster_arm
+    pools = [arm == 0, arm == 1] if (arm >= 0).all() else [arm == arm]
+    dev = [cells[pool] - cells[pool].mean(axis=0) for pool in pools]
+    return cells.sum(axis=0), sum(x.T @ x for x in dev)
 
 
-@pytest.mark.parametrize("name", ["arm-pure-clusters", "one-treated-cluster", "mixed-retry"])
-def test_cluster_draws_equal_the_per_draw_resampler_in_any_block(name, monkeypatch):
+@pytest.mark.parametrize("name", ["unit", "unit-four-levels", "arm-pure-clusters",
+                                  "mixed-clusters"])
+def test_resampled_counts_have_the_bootstrap_mean_and_covariance(name):
     system, _, seed = lf_equivalence_case(name)
-    want = per_draw_cells(system, 50, seed)
-    got = inference._resample_draws(system, 50, seed)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
-    # blocks of three rows, and numpy's int64 product in place of the float64 one
-    monkeypatch.setattr(inference, "_DRAW_BLOCK", 3 * system.cluster_cells.shape[0])
+    b_draws = 8000
+    mean, cov = bootstrap_moments(system)
+    x = inference._resample_draws(system, b_draws, seed).reshape(b_draws, -1) - mean
+    # the cells and the two arm totals
+    to_totals = np.vstack([np.eye(mean.size), np.kron(np.eye(2), np.ones(mean.size // 2))])
+    x, cov = x @ to_totals.T, to_totals @ cov @ to_totals.T
+    # the sample mean, and the mean of the centred products, each within five
+    # Monte Carlo standard errors; an entry with no spread is matched exactly
+    for sample, want in ((x, 0.0), (x[:, :, None] * x[:, None, :], cov)):
+        gap = sample.mean(axis=0) - want
+        se = sample.std(axis=0) / np.sqrt(b_draws)
+        assert (np.abs(gap) <= 5 * se + 1e-9 * np.abs(want).max()).all()
+    assert (np.diag(cov) > 0).sum() >= 4
+
+
+@pytest.mark.parametrize("name", ["unit", "arm-pure-clusters", "mixed-clusters",
+                                  "one-treated-cluster", "mixed-retry"])
+def test_first_draws_do_not_depend_on_the_number_of_draws(name, monkeypatch):
+    system, _, seed = lf_equivalence_case(name)
+    draws = inference._resample_draws(system, 999, seed)
+    assert draws.dtype == np.int64 and draws.shape == (999, *system.cluster_cells.shape[1:])
+    assert np.array_equal(draws[:200], inference._resample_draws(system, 200, seed))
+    assert not np.array_equal(draws[:200], inference._resample_draws(system, 200, seed + 1))
+    # numpy's int64 product in place of the float64 one
     monkeypatch.setattr(inference, "_FLOAT_EXACT", 0)
-    assert np.array_equal(inference._resample_draws(system, 50, seed), want)
+    assert np.array_equal(inference._resample_draws(system, 999, seed), draws)
 
 
-def test_cluster_draws_redraw_the_rows_the_raw_words_cannot_reproduce(monkeypatch):
-    # rows flagged inexact (as in numpy's rejection zone) are garbage until redrawn
-    system, _, seed = lf_equivalence_case("arm-pure-clusters")
-    want = per_draw_cells(system, 40, seed)
-    from_raw = inference.integers_from_raw
-    flagged = []
-
-    def some_inexact(generators, sizes):
-        picks, exact = from_raw(generators, sizes)
-        exact[::3] = False
-        picks[~exact] = 0
-        flagged.append(int((~exact).sum()))
-        return picks, exact
-
-    monkeypatch.setattr(inference, "integers_from_raw", some_inexact)
-    monkeypatch.setattr(inference, "_DRAW_BLOCK", 7 * system.cluster_cells.shape[0])
-    assert np.array_equal(inference._resample_draws(system, 40, seed), want)
-    assert flagged == [3, 3, 3, 3, 3, 2]  # blocks of 7, 7, 7, 7, 7 and 5 rows
+@pytest.mark.parametrize("name", ["one-treated-cluster", "mixed-retry"])
+def test_draws_that_could_empty_an_arm_keep_both_arms(name):
+    system, b_draws, seed = lf_equivalence_case(name)
+    for s in (seed, seed + 1):
+        draws = inference._resample_draws(system, b_draws, s)
+        assert (draws.sum(axis=(2, 3)) > 0).all()
+        assert np.array_equal(draws, inference._resample_draws(system, b_draws, s))
 
 
 def test_mixed_cluster_resampler_retries_then_gives_up():
-    # 20 control-only clusters and one that holds every treated unit: a draw
-    # that misses it empties the treated arm and is redrawn
-    rng = np.random.default_rng(61)
-    d = np.r_[np.zeros(210, dtype=int), np.ones(100, dtype=int)]
-    rec = RecordSet(y=rng.integers(0, 2, d.size).astype(float),
-                    m=(rng.random(d.size) < 0.4).astype(float), d=d,
-                    cluster=np.minimum(np.arange(d.size) // 10, 20))
-    system = build(rec)
+    # 20 control-only clusters and one that holds every treated unit: a row
+    # that misses it empties the treated arm and is redrawn, in row order,
+    # from the retry substream
+    system = build(one_treated_cluster_records())
     assert system.cluster_arm.tolist() == [0] * 20 + [-1]
     cells = system.cluster_cells
     G = cells.shape[0]
-    resample = inference._make_resampler(system)
     retries = 0
-    for seed in range(30):
-        got = resample(substream(seed, 0))
-        ref_rng = substream(seed, 0)
-        for _ in range(100):
-            want = cells[ref_rng.integers(0, G, G)].sum(axis=0)
-            if want[1].sum() > 0:
-                break
-            retries += 1
-        assert got.dtype == np.int64 and np.array_equal(got, want)
-        assert np.array_equal(resample(substream(seed, 0)), got)  # deterministic
+    for seed in range(5):
+        got = inference._resample_draws(system, 200, seed)
+        picks, retry = substream(seed, 0).integers(0, G, size=(200, G)), substream(seed, 2)
+        for row, pick in zip(got, picks):
+            want = cells[pick].sum(axis=0)
+            while want[1].sum() == 0:
+                want = cells[retry.integers(0, G, G)].sum(axis=0)
+                retries += 1
+            assert np.array_equal(row, want)
     assert retries > 0
     no_treated = cells.copy()
     no_treated[:, 1] = 0
-    resample = inference._make_resampler(dataclasses.replace(system, cluster_cells=no_treated))
     with pytest.raises(EstimationError, match="could not produce both arms"):
-        resample(substream(0, 0))
+        inference._resample_draws(dataclasses.replace(system, cluster_cells=no_treated), 200, 0)

@@ -238,7 +238,7 @@ def test_csv_missing_required_column(tmp_path):
         read_csv(path)
 
 
-@pytest.mark.parametrize("col", ["y", "d", "cluster", "z", "pscore"])
+@pytest.mark.parametrize("col", ["y", "d", "cluster", "z", "pscore", "m1"])
 def test_csv_repeated_column_is_an_input_error(col, tmp_path, capsys):
     # a plain copy and a quoted one, which only the csv module splits
     header = ["y", "d", "m1", "cluster", "z", "pscore", col]
