@@ -1035,6 +1035,65 @@ def test_draws_that_could_empty_an_arm_keep_both_arms(name):
         assert np.array_equal(draws, inference._resample_draws(system, b_draws, s))
 
 
+def per_draw_cells(system, b_draws, seed):
+    """The cluster count tables drawn one row at a time, summing the picked
+    clusters' counts: pool i picks from ``substream(seed, i)``, and a
+    mixed-pool row that empties an arm is redrawn from ``substream(seed, 2)``.
+    Also the number of redrawn rows."""
+    cells, arm = system.cluster_cells, system.cluster_arm
+    G = cells.shape[0]
+    pools = [np.flatnonzero(arm == d) for d in (0, 1)] if (arm >= 0).all() else [np.arange(G)]
+    streams, retry = [substream(seed, i) for i in range(len(pools))], substream(seed, 2)
+    rows, redrawn = [], 0
+    for _ in range(b_draws):
+        row = sum(cells[pool[rng.integers(0, pool.size, pool.size)]].sum(axis=0)
+                  for pool, rng in zip(pools, streams))
+        redrawn += row.sum(axis=(1, 2)).min() == 0
+        while row.sum(axis=(1, 2)).min() == 0:
+            row = cells[retry.integers(0, G, G)].sum(axis=0)
+        rows.append(row)
+    return np.array(rows), redrawn
+
+
+@pytest.mark.parametrize("name", ["arm-pure-clusters", "one-treated-cluster", "mixed-retry"])
+def test_cluster_draws_equal_the_per_draw_resampler_in_any_block(name, monkeypatch):
+    system, _, seed = lf_equivalence_case(name)
+    want, redrawn = per_draw_cells(system, 50, seed)
+    assert (redrawn > 0) == (name == "mixed-retry")
+    # any number of draws gives the first rows of the per-draw loop
+    for b_draws in (1, 7, 50):
+        got = inference._resample_draws(system, b_draws, seed)
+        assert got.dtype == np.int64 and np.array_equal(got, want[:b_draws])
+    # numpy's int64 product in place of the float64 one
+    monkeypatch.setattr(inference, "_FLOAT_EXACT", 0)
+    assert np.array_equal(inference._resample_draws(system, 50, seed), want)
+
+
+def test_cluster_draws_redraw_the_rows_the_raw_words_cannot_reproduce():
+    # a treated pool of 70 001 clusters: a raw 32-bit word w maps to the pick
+    # (w * 70001) >> 32 unless it falls in numpy's rejection zone, about one
+    # word in 77 000, where numpy draws again; the one-call (B, n) draw still
+    # equals numpy's row-by-row picks past those words
+    n, b_draws, seed = 70_001, 3, 4
+    system, _, _ = lf_equivalence_case("arm-pure-clusters")
+    shape = system.cluster_cells.shape[1:]
+    cells = np.zeros((4 + n, *shape), dtype=np.int64)
+    cells[:4, 0, 0, 0] = 2  # four control clusters of two units
+    j = np.arange(n)
+    cells[4 + j, 1, j % shape[1], j // shape[1] % shape[2]] = 1 + j % 3
+    system = dataclasses.replace(system, cluster_cells=cells,
+                                 cluster_weight=np.ones(4 + n, dtype=np.int64),
+                                 cluster_arm=np.r_[np.zeros(4, dtype=int), np.ones(n, dtype=int)])
+    words = substream(seed, 1).bit_generator.random_raw(b_draws * n).view(np.uint32)
+    product = words[: b_draws * n].astype(np.uint64) * np.uint64(n)
+    assert ((product & np.uint64(2**32 - 1)) < (2**32 - n) % n).any()
+    picks = substream(seed, 1).integers(0, n, size=(b_draws, n))
+    assert not np.array_equal((product >> np.uint64(32)).reshape(b_draws, n), picks)
+    want, _ = per_draw_cells(system, b_draws, seed)
+    assert np.array_equal(inference._resample_draws(system, b_draws, seed), want)
+    assert np.array_equal(want[:, 1], cells[4 + picks].sum(axis=1)[:, 1])
+
+
 def test_mixed_cluster_resampler_retries_then_gives_up():
     # 20 control-only clusters and one that holds every treated unit: a row
     # that misses it empties the treated arm and is redrawn, in row order,

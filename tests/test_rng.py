@@ -33,6 +33,15 @@ def test_substreams_match_numpy_seedsequence(seed):
     assert len({substream(seed, b).bit_generator.state["state"]["state"] for b in range(50)}) == 50
 
 
+def test_substreams_cross_a_chunk_boundary():
+    # keys past 4096, as a long simulation's replicates reach, stay numpy's
+    # children and stay distinct
+    for b in (0, 4095, 4096, 4099):
+        assert substream(3, b).bit_generator.state == numpy_generator(3, b).bit_generator.state
+    keys = range(4090, 4110)
+    assert len({substream(3, b).bit_generator.state["state"]["state"] for b in keys}) == len(keys)
+
+
 def test_substreams_checks_its_inputs_before_drawing():
     with pytest.raises(StructuralError, match="seed must be a non-negative integer, got -1"):
         substream(-1, 5)
