@@ -117,17 +117,22 @@ def _nu_lower_bounds(table: DistTable, spec: IdentifiedSetSpec, tmins) -> np.nda
     return out
 
 
-def _slack_lp(table: DistTable, spec: IdentifiedSetSpec):
-    """LP ``min s`` s.t. gap_k <= P(M=m_k|1) - theta_kk + s``."""
+def _slack_program(table: DistTable, spec: IdentifiedSetSpec):
+    """LP ``min s`` s.t. gap_k <= P(M=m_k|1) - theta_kk + s``, s free."""
     K = spec.k
     ks = np.arange(K)
     rows = np.zeros((K, K * K + 1))
     rows[ks, ks * (K + 1)] = 1.0
     rows[:, -1] = -1.0
     gaps = np.array([delta_sup(table, k) for k in range(K)])
-    lp = spec.lp(np.concatenate([np.zeros(K * K), [1.0]]), rows, spec.p1 - gaps,
-                 extra_bounds=((-np.inf, np.inf),))
-    sol = solve_lp(lp)
+    return spec.lp(np.concatenate([np.zeros(K * K), [1.0]]), rows, spec.p1 - gaps,
+                   extra_bounds=((-np.inf, np.inf),))
+
+
+def _slack_lp(table: DistTable, spec: IdentifiedSetSpec):
+    """The optimum of :func:`_slack_program` and its type shares."""
+    K = spec.k
+    sol = solve_lp(_slack_program(table, spec))
     if sol.status != OPTIMAL:
         raise SolverFailureError("slack LP did not solve on a feasible set")
     theta = spec.point(sol.point)[: K * K].reshape(K, K)

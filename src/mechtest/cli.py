@@ -26,8 +26,9 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__, bounds as bounds_mod, ident, inference, mc
-from .errors import MechtestError, StructuralError, UnsupportedCaseError
-from .probtab import DistTable, from_records, read_csv, support_from_values
+from .errors import MechtestError, SolverFailureError, StructuralError, UnsupportedCaseError
+from .linprog import INFEASIBLE, OPTIMAL, solve_lp
+from .probtab import DistTable, encode, from_records, read_csv, support_from_values
 from .typeshares import RestrictionSet, build_identified_set, min_defier_budget, theta_kk_min
 
 
@@ -216,7 +217,7 @@ def cmd_test(cfg):
             "use bounds/robustness for other identification strategies"
         )
     records = read_csv(cfg.input)
-    r = parse_restriction(cfg.restriction, support_from_values(records.m))
+    r = parse_restriction(cfg.restriction, encode(records).support)
     system = inference.build_moment_system(records, r, bins=parse_bins(cfg.bins))
     result = _run_test(cfg, system, cfg.seed)
     out = cfg.out or "test.json"
@@ -296,7 +297,7 @@ def cmd_simulate(cfg):
     parse_restriction(cfg.restriction, support_from_values(pooled_m))
 
     def replicate(records, seed):
-        r = parse_restriction(cfg.restriction, support_from_values(records.m))
+        r = parse_restriction(cfg.restriction, encode(records).support)
         system = inference.build_moment_system(records, r, bins=bins, min_cell=0)
         result = _run_test(cfg, system, seed)
         pooled = bounds_mod.nu_pooled_lower_bound(from_records(records, bins), r, auto_relax=True)
@@ -351,11 +352,17 @@ def cmd_diagnose(cfg):
         if count is None:
             count = inference.median_cluster_cell_count(records, bins=requested)
         counts["requested"] = count
+    # the slack s is free, so the sharp-null slack LP is empty exactly when
+    # the identified set is: its one phase 1 decides both
+    slack = solve_lp(bounds_mod._slack_program(table, spec))
+    if slack.status not in (OPTIMAL, INFEASIBLE):
+        raise SolverFailureError("slack LP neither solved nor certified empty")
+    feasible = slack.status == OPTIMAL
     marg = {d: table.marginal_m(d) for d in (0, 1)}
     payload = {
         "median_cell_counts": counts,
-        "identified_set_feasible": spec.feasible,
-        "min_defier_budget": None if spec.feasible else min_defier_budget(spec),
+        "identified_set_feasible": feasible,
+        "min_defier_budget": None if feasible else min_defier_budget(spec),
         "n_units": list(table.n_units) if table.n_units else None,
         "n_clusters": list(table.n_clusters) if table.n_clusters else None,
         # mediator values seen in only one arm are still registered in the
@@ -369,8 +376,8 @@ def cmd_diagnose(cfg):
             for k, p in enumerate(table.support.points)
         ],
     }
-    if spec.feasible:
-        payload["sharp_null_slack"] = bounds_mod._slack_lp(table, spec)[0]
+    if feasible:
+        payload["sharp_null_slack"] = float(slack.value)
     out = cfg.out or "diagnose.json"
     _write_json(out, payload)
     manifest = _write_manifest(cfg, [out])

@@ -7,15 +7,18 @@ before anything downstream touches them: records by the ``bins`` argument
 that every function reading them passes on to :func:`encode`, a table
 without records by :func:`discretize_outcome`.  :func:`encode` is the one
 map from records to cells and the only place records are binned; every
-table, moment system and cell count is a ``bincount`` over its codes.  Cells that receive no data carry mass zero
+table, moment system and cell count is a ``bincount`` over its codes.  A
+record set's bins-free codes are computed once, and each binning maps only
+its outcome levels.  Cells that receive no data carry mass zero
 rather than being dropped, which keeps indices stable for the moment-system
 builder.
 """
 
 import codecs
 import csv
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count, islice
 from numbers import Integral
 
 import numpy as np
@@ -132,7 +135,12 @@ class DistTable:
 
 @dataclass(frozen=True)
 class RecordSet:
-    """Unit records ``(y, m, d)`` with optional cluster / instrument / pscore."""
+    """Unit records ``(y, m, d)`` with optional cluster / instrument / pscore.
+
+    The record set holds read-only copies of its arrays, so its bins-free
+    codes, computed when :func:`encode` first reads them, never go stale;
+    the caller's own arrays stay as they were.
+    """
 
     y: np.ndarray
     m: np.ndarray
@@ -142,8 +150,8 @@ class RecordSet:
     pscore: np.ndarray = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        m = np.asarray(self.m, dtype=float)
+        y = np.array(self.y, dtype=float)
+        m = np.array(self.m, dtype=float)
         if m.ndim == 1:
             m = m[:, None]
         d = np.asarray(self.d)
@@ -155,7 +163,7 @@ class RecordSet:
         d = d.astype(int)
         cluster = self.cluster
         if cluster is not None:
-            cluster = np.asarray(cluster)
+            cluster = np.array(cluster)
             if cluster.shape != (n,):
                 raise StructuralError("cluster column length mismatch")
         z = self.z
@@ -166,18 +174,21 @@ class RecordSet:
             z = z.astype(int)
         pscore = self.pscore
         if pscore is not None:
-            pscore = np.asarray(pscore, dtype=float)
+            pscore = np.array(pscore, dtype=float)
             if pscore.shape != (n,):
                 raise StructuralError("pscore column length mismatch")
         for name, arr in (("y", y), ("m", m), ("pscore", pscore)):
             if arr is not None and not np.isfinite(arr).all():
                 raise StructuralError(f"non-finite values in column {name}")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "cluster", cluster)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "pscore", pscore)
+        for name, arr in (("y", y), ("m", m), ("d", d), ("cluster", cluster), ("z", z),
+                          ("pscore", pscore)):
+            if arr is not None:
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def _codes(self):
+        return _record_codes(self)
 
     @property
     def n(self):
@@ -307,11 +318,16 @@ def _read_plain(path):
         try:
             fields, cluster, parts = _layout(header, path)
             while lines := list(islice(fh, BLOCK_ROWS)):
-                distinct, rows = dict.fromkeys(lines), None
-                if len(distinct) < len(lines):
-                    code = dict(zip(distinct, range(len(distinct))))
-                    rows = np.fromiter(map(code.__getitem__, lines), np.intp, len(lines))
-                tokens = _plain_fields(b"".join(distinct), width, limit)
+                # each row's first occurrence, renumbered densely among the distinct lines
+                first = {}
+                rows = np.fromiter(map(first.setdefault, lines, count()), np.intp, len(lines))
+                if len(first) < len(lines):
+                    dense = np.empty(len(lines), np.intp)
+                    dense[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
+                    rows = dense[rows]
+                else:
+                    rows = None
+                tokens = _plain_fields(b"".join(first), width, limit)
                 if tokens is None:
                     return None
                 _add_block(parts, lambda j: tokens[j::width], fields, cluster, rows)
@@ -361,20 +377,27 @@ def _read_dialect(path):
     return parts
 
 
+def _mediator_rows(m):
+    """Mediator rows as an (n, p) float array; + 0.0 folds -0.0 into 0.0, so
+    equal points share one code."""
+    m = np.asarray(m, dtype=float)
+    return (m[:, None] if m.ndim == 1 else m) + 0.0
+
+
+def _registry(points):
+    return MediatorSupport(points=tuple(map(tuple, points.tolist())),
+                           totally_ordered=points.shape[1] == 1)
+
+
 def _mediator_codes(m):
     """Support registry of the mediator rows and each row's index into it."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    # + 0.0 folds -0.0 into 0.0, so equal points share one code
+    m = _mediator_rows(m)
     if m.shape[1] == 1:
-        points, k_of = np.unique(m[:, 0] + 0.0, return_inverse=True)
+        points, k_of = np.unique(m[:, 0], return_inverse=True)
         points = points[:, None]
     else:
-        points, k_of = np.unique(m + 0.0, axis=0, return_inverse=True)
-    support = MediatorSupport(points=tuple(map(tuple, points.tolist())),
-                              totally_ordered=m.shape[1] == 1)
-    return support, k_of.reshape(-1)
+        points, k_of = np.unique(m, axis=0, return_inverse=True)
+    return _registry(points), k_of.reshape(-1)
 
 
 def support_from_values(m) -> MediatorSupport:
@@ -383,9 +406,11 @@ def support_from_values(m) -> MediatorSupport:
     Scalar supports are sorted increasing and flagged totally ordered
     (mediator values seen in only one arm are registered in the same common
     sorted support); vector supports keep lexicographic order and rely on
-    the elementwise partial order.
+    the elementwise partial order.  These are the points of
+    :func:`_mediator_codes`, found without coding every row.
     """
-    return _mediator_codes(m)[0]
+    m = _mediator_rows(m)
+    return _registry(np.unique(m[:, 0])[:, None] if m.shape[1] == 1 else np.unique(m, axis=0))
 
 
 @dataclass(frozen=True)
@@ -395,13 +420,16 @@ class Encoding:
     ``cell_of[i] = (d * K + k) * Q + q`` places row i in arm d, at support
     point k and outcome level q; ``cluster_of[i]`` numbers its independent
     unit: its cluster, in order of first appearance, or the row itself when
-    there is no cluster column.
+    there is no cluster column.  ``codes`` are the records' bins-free codes
+    and ``cell_map`` sends each of their unbinned cells to its cell here.
     """
 
     support: MediatorSupport
     outcome_levels: tuple
     cell_of: np.ndarray
     cluster_of: np.ndarray
+    codes: "_Codes" = field(repr=False, compare=False, kw_only=True)
+    cell_map: np.ndarray = field(repr=False, compare=False, kw_only=True)
 
     @property
     def shape(self):
@@ -423,14 +451,67 @@ class Encoding:
         return flat.reshape(-1, *self.shape)
 
     def units_per_cell(self):
-        """Distinct independent units in each occupied (arm, M, Y) cell."""
+        """Distinct independent units in each occupied (arm, M, Y) cell.
+
+        Binning is monotone in the outcome level, so the distinct (unit,
+        cell) pairs are the codes' unbinned pairs, mapped, with consecutive
+        repeats dropped."""
         if self.unit_level:
-            counts = self.cell_sums().reshape(-1)
-            return counts[counts > 0]
-        n_cells = int(np.prod(self.shape))
-        pairs = np.unique(self.cluster_of * n_cells + self.cell_of)
-        per_cell = np.bincount(pairs % n_cells)
+            per_cell = self.cell_sums().reshape(-1)
+        else:
+            pair_unit, pair_cell = self.codes.pairs
+            key = pair_unit * self.cell_map.size + self.cell_map[pair_cell]
+            per_cell = np.bincount(key[np.r_[True, np.diff(key) != 0]] % self.cell_map.size)
         return per_cell[per_cell > 0]
+
+
+@dataclass(frozen=True)
+class _Codes:
+    """The bins-free codes of a record set, from which :func:`encode` builds
+    every binned :class:`Encoding` by mapping only its outcome levels.
+
+    ``levels`` are the distinct outcomes, increasing, and ``level_counts``
+    their rows; ``cell_of`` and ``cluster_of`` are the fields of the unbinned
+    encoding.  ``pairs`` are the distinct (unit, unbinned cell) pairs in
+    increasing order, found when first read.
+    """
+
+    support: MediatorSupport
+    levels: np.ndarray
+    level_counts: np.ndarray
+    cell_of: np.ndarray
+    cluster_of: np.ndarray
+
+    @cached_property
+    def pairs(self):
+        n_raw = 2 * self.support.k * self.levels.size
+        return np.divmod(np.unique(self.cluster_of * n_raw + self.cell_of), n_raw)
+
+
+def _record_codes(records: RecordSet) -> _Codes:
+    support, k_of = _mediator_codes(records.m)
+    levels, q_of, level_counts = np.unique(records.y + 0.0, return_inverse=True,
+                                           return_counts=True)
+    cell_of = (records.d * support.k + k_of) * levels.size + q_of.reshape(-1)
+    if records.cluster is None:
+        cluster_of = np.arange(records.n)
+    else:
+        _, first, inverse = np.unique(records.cluster, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(first.size)
+        cluster_of = rank[inverse.reshape(-1)]
+    cell_of.flags.writeable = cluster_of.flags.writeable = False
+    return _Codes(support, levels, level_counts, cell_of, cluster_of)
+
+
+def _count_cutpoints(levels, counts, n_bins):
+    """:func:`quantile_cutpoints` of the values that repeat ``levels[i]``
+    ``counts[i]`` times, read off the cumulative counts without a sort."""
+    n = int(counts.sum())
+    if n == 0:
+        raise StructuralError("no values to compute quantiles from")
+    idx = np.ceil(np.arange(1, n_bins) / n_bins * n).astype(int) - 1
+    return np.unique(levels[np.searchsorted(np.cumsum(counts), np.maximum(idx, 0), side="right")])
 
 
 def encode(records: RecordSet, bins=None) -> Encoding:
@@ -441,30 +522,28 @@ def encode(records: RecordSet, bins=None) -> Encoding:
     and, with ``bins`` (a bin count, any integer but a bool, for pooled
     quantile cutpoints, or a sequence of the cutpoints themselves),
     right-closed outcome intervals each labelled by the smallest value
-    observed in it.
+    observed in it.  The records' bins-free codes are computed once per
+    record set; a binning maps only their Q outcome levels.
     """
-    support, k_of = _mediator_codes(records.m)
-    levels, q_of = np.unique(records.y + 0.0, return_inverse=True)
-    if bins is not None:
-        cuts = bins
-        if np.ndim(bins) == 0:
-            if isinstance(bins, bool) or not isinstance(bins, Integral):
-                raise StructuralError(f"bins must be an integer count or a sequence of "
-                                      f"cutpoints, got {bins!r}")
-            if bins < 2:
-                raise StructuralError(f"bins must be at least 2, got {bins}")
-            cuts = quantile_cutpoints(records.y, int(bins))
-        levels, bin_of_level = _bin_levels(levels, _check_cutpoints(cuts))
-        q_of = bin_of_level[q_of]
-    if records.cluster is None:
-        cluster_of = np.arange(records.n)
-    else:
-        _, first, inverse = np.unique(records.cluster, return_index=True, return_inverse=True)
-        rank = np.empty(first.size, dtype=np.intp)
-        rank[np.argsort(first)] = np.arange(first.size)
-        cluster_of = rank[inverse.reshape(-1)]
-    cell_of = (records.d * support.k + k_of) * levels.size + q_of.reshape(-1)
-    return Encoding(support, tuple(levels.tolist()), cell_of, cluster_of)
+    codes = records._codes
+    n_arm_points = 2 * codes.support.k
+    if bins is None:
+        return Encoding(codes.support, tuple(codes.levels.tolist()), codes.cell_of,
+                        codes.cluster_of, codes=codes,
+                        cell_map=np.arange(n_arm_points * codes.levels.size))
+    cuts = bins
+    if np.ndim(bins) == 0:
+        if isinstance(bins, bool) or not isinstance(bins, Integral):
+            raise StructuralError(f"bins must be an integer count or a sequence of "
+                                  f"cutpoints, got {bins!r}")
+        if bins < 2:
+            raise StructuralError(f"bins must be at least 2, got {bins}")
+        cuts = _count_cutpoints(codes.levels, codes.level_counts, int(bins))
+    levels, bin_of_level = _bin_levels(codes.levels, _check_cutpoints(cuts))
+    # unbinned cell (arm and point a, level q) -> binned cell (a, bin of q)
+    cell_map = (np.arange(n_arm_points)[:, None] * levels.size + bin_of_level).reshape(-1)
+    return Encoding(codes.support, tuple(levels.tolist()), cell_map[codes.cell_of],
+                    codes.cluster_of, codes=codes, cell_map=cell_map)
 
 
 def from_records(records: RecordSet, bins=None) -> DistTable:
@@ -480,7 +559,10 @@ def from_records(records: RecordSet, bins=None) -> DistTable:
     enc = encode(records, bins)
     n_clusters = None
     if records.cluster is not None:
-        n_clusters = tuple(int(np.unique(enc.cluster_of[records.d == d]).size) for d in (0, 1))
+        # the units with a row in each arm
+        seen = np.zeros((2, enc.cluster_of.max() + 1), dtype=bool)
+        seen[records.d, enc.cluster_of] = True
+        n_clusters = tuple(int(c) for c in seen.sum(axis=1))
     return DistTable(
         support=enc.support,
         outcome_levels=enc.outcome_levels,

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mechtest import inference, mc
+from mechtest import inference, mc, probtab
 from mechtest.cli import (
     OPTIONS, _load_table, _simulate_design, build_parser, main, resolve_config,
 )
@@ -525,6 +525,32 @@ def test_simulate_reads_each_median_cell_count_off_the_moment_system(tmp_path, c
     for sim, row in enumerate(rows):
         sample = mc.draw_sample(dgp, mc._derive(5, sim))
         assert row["median_cell_count"] == f"{original(sample, bins=5):.10g}"
+
+
+@pytest.mark.parametrize("args, calls", [
+    (["diagnose", "--bins", "3", "--input", "clustered"], 1),
+    (["test", "--method", "lf-boot", "--boot", "200", "--input", "fixture"], 1),
+    (["simulate", "--nsims", "3", "--n", "400", "--bins", "5", "--method", "cond-chisq"], 3),
+])
+def test_each_record_set_codes_its_mediator_rows_once(args, calls, tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(13)
+    g = np.repeat(np.arange(41), 25)
+    m = (rng.random(g.size) < 0.3 + 0.3 * (g % 2)).astype(int)
+    clustered = tmp_path / "clustered.csv"
+    np.savetxt(clustered, np.column_stack([rng.integers(0, 3, g.size) + m, g % 2, m, g]),
+               fmt="%d", delimiter=",", header="y,d,m1,cluster", comments="")
+    paths = {"clustered": str(clustered), "fixture": str(FIXTURE)}
+    seen = []
+    original = probtab._mediator_codes
+
+    def counting(m):
+        seen.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(probtab, "_mediator_codes", counting)
+    code, _ = run_cli([paths.get(a, a) for a in args] + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("command", ["test", "bounds", "diagnose"])

@@ -749,3 +749,87 @@ def test_quantile_cutpoints_match_the_per_bin_loop():
                 want = per_bin(values, n_bins)
                 assert np.array_equal(np.array(got), np.array(want))
                 assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+def _reference_encoding(records, bins):
+    """Encoding fields, unit counts per cell and table of ``records`` as they
+    were computed before the codes were shared: every row through
+    ``np.unique``, quantile cutpoints off the sorted outcomes and the distinct
+    (unit, cell) pairs by ``np.unique``."""
+    points, k_of = np.unique(records.m + 0.0, axis=0, return_inverse=True)
+    levels, q_of = np.unique(records.y + 0.0, return_inverse=True)
+    if bins is not None:
+        cuts = bins if np.ndim(bins) else quantile_cutpoints(records.y, int(bins))
+        labels = np.searchsorted(cuts, levels, side="left")
+        _, first, bin_of_level = np.unique(labels, return_index=True, return_inverse=True)
+        levels, q_of = levels[first], bin_of_level.reshape(-1)[q_of]
+    if records.cluster is None:
+        cluster_of = np.arange(records.n)
+    else:
+        first_seen = {}
+        cluster_of = np.array([first_seen.setdefault(c, len(first_seen))
+                               for c in records.cluster.tolist()])
+    K, Q = len(points), levels.size
+    cell_of = (records.d * K + k_of.reshape(-1)) * Q + q_of.reshape(-1)
+    n_cells = 2 * K * Q
+    per_cell = np.bincount(np.unique(cluster_of * n_cells + cell_of) % n_cells)
+    arm_n = np.bincount(records.d, minlength=2)
+    n_clusters = None
+    if records.cluster is not None:
+        n_clusters = tuple(len(set(records.cluster[records.d == a].tolist())) for a in (0, 1))
+    return dict(points=tuple(map(tuple, points.tolist())), totally_ordered=records.m.shape[1] == 1,
+                outcome_levels=tuple(levels.tolist()), cell_of=cell_of, cluster_of=cluster_of,
+                units=per_cell[per_cell > 0],
+                mass=np.bincount(cell_of, None, n_cells).reshape(2, K, Q) / arm_n[:, None, None],
+                n_units=tuple(int(c) for c in arm_n), n_clusters=n_clusters)
+
+
+def test_shared_codes_give_the_encodings_of_a_per_binning_encode():
+    rng = np.random.default_rng(34)
+    for case in range(120):
+        n = int(rng.integers(2, 80))
+        d = rng.integers(0, 2, n)
+        d[:2] = (0, 1)
+        p = 2 if case % 3 == 0 else 1
+        m = rng.choice([-0.0, 0.0, 1.0, 2.5], (n, p))
+        # tied outcomes, signed zeros, or distinct continuous values
+        y = (rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], n) if case % 2
+             else rng.normal(size=n).round(int(rng.integers(0, 4))))
+        cluster = None
+        if case % 4:
+            # padded labels are labels of their own
+            cluster = np.array([(" c%d", "c%d ", "c%d")[g % 3] % (g // 2)
+                                for g in rng.integers(0, max(n // (case % 4 + 1), 1), n)])
+        records = RecordSet(y=y, m=m, d=d, cluster=cluster)
+        for bins in (None, 2, 3, 5, 10, n + 7, np.int64(5), (-0.5, 0.0, 1.0)):
+            want = _reference_encoding(records, bins)
+            enc = encode(records, bins)
+            assert enc.support.points == want["points"]
+            assert enc.support.totally_ordered == want["totally_ordered"]
+            assert enc.outcome_levels == want["outcome_levels"]
+            for name in ("cell_of", "cluster_of"):
+                got = getattr(enc, name)
+                assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+            units = enc.units_per_cell()
+            assert units.dtype == want["units"].dtype and np.array_equal(units, want["units"])
+            table = from_records(records, bins)
+            assert np.array_equal(table.mass, want["mass"])
+            assert table.n_units == want["n_units"] and table.n_clusters == want["n_clusters"]
+
+
+def test_a_record_set_holds_read_only_copies_of_its_arrays():
+    columns = dict(y=np.array([0.0, 1.0, 2.0, 1.0]), m=np.array([[0.0], [1.0], [1.0], [0.0]]),
+                   d=np.array([0, 1, 1, 0]), cluster=np.array(["a", "b", "b", "a"]),
+                   z=np.array([0, 1, 0, 1]), pscore=np.full(4, 0.5))
+    records = RecordSet(**columns)
+    before = encode(records, 2)
+    for name, values in columns.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(records, name)[0] = values[1]
+        values[0] = values[1]  # the caller's array stays writable and is not the record set's
+    assert records.y[0] == 0.0 and records.cluster[0] == "a"
+    after = encode(records, 2)
+    assert after.outcome_levels == before.outcome_levels
+    assert np.array_equal(after.cell_of, before.cell_of)
+    with pytest.raises(ValueError, match="read-only"):
+        encode(records).cell_of[0] = 1
