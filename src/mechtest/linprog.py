@@ -13,6 +13,11 @@ implementation favors robustness and verifiable certificates over speed:
   ``FeasibleSet`` and one objective.  The type-share LPs of one identified
   set share its ``FeasibleSet``, built when the set is first read, so
   phase 1 runs at most once per identified set, not once per objective.
+  Phase 1 starts from the artificial columns, or from the basis a
+  program's ``start`` names for its equality rows, completed by slacks
+  and artificials; the type-share programs name the quantile coupling of
+  their mediator marginals, which leaves phase 1 only the inequality rows
+  it violates.  A program without a ``start`` solves exactly as before.
   Each pivot prices with one ``argmin`` of the reduced costs, runs one
   ratio test over the positive entries of the entering column and updates
   only the rows whose entry in that column is nonzero, so a few array
@@ -55,6 +60,7 @@ QP_PRIMAL_TOL = 1e-7  # relative row violation a QP start or optimum may have
 DEP_TOL = 1e-9
 _MAX_PIVOTS = 20000
 _MAX_DINKELBACH_STEPS = 100
+_START_COND = 1e8  # largest 1-norm condition number of a start basis; above it, singular
 _QP_SCALE = 2.0  # largest curvature of |x[:n_dist]|^2: scales the QP's multiplier tolerances
 _LSQ_RCOND = np.sqrt(1e-11)  # relative singular-value cutoff of the QP step
 
@@ -93,6 +99,11 @@ class LinearProgram:
     entry must be finite.  The same object doubles as a feasible-set
     description for :func:`solve_lfp` and :func:`solve_qp`, which ignore
     ``objective``.
+
+    ``start`` optionally names, for each equality row, the variable that
+    starts basic in that row, or -1; :class:`FeasibleSet` starts phase 1
+    from that basis (see there).  It is stored as an int array.  The
+    answers do not depend on it beyond rounding.
     """
 
     objective: np.ndarray
@@ -101,6 +112,7 @@ class LinearProgram:
     ub_matrix: np.ndarray = None
     ub_rhs: np.ndarray = None
     bounds: np.ndarray = None
+    start: np.ndarray = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -127,6 +139,15 @@ class LinearProgram:
         if np.isnan(bounds).any():
             raise StructuralError("bounds may not be NaN")
         object.__setattr__(self, "bounds", bounds)
+        if self.start is not None:
+            start = np.asarray(self.start)
+            if start.shape != (aeq.shape[0],) or (start.size and start.dtype.kind not in "iu"):
+                raise StructuralError(f"start must hold {aeq.shape[0]} integers, one per "
+                                      f"equality row; got shape {start.shape}")
+            start = start.astype(np.intp)
+            if ((start < -1) | (start >= n)).any():
+                raise StructuralError(f"start names a variable outside -1..{n - 1}")
+            object.__setattr__(self, "start", start)
 
     @property
     def n_vars(self):
@@ -333,11 +354,58 @@ def _where(phase, n_pivots, n_vars, n_rows, kept=None):
             f"{n_vars} variables and {n_rows} rows{dropped}")
 
 
+def _start_basis(sf: StandardForm, start):
+    """Phase 1's starting basis named by a ``start`` hint, as ``(basis, neg,
+    X)``, or None when the hint names no variable, or its basis is singular
+    (its condition number exceeds ``_START_COND``, read off the solve) or
+    gives a hinted variable a level below zero beyond rounding.
+
+    Each hinted variable is basic in its equality row through its first
+    standard-form column.  Every other row holds the slack of an inequality
+    row the start point satisfies, or else an artificial; ``neg`` flips the
+    rows of those artificials whose level is negative, and the other rows as
+    a cold start does (``b < 0``).  ``X`` is ``B0^-1 [A | I | b]`` over the
+    unflipped standard form, ``B0`` the identity with each hinted row's
+    column in place: the one solve from which :class:`FeasibleSet` reads the
+    tableau in that basis.
+    """
+    A, b = sf.matrix, sf.rhs
+    m, nz = A.shape
+    rows = np.flatnonzero(start >= 0)
+    if not rows.size:
+        return None
+    basis = np.arange(nz, nz + m)
+    basis[rows] = np.abs(sf.T).argmax(axis=1)[start[rows]]
+    B0 = np.eye(m)
+    B0[:, rows] = A[:, basis[rows]]
+    try:
+        X = np.linalg.solve(B0, np.hstack([A, np.eye(m), b[:, None]]))
+    except np.linalg.LinAlgError:
+        return None
+    level = X[:, -1]
+    cond = np.abs(B0).sum(axis=0).max() * np.abs(X[:, nz: nz + m]).sum(axis=0).max()
+    if not cond <= _START_COND or (
+            level[rows].min(initial=0.0) < -1e-12 * (1.0 + np.abs(b).max(initial=0.0))):
+        return None
+    n_eq = start.size
+    slack = (np.arange(m) >= n_eq) & (level >= 0.0)
+    basis[slack] -= m  # row i's artificial is column nz + i, and an ub row's slack nz - m + i
+    return basis, np.where(basis >= nz, level < 0.0, b < 0.0), X
+
+
 class FeasibleSet:
     """The feasible set of one LP, over which many objectives are minimized.
 
     Phase 1 and the ejection of the artificial columns read only the
-    constraints, so they run once, here.  A row whose artificial cannot be
+    constraints, so they run once, here.  Phase 1 starts from the
+    artificial columns, or, when ``lp.start`` names a basis, from the
+    basis of :func:`_start_basis`: the hinted variables, the slacks of the
+    inequality rows their point satisfies and an artificial in every other
+    row, its row flipped so that it is nonnegative.  One solve expresses
+    the tableau in that basis, and its artificial block still holds
+    ``B^-1``, so an empty set's Farkas ray is read off it as after a cold
+    start.  A hint whose basis is singular or puts a hinted variable below
+    zero is ignored.  A row whose artificial cannot be
     ejected is redundant and is dropped.  A feasible set keeps the
     resulting tableau over the kept rows, its basis (one int array, the
     real column basic in each kept row) and the kept rows of the scaled A
@@ -355,9 +423,10 @@ class FeasibleSet:
 
     def __init__(self, lp: LinearProgram):
         sf = standard_form(lp)
+        start = None if lp.start is None else _start_basis(sf, lp.start)
         A = sf.matrix.copy()
         b = sf.rhs.copy()
-        neg = b < 0
+        neg = b < 0 if start is None else start[1]
         A[neg] *= -1.0
         b[neg] *= -1.0
         m, nz = A.shape
@@ -371,12 +440,28 @@ class FeasibleSet:
         col_scale = np.where(col_scale > 1e-14 * col_scale.max(initial=0.0), col_scale, 1.0)
         A = A / col_scale
         tab = np.zeros((m + 1, nz + m + 1))
-        tab[:m, :nz] = A
-        tab[:m, nz: nz + m] = np.eye(m)
-        tab[:m, -1] = b
-        tab[-1, :nz] = -A.sum(axis=0)
-        tab[-1, -1] = -b.sum()
-        basis = np.arange(nz, nz + m)
+        if start is None:
+            tab[:m, :nz] = A
+            tab[:m, nz: nz + m] = np.eye(m)
+            tab[:m, -1] = b
+            tab[-1, :nz] = -A.sum(axis=0)
+            tab[-1, -1] = -b.sum()
+            basis = np.arange(nz, nz + m)
+        else:
+            # B^-1 of the flipped, scaled system is B0^-1 with the flips on its
+            # columns, its rows scaled back by the basic columns' scales (by the
+            # flip, for an artificial).
+            basis, _, X = start
+            sign = np.where(neg, -1.0, 1.0)
+            art = basis >= nz
+            row_scale = np.where(art, sign, col_scale[np.where(art, 0, basis)])[:, None]
+            tab[:m, :nz] = row_scale * X[:, :nz] / col_scale
+            tab[:m, nz: nz + m] = row_scale * X[:, nz: nz + m] * sign
+            # a hinted level may sit within rounding below zero
+            tab[:m, -1] = np.maximum(row_scale[:, 0] * X[:, -1], 0.0)
+            tab[:, basis] = np.eye(m + 1, m)  # exact unit columns, free of the solve's rounding
+            tab[-1, nz: nz + m] = 1.0  # phase 1 costs the artificials, less the basic rows'
+            tab[-1] -= tab[:m][art].sum(axis=0)
         status, piv = _simplex_phase(tab, basis, nz, 1, 0)
         if status != OPTIMAL:  # pragma: no cover - phase 1 cannot be unbounded
             raise SolverFailureError("phase 1 terminated without an optimum")

@@ -389,6 +389,23 @@ def _registry(points):
                            totally_ordered=points.shape[1] == 1)
 
 
+def _unique_rows(m):
+    """The distinct rows of the (n, p) array ``m`` in lexicographic order and
+    each row's index among them, as ``np.unique(m, axis=0,
+    return_inverse=True)`` gives them.  Each column's codes extend one
+    integer key, re-coded after each column so that it stays below n; one
+    ``np.unique`` of the key then orders the rows, and each point is read
+    off its first row."""
+    key = np.unique(m[:, 0], return_inverse=True)[1].reshape(-1)
+    for j in range(1, m.shape[1]):
+        levels, code = np.unique(m[:, j], return_inverse=True)
+        key = key * levels.size + code.reshape(-1)
+        if j < m.shape[1] - 1:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+    _, first, k_of = np.unique(key, return_index=True, return_inverse=True)
+    return m[first], k_of.reshape(-1)
+
+
 def _mediator_codes(m):
     """Support registry of the mediator rows and each row's index into it."""
     m = _mediator_rows(m)
@@ -396,7 +413,7 @@ def _mediator_codes(m):
         points, k_of = np.unique(m[:, 0], return_inverse=True)
         points = points[:, None]
     else:
-        points, k_of = np.unique(m, axis=0, return_inverse=True)
+        points, k_of = _unique_rows(m)
     return _registry(points), k_of.reshape(-1)
 
 
@@ -407,10 +424,10 @@ def support_from_values(m) -> MediatorSupport:
     (mediator values seen in only one arm are registered in the same common
     sorted support); vector supports keep lexicographic order and rely on
     the elementwise partial order.  These are the points of
-    :func:`_mediator_codes`, found without coding every row.
+    :func:`_mediator_codes`; scalar ones are found without coding every row.
     """
     m = _mediator_rows(m)
-    return _registry(np.unique(m[:, 0])[:, None] if m.shape[1] == 1 else np.unique(m, axis=0))
+    return _registry(np.unique(m[:, 0])[:, None] if m.shape[1] == 1 else _unique_rows(m)[0])
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,12 @@ class IdentifiedSetSpec:
     not at all for a spec that only builds programs with :meth:`lp`, as
     :func:`bounds.robustness_curve` does where its feasibility rule allows.
     :meth:`minimize` solves every objective over it.
+
+    Every program of :meth:`lp` (the set's own, the slack, pooled and
+    breakdown programs and the robustness curve's points) starts phase 1
+    at :attr:`quantile_start`, the quantile coupling of ``p0`` and ``p1``,
+    where the restriction leaves that coupling's cells free: phase 1 then
+    has only the inequality rows the coupling violates left to fix.
     """
 
     support: MediatorSupport
@@ -187,6 +193,30 @@ class IdentifiedSetSpec:
     @cached_property
     def feasible_set(self):
         return FeasibleSet(self.lp(np.zeros(self.k**2)))
+
+    @cached_property
+    def quantile_start(self):
+        """The ``start`` hint of :meth:`lp`: the northwest-corner walk over
+        the cells (l, k), which moves down when the control arm's
+        cumulative mass through l is at most the treated arm's through k,
+        and otherwise right.  A cell the walk leaves down is basic in
+        row-sum row l, one it leaves right in column-sum row K + k, and the
+        last cell in row K - 1; the redundant row 2K - 1 keeps its
+        artificial.  None when the walk reaches a pinned cell, as it does
+        when the marginals violate monotonicity."""
+        K = self.k
+        F0, F1 = np.cumsum(self.p0)[:-1], np.cumsum(self.p1)[:-1]
+        down = np.argsort(np.concatenate([F0, F1]), kind="stable") < K - 1  # ties go down
+        l = np.concatenate([[0], np.cumsum(down)])
+        k = np.concatenate([[0], np.cumsum(~down)])
+        free = np.full(K * K, -1)
+        free[self.polytope[0]] = np.arange(self.polytope[0].size)
+        var = free[_flat(l, k, K)]
+        if (var < 0).any():
+            return None
+        start = np.full(2 * K, -1)
+        start[np.append(np.where(down, l[:-1], K + k[:-1]), K - 1)] = var
+        return start
 
     @property
     def k(self):
@@ -221,6 +251,7 @@ class IdentifiedSetSpec:
             ub_matrix=ub,
             ub_rhs=rhs,
             bounds=((0.0, np.inf),) * free.size + tuple(extra_bounds),
+            start=self.quantile_start,
         )
 
     def point(self, x):

@@ -888,3 +888,85 @@ def test_certificate_failures_name_shape_phase_and_residuals(monkeypatch):
                        match="singular basis at the optimum in phase 2 after .* pivots on "
                              "a standard form of 2 variables and 1 rows"):
         solve_lp(lp)
+
+
+# -- start hints ---------------------------------------------------------
+
+
+def _assert_same_answer(got, want):
+    assert got.status == want.status
+    if want.status == OPTIMAL:
+        assert abs(got.value - want.value) <= 1e-9 * (1.0 + abs(want.value))
+    if want.status == INFEASIBLE:
+        y, sf = got.farkas, got.standard
+        assert np.all(y @ sf.matrix <= 1e-7) and y @ sf.rhs > 0
+
+
+def test_a_start_hint_changes_no_answer():
+    """Fuzzed LPs over free, shifted, mirrored, boxed and fixed variables,
+    each solved cold and from a valid, a singular (one column named twice)
+    and an arbitrary hint; the empty ones carry a verified Farkas ray."""
+    rng = np.random.default_rng(43)
+    statuses, used = set(), {"valid": 0, "singular": 0, "negative": 0}
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        me, mu = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        Ae, Au = rng.normal(size=(me, n)), rng.normal(size=(mu, n))
+        x0 = rng.uniform(-1, 1, n)
+        be = Ae @ x0
+        bu = Au @ x0 + np.where(rng.random(mu) < 0.4, 0.0, rng.uniform(-0.3, 1.0, mu))
+        if rng.random() < 0.15:
+            be = be + rng.normal(size=me)
+        lp = LinearProgram(objective=rng.normal(size=n), eq_matrix=Ae, eq_rhs=be, ub_matrix=Au,
+                           ub_rhs=bu, bounds=_random_bounds(rng, x0))
+        cold = solve_lp(lp)
+        statuses.add(cold.status)
+        # a hint that names no variable is no hint
+        assert solution_bytes(solve_lp(replace(lp, start=[-1] * me))) == solution_bytes(cold)
+        hints = [rng.permutation(n)[:me] if me <= n else rng.integers(-1, n, me),
+                 rng.integers(-1, n, me)]
+        if me > 1:
+            hints.append(np.r_[[int(rng.integers(n))] * 2, rng.integers(-1, n, me - 2)])
+        for start in hints:
+            hinted = replace(lp, start=start)
+            basis = linprog._start_basis(linprog.standard_form(hinted), hinted.start)
+            named = start[start >= 0]
+            if np.unique(named).size < named.size:
+                assert basis is None
+                used["singular"] += 1
+            else:
+                used["valid" if basis is not None else "negative"] += 1
+            _assert_same_answer(solve_lp(hinted), cold)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert min(used.values()) > 50
+
+
+def test_a_start_hint_is_ignored_when_singular_or_below_zero():
+    # x0 + x1 = 1 and 2 x0 + 2 x1 = 2 name x0 twice: a singular basis
+    lp = LinearProgram(objective=[1.0, 2.0], eq_matrix=[[1.0, 1.0], [2.0, 2.0]],
+                       eq_rhs=[1.0, 2.0], start=[0, 0])
+    assert linprog._start_basis(linprog.standard_form(lp), lp.start) is None
+    assert solution_bytes(solve_lp(lp)) == solution_bytes(solve_lp(replace(lp, start=None)))
+    # x0 - x1 = -1 puts x0 at -1
+    lp = LinearProgram(objective=[1.0, 1.0], eq_matrix=[[1.0, -1.0]], eq_rhs=[-1.0], start=[0])
+    assert linprog._start_basis(linprog.standard_form(lp), lp.start) is None
+    assert solution_bytes(solve_lp(lp)) == solution_bytes(solve_lp(replace(lp, start=None)))
+    # a valid hint on an empty program: x0 + x1 = 1 against x0 + x1 <= 0.5
+    lp = LinearProgram(objective=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0],
+                       ub_matrix=[[1.0, 1.0]], ub_rhs=[0.5], start=[1])
+    assert linprog._start_basis(linprog.standard_form(lp), lp.start) is not None
+    _assert_same_answer(solve_lp(lp), solve_lp(replace(lp, start=None)))
+    # the hint's point satisfies every row: phase 1 has nothing to do
+    fs = FeasibleSet(replace(lp, ub_rhs=[2.0]))
+    assert fs.feasible and fs._phase1_pivots == 0
+
+
+@pytest.mark.parametrize("start, message", [
+    ([0, 0], "start must hold 1 integers"),
+    ([0.0], "start must hold 1 integers"),
+    ([2], "start names a variable outside -1..1"),
+    ([-2], "start names a variable outside -1..1"),
+])
+def test_a_bad_start_is_a_structural_error(start, message):
+    with pytest.raises(StructuralError, match=message):
+        LinearProgram(objective=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0], start=start)

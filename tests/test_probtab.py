@@ -189,6 +189,24 @@ def test_support_registration_and_order():
         sup.index(9.0)
 
 
+def test_vector_mediator_codes_match_unique_rows():
+    """The per-column keys give ``np.unique(axis=0)``'s points, byte for
+    byte, and its row codes: 2 and 3 columns, -0.0, repeated rows, +-1e300
+    and a single row."""
+    rng = np.random.default_rng(47)
+    values = np.array([-0.0, 0.0, 1.0, -1.0, 2.5, 1e300, -1e300])
+    cases = [np.array([[1e300, -0.0, 2.5]]), np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])]
+    for _ in range(300):
+        n, p = int(rng.integers(1, 40)), int(rng.integers(2, 4))
+        cases.append(values[rng.integers(0, rng.integers(1, values.size + 1), (n, p))])
+    for m in cases:
+        points, codes = np.unique(probtab._mediator_rows(m), axis=0, return_inverse=True)
+        support, k_of = probtab._mediator_codes(m)
+        assert np.array(support.points).tobytes() == points.tobytes()
+        assert k_of.tolist() == codes.reshape(-1).tolist()
+        assert support_from_values(m) == support
+
+
 def test_vector_mediator_partial_order():
     sup = support_from_values(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     assert sup.elementwise_leq(0, 3)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,7 @@ from scipy.optimize import linprog as scipy_linprog
 
 from conftest import make_table, random_table, solution_bytes
 from mechtest.errors import IdentificationError, StructuralError, UnsupportedCaseError
-from mechtest.probtab import support_from_values
+from mechtest.probtab import DistTable, support_from_values
 from mechtest.typeshares import (
     RestrictionSet,
     build_identified_set,
@@ -332,3 +334,90 @@ def test_spec_minimizes_over_its_one_feasible_set(phase_one_runs):
             statuses.add(sol.status)
             assert solution_bytes(sol) == solution_bytes(solve_lp(spec.lp(c)))
     assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+# -- the quantile start --------------------------------------------------
+
+
+def test_a_dominated_table_starts_phase_one_at_a_feasible_quantile_coupling():
+    """Under monotonicity and without restrictions, a K=10 table whose
+    treated marginal dominates needs no phase 1 pivot, and its theta_kk
+    minima are the closed forms: the monotone one, and the Frechet bound
+    ``(p0_k + p1_k - 1)_+`` without restrictions."""
+    rng = np.random.default_rng(19)
+    theta = np.triu(rng.uniform(0.05, 1.0, (10, 10)))
+    theta /= theta.sum()
+    table = table_from_marginals(theta.sum(axis=1), theta.sum(axis=0))
+    for r in (RestrictionSet.monotone(table.support), RestrictionSet.unrestricted(table.support)):
+        spec = build_identified_set(table, r)
+        assert spec.quantile_start is not None
+        assert spec.feasible_set._phase1_pivots == 0
+        for k in range(10):
+            closed = (closed_form_theta_min(spec.p0, spec.p1, k) if r.kind == "monotone"
+                      else max(spec.p0[k] + spec.p1[k] - 1.0, 0.0))
+            assert abs(theta_kk_min(spec, k) - closed) <= 1e-12
+
+
+def test_the_quantile_start_is_the_northwest_corner_rule(fig2_marginals):
+    # (.5, .3, .2) against (.3, .3, .4): cells (0,0) (0,1) (1,1) (1,2) (2,2)
+    table = table_from_marginals(*fig2_marginals)
+    spec = build_identified_set(table, RestrictionSet.unrestricted(table.support))
+    assert spec.quantile_start.tolist() == [1, 5, 8, 0, 4, -1]
+
+
+def test_no_quantile_start_where_the_walk_meets_a_pinned_cell():
+    # control mass sits above the treated mass: the walk steps onto a defier cell
+    table = table_from_marginals([0.2, 0.8], [0.8, 0.2])
+    assert build_identified_set(table, RestrictionSet.monotone(table.support)).quantile_start is None
+    # a 3 x 3 vector mediator: the lexicographic walk leaves the elementwise order
+    m = np.array([(a, b) for a in range(3) for b in range(3)], dtype=float)
+    support = support_from_values(m)
+    vector = DistTable(support=support, outcome_levels=(0.0,), mass=np.full((2, 9, 1), 1.0 / 9.0))
+    spec = build_identified_set(vector, RestrictionSet.elementwise_monotone(support))
+    assert spec.quantile_start is None and spec.feasible
+
+
+def test_a_mediator_value_without_mass_in_one_arm_matches_highs():
+    """Zero masses make the quantile coupling degenerate; the identified
+    set's programs still give HiGHS's answers."""
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        K = int(rng.integers(3, 6))
+        p0, p1 = rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K))
+        (p0, p1)[trial % 2][rng.integers(K)] = 0.0
+        p0, p1 = p0 / p0.sum(), p1 / p1.sum()
+        table = table_from_marginals(p0, p1)
+        sup = table.support
+        for r in (RestrictionSet.unrestricted(sup), RestrictionSet.defier_budget(sup, 0.1),
+                  RestrictionSet.monotone(sup)):
+            spec = build_identified_set(table, r)
+            c = rng.normal(size=K * K)
+            sol = solve_lp(spec.lp(c))
+            ref = scipy_linprog(c, A_ub=r.matrix if r.rhs.size else None,
+                                b_ub=r.rhs if r.rhs.size else None, A_eq=spec.eq_matrix,
+                                b_eq=spec.eq_rhs, bounds=[(0, None)] * K * K, method="highs")
+            assert spec.feasible == (ref.status == 0)
+            if ref.status == 0:
+                assert sol.status == OPTIMAL and abs(sol.value - ref.fun) <= 1e-9
+
+
+def test_half_the_least_defier_budget_is_certified_empty_from_the_quantile_start(tmp_path,
+                                                                                  capsys):
+    from mechtest.cli import main
+
+    path = tmp_path / "defiers.csv"
+    lines = ["y,d,m1"] + ["0,0,0"] * 2 + ["0,0,1"] * 8 + ["0,1,0"] * 8 + ["0,1,1"] * 2
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = table_from_marginals([0.2, 0.8], [0.8, 0.2])
+    least = min_defier_budget(build_identified_set(table, RestrictionSet.unrestricted(
+        table.support)))
+    spec = build_identified_set(table, RestrictionSet.defier_budget(table.support, least / 2))
+    assert spec.quantile_start is not None and not spec.feasible
+    y, sf = spec.feasible_set.farkas, spec.feasible_set._standard
+    assert np.all(y @ sf.matrix <= 1e-7) and y @ sf.rhs > 0
+    code = main(["bounds", "--input", str(path), "--restriction", f"defier_budget:{least / 2!r}",
+                 "--out", str(tmp_path / "b.json")])
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 3 and payload["error"] == "IdentificationError"
+    assert payload["message"] == ("identified set is empty under the declared restriction; "
+                                  f"smallest feasible defier budget is {least:.6g}")
