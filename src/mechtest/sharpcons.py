@@ -15,6 +15,10 @@ per mediator value: no always-takers at all; an excess with disjoint arm
 supports; an excess with overlapping supports (a two-component mixture for
 the always-takers); and no excess (always-takers sit on the overlap
 density, scaled compliers absorb the rest).
+
+``PrimitiveDistribution.joints`` is one ``(K, K, K, Q, Q)`` array:
+``joints[l, k, c]`` is the joint pmf of ``(Y(1, m_c), Y(0, m_c))`` given
+type lk, treated outcome by row and untreated by column.
 """
 
 from dataclasses import dataclass
@@ -23,8 +27,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .probtab import DistTable
-from .typeshares import marginal_equalities
-from .probtab import delta_sup
+from .typeshares import _northwest_corner, marginal_equalities
 
 _TOL = 1e-12
 
@@ -70,8 +73,8 @@ def tv_distance(f, g):
     """Total variation distance and a minimal-disagreement coupling.
 
     Returns ``(tv, Coupling)`` where the coupling keeps ``min(f, g)`` on the
-    diagonal and matches the excesses off-diagonal greedily, so its
-    off-diagonal mass equals the TV distance exactly.
+    diagonal and couples the two excesses off it by the northwest-corner
+    rule, so its off-diagonal mass equals the TV distance exactly.
     """
     f = _check_pmf(f, "f")
     g = _check_pmf(g, "g")
@@ -79,24 +82,10 @@ def tv_distance(f, g):
         raise StructuralError("pmfs live on different grids")
     overlap = np.minimum(f, g)
     tv = float(np.clip(f - g, 0.0, None).sum())
-    q = len(f)
-    mat = np.zeros((q, q))
-    np.fill_diagonal(mat, overlap)
-    r = f - overlap
-    s = (g - overlap).copy()
-    j = 0
-    for i in range(q):
-        need = r[i]
-        while need > _TOL and j < q:
-            put = min(need, s[j])
-            if put > 0.0:
-                mat[i, j] += put
-                s[j] -= put
-                need -= put
-            if s[j] <= _TOL:
-                j += 1
-        if need > _TOL and j >= q:  # pragma: no cover - excesses always balance
-            raise StructuralError("coupling excess mass did not balance")
+    # the excesses sit on disjoint cells, so the walk puts no mass on the diagonal
+    l, k, _, mass = _northwest_corner(f - overlap, g - overlap)
+    mat = np.diag(overlap)
+    mat[l, k] += mass
     return tv, Coupling(mat)
 
 
@@ -104,7 +93,7 @@ def tv_distance(f, g):
 class PrimitiveDistribution:
     """Explicit distribution over types and potential outcomes.
 
-    ``joints[(l, k)][c]`` is the joint pmf of ``(Y(1, m_c), Y(0, m_c))``
+    ``joints[l, k, c]`` is the joint pmf of ``(Y(1, m_c), Y(0, m_c))``
     given type (l, k), over the outcome grid; the treatment indicator is
     independent of everything by construction.
     """
@@ -112,7 +101,7 @@ class PrimitiveDistribution:
     support: object
     outcome_levels: tuple
     theta: np.ndarray
-    joints: dict
+    joints: np.ndarray
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -120,37 +109,41 @@ class PrimitiveDistribution:
         if theta.shape != (K, K) or theta.min() < -1e-10 or abs(theta.sum() - 1.0) > 1e-8:
             raise StructuralError("type shares are not a proper simplex point")
         q = len(self.outcome_levels)
-        for g, coords in self.joints.items():
-            for c, mat in coords.items():
-                m = np.asarray(mat, dtype=float)
-                if m.shape != (q, q) or m.min() < -1e-10 or abs(m.sum() - 1.0) > 1e-8:
-                    raise StructuralError(f"joint for type {g} at coordinate {c} is not a pmf")
+        joints = np.asarray(self.joints, dtype=float)
+        if joints.shape != (K, K, K, q, q):
+            raise StructuralError(f"joints has shape {joints.shape}, not (K, K, K, Q, Q) = "
+                                  f"{(K, K, K, q, q)}")
+        bad = (joints.min(axis=(-2, -1)) < -1e-10) | (
+            np.abs(joints.sum(axis=(-2, -1)) - 1.0) > 1e-8)
+        if bad.any():
+            l, k, c = np.argwhere(bad)[0]
+            raise StructuralError(f"joint for type ({l}, {k}) at coordinate {c} is not a pmf")
         object.__setattr__(self, "theta", theta)
-
-    def disagreement(self, k):
-        """P(Y(1, m_k) != Y(0, m_k) | G = kk)."""
-        return Coupling(self.joints[(k, k)][k]).disagreement
+        object.__setattr__(self, "joints", joints)
 
 
-def _diag(f):
-    m = np.zeros((len(f), len(f)))
-    np.fill_diagonal(m, f)
-    return m
+def _normalized(f):
+    """Each row of ``f`` over its sum, or degenerate at the lowest grid point without mass."""
+    total = f.sum(axis=-1, keepdims=True)
+    lowest = np.zeros_like(f)
+    lowest[..., 0] = 1.0
+    return np.where(total > _TOL, f / np.where(total > _TOL, total, 1.0), lowest)
 
 
-def _degenerate(q):
-    m = np.zeros((q, q))
-    m[0, 0] = 1.0
-    return m
+def _theta_for(table: DistTable, theta):
+    """``theta`` as a float array, checked to be K x K for ``table``."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (table.n_mediators,) * 2:
+        raise StructuralError(f"theta has shape {theta.shape}, but the table has "
+                              f"K={table.n_mediators}")
+    return theta
 
 
-def _normalized(f, fallback_q):
-    total = f.sum()
-    if total <= _TOL:
-        out = np.zeros(fallback_q)
-        out[0] = 1.0
-        return out
-    return f / total
+def _excess(table: DistTable, theta):
+    """``eta_k = (delta_sup_k - complier mass into k)_+`` at each k."""
+    t = np.diag(theta)
+    gap = np.clip(table.mass[1] - table.mass[0], 0.0, None).sum(axis=1)
+    return np.maximum(gap - (theta.sum(axis=0) - t), 0.0)
 
 
 def construct_sharp_distribution(table: DistTable, theta) -> PrimitiveDistribution:
@@ -166,9 +159,7 @@ def construct_sharp_distribution(table: DistTable, theta) -> PrimitiveDistributi
     """
     K = table.n_mediators
     Q = table.n_outcomes
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (K, K):
-        raise StructuralError("theta must be K x K")
+    theta = _theta_for(table, theta)
     A, b = marginal_equalities(table.support, table.marginal_m(0), table.marginal_m(1))
     resid = A @ theta.reshape(-1) - b
     if theta.min() < -1e-9 or np.abs(resid).max() > 1e-9:
@@ -177,75 +168,39 @@ def construct_sharp_distribution(table: DistTable, theta) -> PrimitiveDistributi
             f"theta is outside the identified set (marginal constraint {bad}, "
             f"residual {resid[bad]:+.3g})"
         )
-    f1_all = table.mass[1]
-    f0_all = table.mass[0]
-    p1 = table.marginal_m(1)
-    p0 = table.marginal_m(0)
-    # Marginal pmfs per coordinate and type: y1_density[k][l] is the pmf of
-    # Y(1, m_k) | G = lk; y0_density[k][l] is the pmf of Y(0, m_k) | G = kl.
-    y1_density = [[None] * K for _ in range(K)]
-    y0_density = [[None] * K for _ in range(K)]
+    # Outcome pmfs at coordinate k, control arm then treated: own[k] of
+    # (Y(0, m_k), Y(1, m_k)) given G = kk, with own_joint[k] their coupling;
+    # other[k] of Y(0, m_k) given G = kl and of Y(1, m_k) given G = lk, l != k.
+    own, other = np.empty((2, K, 2, Q))
+    own_joint = np.empty((K, Q, Q))
+    eta = _excess(table, theta)
     for k in range(K):
-        f1 = f1_all[k]
-        f0 = f0_all[k]
-        base1 = _normalized(f1, Q)
-        base0 = _normalized(f0, Q)
+        f = table.mass[:, k]
         t_kk = theta[k, k]
-        compliers_in = theta[:, k].sum() - t_kk
-        gap = float(np.clip(f1 - f0, 0.0, None).sum())
-        eta = max(gap - compliers_in, 0.0)
-        fmin = np.minimum(f1, f0)
-        if t_kk <= _TOL or (eta > _TOL and fmin.sum() <= _TOL):
+        fmin = np.minimum(f[1], f[0])
+        if t_kk <= _TOL or (eta[k] > _TOL and fmin.sum() <= _TOL):
             # No always-takers, or an excess with disjoint arm supports:
             # every type shares the raw conditional distribution.
-            for l in range(K):
-                y1_density[k][l] = base1
-                y0_density[k][l] = base0
-        elif eta > _TOL and (f0 - fmin).sum() > _TOL:
-            nu_star = min(eta / t_kk, 1.0)
+            own[k] = other[k] = _normalized(f)
+        elif eta[k] > _TOL and (f[0] - fmin).sum() > _TOL:
+            nu_star = min(eta[k] / t_kk, 1.0)
             fmin_n = fmin / fmin.sum()
-            g1 = _normalized(f1 - fmin, Q)
-            g0 = _normalized(f0 - fmin, Q)
-            for l in range(K):
-                if l == k:
-                    y1_density[k][l] = (1 - nu_star) * fmin_n + nu_star * g1
-                    y0_density[k][l] = (1 - nu_star) * fmin_n + nu_star * g0
-                else:
-                    y1_density[k][l] = g1
-                    y0_density[k][l] = g0
+            other[k] = _normalized(f - fmin)
+            own[k] = (1 - nu_star) * fmin_n + nu_star * other[k]
         else:
             # No excess: always-takers sit on the normalized overlap.
-            fmin_n = fmin / fmin.sum()
-            spill1 = np.clip(f1 - t_kk * fmin_n, 0.0, None)
-            spill0 = np.clip(f0 - t_kk * fmin_n, 0.0, None)
-            g1 = _normalized(spill1, Q)
-            g0 = _normalized(spill0, Q)
-            for l in range(K):
-                if l == k:
-                    y1_density[k][l] = fmin_n
-                    y0_density[k][l] = fmin_n
-                else:
-                    y1_density[k][l] = g1
-                    y0_density[k][l] = g0
-    joints = {}
-    for l in range(K):
-        for k in range(K):
-            coords = {}
-            for c in range(K):
-                if c == k and l == k:
-                    if theta[k, k] <= _TOL:
-                        # zero-mass type: any proper joint works; stay diagonal
-                        coords[c] = _diag(y1_density[k][k])
-                    else:
-                        _, coupling = tv_distance(y1_density[k][k], y0_density[k][k])
-                        coords[c] = coupling.matrix
-                elif c == k:
-                    coords[c] = _diag(y1_density[k][l])
-                elif c == l:
-                    coords[c] = _diag(y0_density[l][k])
-                else:
-                    coords[c] = _degenerate(Q)
-            joints[(l, k)] = coords
+            own[k] = fmin / fmin.sum()
+            other[k] = _normalized(np.clip(f - t_kk * own[k], 0.0, None))
+        # a zero-mass type may take any proper joint: tv_distance(f, f) is diag(f)
+        own_joint[k] = tv_distance(own[k, 1], own[k, 0] if t_kk > _TOL else own[k, 1])[1].matrix
+    joints = np.zeros((K, K, K, Q, Q))
+    joints[..., 0, 0] = 1.0  # off-support coordinates
+    l, k = np.nonzero(~np.eye(K, dtype=bool))
+    eye = np.eye(Q)
+    joints[l, k, k] = other[k, 1, :, None] * eye  # lk at m_k: Y(1) given lk, Y(0) equal to it
+    joints[l, k, l] = other[l, 0, :, None] * eye  # lk at m_l: Y(0) given lk, Y(1) equal to it
+    d = np.arange(K)
+    joints[d, d, d] = own_joint
     return PrimitiveDistribution(
         support=table.support,
         outcome_levels=table.outcome_levels,
@@ -271,40 +226,31 @@ def verify_consistency(p: PrimitiveDistribution, table: DistTable) -> Consistenc
     largest disagreement across complier types and off-support coordinates
     (which should be exactly zero by construction).
     """
-    K = table.n_mediators
-    Q = table.n_outcomes
-    implied = np.zeros((2, K, Q))
-    for k in range(K):
-        for l in range(K):
-            joint_k = np.asarray(p.joints[(l, k)][k])
-            implied[1, k] += p.theta[l, k] * joint_k.sum(axis=1)
-            joint_l = np.asarray(p.joints[(k, l)][k])
-            implied[0, k] += p.theta[k, l] * joint_l.sum(axis=0)
+    K, Q = p.theta.shape[0], len(p.outcome_levels)
+    if (K, Q) != (table.n_mediators, table.n_outcomes):
+        raise StructuralError(f"the distribution has K={K}, Q={Q}, but the table has "
+                              f"K={table.n_mediators}, Q={table.n_outcomes}")
+    d = np.arange(K)
+    # joints[k, l, k]: type kl at its untreated value m_k; joints[l, k, k]: lk at its treated one
+    implied = np.stack([
+        (p.theta[:, :, None] * p.joints[d, :, d].sum(axis=-2)).sum(axis=1),
+        (p.theta[:, :, None] * p.joints[:, d, d].sum(axis=-1)).sum(axis=0),
+    ])
     dev = float(np.abs(implied - table.mass).max())
-    disagreement = tuple(p.disagreement(k) for k in range(K))
-    worst_complier = 0.0
-    for (l, k), coords in p.joints.items():
-        for c, mat in coords.items():
-            if l == k and c == k:
-                continue
-            worst_complier = max(worst_complier, Coupling(mat).disagreement)
+    off = np.maximum(p.joints[..., ~np.eye(Q, dtype=bool)].sum(axis=-1), 0.0)
+    disagreement = tuple(float(v) for v in off[d, d, d])
+    off[d, d, d] = 0.0  # only the always-takers at their own value may respond
     return ConsistencyReport(
         max_abs_deviation=dev,
         implied_mass=implied,
         disagreement=disagreement,
-        complier_disagreement=worst_complier,
+        complier_disagreement=float(off.max()),
     )
 
 
 def eta_over_theta(table: DistTable, theta) -> np.ndarray:
     """Target always-taker disagreement ``eta_k / theta_kk`` (0 when empty)."""
-    K = table.n_mediators
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(K)
-    for k in range(K):
-        t_kk = theta[k, k]
-        if t_kk <= _TOL:
-            continue
-        compliers_in = theta[:, k].sum() - t_kk
-        out[k] = max(delta_sup(table, k) - compliers_in, 0.0) / t_kk
-    return out
+    theta = _theta_for(table, theta)
+    t = np.diag(theta)
+    held = t > _TOL
+    return np.where(held, _excess(table, theta) / np.where(held, t, 1.0), 0.0)

@@ -7,8 +7,9 @@ partially identified.  This module encodes restriction polyhedra
 ``{B theta <= c}`` (monotonicity, defier budgets, elementwise order,
 bounded mediator movement, or custom rows), assembles the identified set as
 linear constraints over the K^2 shares, and computes extremal shares by LP,
-with a closed-form cross-check and an explicit cascade allocation in the
-totally-ordered monotone case.
+with a closed-form cross-check and, in the totally-ordered monotone case,
+the allocation that attains every minimum at once: the quantile coupling of
+:func:`_northwest_corner`, the one coupling rule here and in ``sharpcons``.
 """
 
 from dataclasses import dataclass, replace
@@ -63,6 +64,26 @@ def _indicator_row(cells, K):
     for l, k in cells:
         row[_flat(l, k, K)] = 1.0
     return row
+
+
+def _northwest_corner(a, b):
+    """The northwest-corner rule (Dantzig, 1951): the quantile coupling of
+    the masses ``a`` over rows and ``b`` over columns, of one total.
+
+    Returns ``(l, k, down, mass)``: the walk's cells ``(l[i], k[i])`` from
+    (0, 0) to the far corner, whether each step goes down, and each cell's
+    mass.  A cumulative cut of ``a`` steps down, one of ``b`` right, and at
+    a tie right first; a cell's mass is the gap between its two cuts.
+    """
+    ca, cb = np.cumsum(a), np.cumsum(b)
+    cuts = np.concatenate([cb[:-1], ca[:-1]])
+    order = np.argsort(cuts, kind="stable")  # ties: b's cuts, the steps right, first
+    down = order >= len(b) - 1
+    l = np.concatenate([[0], np.cumsum(down)])
+    k = np.arange(l.size) - l  # each step moves one row or one column
+    # the walk ends at the larger total, which no cut of a running sum exceeds
+    ends = np.concatenate([[0.0], cuts[order], [max(ca[-1], cb[-1])]])
+    return l, k, down, ends[1:] - ends[:-1]
 
 
 @dataclass(frozen=True)
@@ -196,19 +217,17 @@ class IdentifiedSetSpec:
 
     @cached_property
     def quantile_start(self):
-        """The ``start`` hint of :meth:`lp`: the northwest-corner walk over
-        the cells (l, k), which moves down when the control arm's
-        cumulative mass through l is at most the treated arm's through k,
-        and otherwise right.  A cell the walk leaves down is basic in
-        row-sum row l, one it leaves right in column-sum row K + k, and the
-        last cell in row K - 1; the redundant row 2K - 1 keeps its
-        artificial.  None when the walk reaches a pinned cell, as it does
-        when the marginals violate monotonicity."""
+        """The ``start`` hint of :meth:`lp`: the cells of the northwest-corner
+        walk of ``p0`` over ``p1`` (:func:`_northwest_corner`).  A cell the
+        walk leaves down is basic in row-sum row l, one it leaves right in
+        column-sum row K + k, and the last cell in row K - 1; the redundant
+        row 2K - 1 keeps its artificial.  None when the walk reaches a
+        pinned cell, as it does when the marginals violate monotonicity.
+        Ties go right: where the cumulative masses tie, a step down from
+        (k, k) would enter a defier cell, which monotonicity pins, and the
+        tied cell carries no mass either way."""
         K = self.k
-        F0, F1 = np.cumsum(self.p0)[:-1], np.cumsum(self.p1)[:-1]
-        down = np.argsort(np.concatenate([F0, F1]), kind="stable") < K - 1  # ties go down
-        l = np.concatenate([[0], np.cumsum(down)])
-        k = np.concatenate([[0], np.cumsum(~down)])
+        l, k, down, _ = _northwest_corner(self.p0, self.p1)
         free = np.full(K * K, -1)
         free[self.polytope[0]] = np.arange(self.polytope[0].size)
         var = free[_flat(l, k, K)]
@@ -394,9 +413,10 @@ def joint_theta_min_exists(spec: IdentifiedSetSpec) -> np.ndarray:
     """Explicit allocation hitting every diagonal minimum simultaneously.
 
     Only defined for a totally ordered mediator under monotonicity, where
-    the recursive cascade construction pushes as much mass as possible down
-    the complier chain.  The result is verified to lie in the identified
-    set and to attain the closed-form minimum at every k.
+    the quantile coupling of the marginals (:func:`_northwest_corner`)
+    pushes as much mass as possible down the complier chain.  The result is
+    verified to lie in the identified set and to attain the closed-form
+    minimum at every k.
     """
     if not (spec.support.totally_ordered and spec.restriction.kind == MONOTONE):
         raise UnsupportedCaseError(
@@ -405,27 +425,14 @@ def joint_theta_min_exists(spec: IdentifiedSetSpec) -> np.ndarray:
     _require_feasible(spec)
     K = spec.k
     p0, p1 = spec.p0, spec.p1
+    rows, cols, _, mass = _northwest_corner(p0, p1)
     theta = np.zeros((K, K))
-    for k in range(K):
-        s_te = float(np.sum(p1[k:]) - np.sum(p0[k:]))
-        need = min(p1[k], s_te)  # complier mass the column must absorb
-        theta[k, k] = p1[k] - need
-        for l in range(k):
-            assigned = theta[:l, k].sum()
-            if assigned >= need - 1e-15:
-                theta[l, k] = 0.0
-            else:
-                theta[l, k] = min(
-                    need - assigned,
-                    p0[l] - theta[l, :k].sum(),
-                )
-        # numeric guard: shares are probabilities
-        theta[:, k] = np.clip(theta[:, k], 0.0, None)
+    theta[rows, cols] = mass
     _verify_in_identified_set(spec, theta)
     for k in range(K):
         closed = closed_form_theta_min(p0, p1, k)
         if abs(theta[k, k] - closed) > 1e-9:
-            raise SolverFailureError("cascade allocation missed a diagonal minimum")
+            raise SolverFailureError("the quantile coupling missed a diagonal minimum")
     return theta
 
 

@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog as scipy_linprog
 
 from conftest import make_table, random_table
-from mechtest.errors import StructuralError
+from mechtest.errors import IdentificationError, StructuralError
+from mechtest.probtab import RecordSet, from_records
 from mechtest.sharpcons import (
     Coupling,
     construct_sharp_distribution,
@@ -14,7 +15,7 @@ from mechtest.sharpcons import (
     verify_consistency,
 )
 from mechtest.typeshares import RestrictionSet, build_identified_set, joint_theta_min_exists
-from mechtest.bounds import nu_lower_bounds
+from mechtest.bounds import bounds_report, nu_lower_bounds
 
 
 def coupling_lp_oracle(f, g):
@@ -80,6 +81,40 @@ def test_tv_equals_lp_coupling_minimum(seed, q):
     assert_allclose(coupling.col_marginal, g, atol=1e-12)
 
 
+def _greedy_coupling(f, g):
+    """The minimal-disagreement coupling as :func:`tv_distance` built it
+    before it walked the excesses by the northwest-corner rule: the loop
+    reference."""
+    overlap = np.minimum(f, g)
+    mat = np.diag(overlap)
+    r, s = f - overlap, g - overlap
+    j = 0
+    for i in range(len(f)):
+        need = r[i]
+        while need > 1e-12 and j < len(f):
+            put = min(need, s[j])
+            if put > 0.0:
+                mat[i, j] += put
+                s[j] -= put
+                need -= put
+            if s[j] <= 1e-12:
+                j += 1
+    return mat
+
+
+def test_tv_coupling_is_the_greedy_coupling():
+    rng = np.random.default_rng(8)
+    for trial in range(2000):
+        q = int(rng.integers(1, 9))
+        f, g = rng.dirichlet(np.ones(q)), rng.dirichlet(np.ones(q))
+        if trial % 3 == 0:  # zero cells
+            g = np.where(rng.random(q) < 0.4, 0.0, g) + (np.arange(q) == 0)
+            g /= g.sum()
+        tv, coupling = tv_distance(f, g)
+        assert tv == float(np.clip(f - g, 0.0, None).sum())
+        assert np.abs(coupling.matrix - _greedy_coupling(f, g)).max() <= 1e-15
+
+
 def cascade_theta(table):
     spec = build_identified_set(table, RestrictionSet.monotone(table.support))
     return joint_theta_min_exists(spec)
@@ -129,8 +164,7 @@ def test_perturbed_shares_show_localized_deviation(binary_instance):
     theta = np.diag([0.6, 0.4])
     dist = construct_sharp_distribution(binary_instance, theta)
     # shift a little always-taker mass between outcome cells by hand
-    joints = {g: {c: np.array(m) for c, m in coords.items()}
-              for g, coords in dist.joints.items()}
+    joints = dist.joints.copy()
     jm = joints[(0, 0)][0]
     cell = np.unravel_index(np.argmax(jm), jm.shape)
     jm[cell] -= 0.01
@@ -173,3 +207,58 @@ def test_round_trip_random_tables_and_shares():
 def test_coupling_validation():
     with pytest.raises(StructuralError):
         Coupling(np.array([[0.5, -0.1], [0.3, 0.3]]))
+
+
+def test_mismatched_shapes_raise_structural_errors(binary_instance):
+    dist = construct_sharp_distribution(binary_instance, np.diag([0.6, 0.4]))
+    rng = np.random.default_rng(3)
+    for K, Q in ((3, 2), (2, 3)):
+        with pytest.raises(StructuralError, match=f"K=2, Q=2, but the table has K={K}, Q={Q}"):
+            verify_consistency(dist, random_table(rng, K=K, Q=Q))
+    with pytest.raises(StructuralError, match=r"theta has shape \(2, 2\), but the table has K=3"):
+        eta_over_theta(random_table(rng, K=3, Q=2), np.diag([0.6, 0.4]))
+
+
+def _ordered_k10_table():
+    """8000 units over a K=10 ordered mediator: treatment moves half of them
+    up one step and raises the binary outcome of most of the others."""
+    rng = np.random.default_rng(10)
+    n, K = 8000, 10
+    d = rng.integers(0, 2, n)
+    m = rng.integers(0, K, n)
+    moved = (d == 1) & (m < K - 1) & (rng.random(n) < 0.5)
+    m = m + moved
+    y = (rng.random(n) < 0.1 + 0.5 * m / K) | ((d == 1) & ~moved & (rng.random(n) < 0.8))
+    return from_records(RecordSet(y=y.astype(float), m=m.astype(float), d=d))
+
+
+def test_every_bounds_report_allocation_round_trips_through_the_witness():
+    """The reported allocation builds a witness that reproduces the table and
+    whose always-takers disagree at the targets; off the degenerate branch,
+    the reported eta are those targets times theta_kk and attain the pooled
+    bound."""
+    rng = np.random.default_rng(36)
+    tables = [random_table(rng, K=int(rng.integers(2, 7)), Q=int(rng.integers(2, 5)),
+                           monotone_theta=bool(i % 2)) for i in range(40)]
+    checked = degenerate = 0
+    for table in tables + [_ordered_k10_table()]:
+        sup = table.support
+        for r in (RestrictionSet.monotone(sup), RestrictionSet.defier_budget(sup, 0.1),
+                  RestrictionSet.unrestricted(sup)):
+            try:
+                report = bounds_report(table, r)
+            except IdentificationError:
+                continue
+            theta = report.theta
+            check = verify_consistency(construct_sharp_distribution(table, theta), table)
+            target = eta_over_theta(table, theta)
+            assert check.max_abs_deviation <= 1e-12
+            assert check.complier_disagreement == 0.0
+            assert np.abs(np.array(check.disagreement) - target).max() <= 1e-12
+            checked += 1
+            if report.pooled_degenerate:
+                degenerate += 1
+                continue
+            assert np.abs(np.array(report.eta) - target * np.diag(theta)).max() <= 1e-12
+            assert abs(sum(report.eta) / np.trace(theta) - report.nu_pooled_lb) <= 1e-12
+    assert checked >= 100 and 0 < degenerate < checked - 50

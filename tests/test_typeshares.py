@@ -377,6 +377,96 @@ def test_no_quantile_start_where_the_walk_meets_a_pinned_cell():
     assert spec.quantile_start is None and spec.feasible
 
 
+@pytest.mark.parametrize("p0, p1", [((0.5, 0.3, 0.2), (0.5, 0.3, 0.2)),
+                                    ((0.5, 0.3, 0.2), (0.5, 0.2, 0.3)),
+                                    ((0.25, 0.25, 0.5), (0.25, 0.25, 0.5))])
+def test_tied_cumulative_marginals_step_right_and_keep_the_quantile_start(p0, p1):
+    # a step down at a tie would enter a defier cell, so the program would start cold
+    table = table_from_marginals(p0, p1)
+    spec = build_identified_set(table, RestrictionSet.monotone(table.support))
+    assert spec.quantile_start is not None
+    assert spec.feasible_set._phase1_pivots == 0
+    for k in range(3):
+        assert theta_kk_min(spec, k) == closed_form_theta_min(spec.p0, spec.p1, k)
+
+
+def _ties_down_start(spec):
+    """The quantile start as it was when ties of the cumulative marginals
+    sent the walk down: the reference where no cumulative value ties."""
+    K = spec.k
+    F0, F1 = np.cumsum(spec.p0)[:-1], np.cumsum(spec.p1)[:-1]
+    down = np.argsort(np.concatenate([F0, F1]), kind="stable") < K - 1
+    l = np.concatenate([[0], np.cumsum(down)])
+    k = np.concatenate([[0], np.cumsum(~down)])
+    free = np.full(K * K, -1)
+    free[spec.polytope[0]] = np.arange(spec.polytope[0].size)
+    var = free[l * K + k]
+    if (var < 0).any():
+        return None
+    start = np.full(2 * K, -1)
+    start[np.append(np.where(down, l[:-1], K + k[:-1]), K - 1)] = var
+    return start
+
+
+def test_without_ties_the_quantile_start_is_the_ties_down_walk():
+    rng = np.random.default_rng(36)
+    grid = support_from_values(np.array([(a, b) for a in range(3) for b in range(3)], dtype=float))
+    hinted = 0
+    for trial in range(300):
+        K = int(rng.integers(2, 7))
+        if trial % 2:  # a dominated pair, whose monotone set is nonempty
+            theta = np.triu(rng.uniform(0.0, 1.0, (K, K)))
+            theta /= theta.sum()
+            p0, p1 = theta.sum(axis=1), theta.sum(axis=0)
+        else:
+            p0, p1 = rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K))
+        assert not np.isin(np.cumsum(p0)[:-1], np.cumsum(p1)[:-1]).any()
+        table = table_from_marginals(p0, p1)
+        sup = table.support
+        vector = DistTable(support=grid, outcome_levels=(0.0,),
+                           mass=rng.dirichlet(np.ones(9), size=2)[..., None])
+        for t, r in ((table, RestrictionSet.monotone(sup)),
+                     (table, RestrictionSet.defier_budget(sup, 0.1)),
+                     (table, RestrictionSet.unrestricted(sup)),
+                     (vector, RestrictionSet.elementwise_monotone(grid))):
+            spec = build_identified_set(t, r)
+            want = _ties_down_start(spec)
+            if want is None:
+                assert spec.quantile_start is None
+            else:
+                hinted += 1
+                assert spec.quantile_start.tolist() == want.tolist()
+    assert hinted > 600
+
+
+def _cascade(p0, p1):
+    """The column-by-column cascade that :func:`joint_theta_min_exists` ran
+    before it placed the quantile coupling: the loop reference."""
+    K = len(p0)
+    theta = np.zeros((K, K))
+    for k in range(K):
+        need = min(p1[k], float(np.sum(p1[k:]) - np.sum(p0[k:])))
+        theta[k, k] = p1[k] - need
+        for l in range(k):
+            assigned = theta[:l, k].sum()
+            if assigned < need - 1e-15:
+                theta[l, k] = min(need - assigned, p0[l] - theta[l, :k].sum())
+        theta[:, k] = np.clip(theta[:, k], 0.0, None)
+    return theta
+
+
+def test_the_joint_minimal_allocation_is_the_cascade():
+    rng = np.random.default_rng(51)
+    for _ in range(1000):
+        K = int(rng.integers(2, 8))
+        theta = np.triu(rng.uniform(0.0, 1.0, (K, K)) * (rng.random((K, K)) < 0.7))
+        theta[0, 0] += 0.05
+        theta /= theta.sum()
+        table = table_from_marginals(theta.sum(axis=1), theta.sum(axis=0))
+        spec = build_identified_set(table, RestrictionSet.monotone(table.support))
+        assert np.abs(joint_theta_min_exists(spec) - _cascade(spec.p0, spec.p1)).max() <= 1e-15
+
+
 def test_a_mediator_value_without_mass_in_one_arm_matches_highs():
     """Zero masses make the quantile coupling degenerate; the identified
     set's programs still give HiGHS's answers."""
